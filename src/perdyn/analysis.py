@@ -178,14 +178,15 @@ def sdof_stability_map(zeta: float, m_a: int, r_a: int = 2, p: int = 20,
     lams = np.array([_max_abs_eig(x, zeta, m_a, r_a) for x in xs])
     grid = np.column_stack([xs, lams])
 
-    def refine(lo, hi):
+    def boundary(lo, hi, stable_low):
+        """Bisect [lo, hi] to tol; ``stable_low`` says which end is stable."""
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
-            if _max_abs_eig(mid, zeta, m_a, r_a) <= _STABLE_LIMIT:
+            if (_max_abs_eig(mid, zeta, m_a, r_a) <= _STABLE_LIMIT) == stable_low:
                 lo = mid
             else:
                 hi = mid
-        return lo, hi
+        return 0.5 * (lo + hi)
 
     boundaries = []
     stable = lams <= _STABLE_LIMIT
@@ -194,17 +195,12 @@ def sdof_stability_map(zeta: float, m_a: int, r_a: int = 2, p: int = 20,
         if not stable[i]:
             i += 1
             continue
-        if i == 0:
-            lower = 0.0
-        else:
-            lo, hi = refine_unstable_side(xs[i - 1], xs[i], zeta, m_a, r_a, tol)
-            lower = 0.5 * (lo + hi)
+        lower = 0.0 if i == 0 else boundary(xs[i - 1], xs[i], False)
         j = i
         while j < len(xs) and stable[j]:
             j += 1
         if j < len(xs):
-            lo, hi = refine(xs[j - 1], xs[j])
-            upper = 0.5 * (lo + hi)
+            upper = boundary(xs[j - 1], xs[j], True)
         else:
             upper = float(xs[-1])
         if upper - lower >= 3.0 * grid_step:
@@ -212,17 +208,6 @@ def sdof_stability_map(zeta: float, m_a: int, r_a: int = 2, p: int = 20,
         i = j
     return StabilityRecord(zeta=zeta, m_a=m_a, r_a=r_a, p=p,
                            grid=grid, boundaries=boundaries)
-
-
-def refine_unstable_side(lo, hi, zeta, m_a, r_a, tol):
-    """Bisect a boundary where the stable side is the upper end."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _max_abs_eig(mid, zeta, m_a, r_a) <= _STABLE_LIMIT:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
 
 
 def beta_radius_map(model: SystemModel, dt_values, m_b: int) -> list[tuple[float, float]]:

@@ -2,10 +2,12 @@
 
 Implicit: Newmark (average acceleration), Wilson-theta, and the
 two-sub-step composite scheme (trapezoidal rule + 3-point backward
-Euler).  Explicit: classical RK4 on the state-space form, and the
-modified precise integration method (MPIM) whose matrix exponential is
-built by the same 2^p doubling idea with a 4th-order Taylor seed and
-whose forcing integral uses Gauss-Legendre quadrature.
+Euler).  Explicit: classical RK4 on the state-space form, collapsed
+into its one-step map, and the modified precise integration method
+(MPIM) whose matrix exponential is built by the same 2^p doubling idea
+with a 4th-order Taylor seed and whose forcing integral uses
+Gauss-Legendre quadrature.  Both explicit methods step through
+``per.recurrence``, the loop of the perturbation scheme.
 """
 
 from __future__ import annotations
@@ -14,13 +16,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.linalg import cho_factor, cho_solve
 
 from .linalg import spd_solver
 from .model import SystemModel
-from .per import Trajectory
-
-_DIVERGENCE_FACTOR = 1e12
+from .per import Trajectory, recurrence
 
 
 @dataclass(frozen=True)
@@ -220,74 +221,34 @@ def rk4(system: StateSpaceSystem, u0: np.ndarray, dt: float,
         t_max: float) -> Trajectory:
     """Classical fourth-order Runge-Kutta on dU/dt = W U + h(t).
 
+    On a linear system the four stages collapse into the step map
+    U_{k+1} = R U_k + dt/6 (P0 h(t_k) + Pm h(t_k + dt/2) + I h(t_k + dt))
+    with X = W dt, R = I + X + X^2/2 + X^3/6 + X^4/24,
+    P0 = I + X + X^2/2 + X^3/4 and Pm = 4I + 2X + X^2/2.
     ``u0`` is the 2N initial state [u; v].  Divergence (non-finite or
     unbounded growth) truncates the run and sets the flag.
     """
     n_steps = _steps(t_max, dt)
-    w = system.w
-    h = system.h
-    n2 = w.shape[0]
+    n2 = system.w.shape[0]
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (n2,):
         raise ValueError(f"initial state must have length {n2}")
-
-    def rate(t, y):
-        out = w @ y
-        if h is not None:
-            out = out + h(t)
-        return out
-
-    states = np.zeros((n_steps + 1, n2))
-    states[0] = u0
-    ref_norm = max(np.linalg.norm(u0), 1e-30)
-    diverged = False
-    completed = n_steps
-    for k in range(n_steps):
-        t = k * dt
-        y = states[k]
-        k1 = rate(t, y)
-        k2 = rate(t + dt / 2.0, y + dt / 2.0 * k1)
-        k3 = rate(t + dt / 2.0, y + dt / 2.0 * k2)
-        k4 = rate(t + dt, y + dt * k3)
-        states[k + 1] = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        norm = np.linalg.norm(states[k + 1])
-        if h is not None:
-            ref_norm += dt * max(np.linalg.norm(h(t)),
-                                 np.linalg.norm(h(t + dt)))
-        if not np.isfinite(norm) or norm > _DIVERGENCE_FACTOR * ref_norm:
-            diverged = True
-            completed = k + 1
-            break
-    n = n2 // 2
-    times = np.arange(completed + 1) * dt
-    info = {"diverged_at_step": completed} if diverged else {}
-    return Trajectory(times=times, displacements=states[:completed + 1, :n],
-                      velocities=states[:completed + 1, n:],
-                      diverged=diverged, info=info)
+    eye = np.eye(n2)
+    x = system.w * dt
+    x2 = x @ x
+    x3 = x2 @ x
+    r = eye + x + x2 / 2.0 + x3 / 6.0 + x2 @ x2 / 24.0
+    weights = dt / 6.0 * np.hstack([eye + x + x2 / 2.0 + x3 / 4.0,
+                                    4.0 * eye + 2.0 * x + x2 / 2.0, eye])
+    return recurrence(r, u0, dt, n_steps, system.h, (0.0, dt / 2.0, dt),
+                      weights, dt)
 
 
 # ---------------------------------------------------------------------------
 # MPIM
 
-#: Gauss-Legendre nodes/weights on [-1, 1], hardcoded to 1e-15.
-GAUSS_NODES = {
-    2: ((-0.5773502691896257, 0.5773502691896257),
-        (1.0, 1.0)),
-    3: ((-0.7745966692414834, 0.0, 0.7745966692414834),
-        (0.5555555555555556, 0.8888888888888888, 0.5555555555555556)),
-    4: ((-0.8611363115940526, -0.3399810435848563,
-         0.3399810435848563, 0.8611363115940526),
-        (0.3478548451374538, 0.6521451548625461,
-         0.6521451548625461, 0.3478548451374538)),
-    5: ((-0.9061798459386640, -0.5384693101056831, 0.0,
-         0.5384693101056831, 0.9061798459386640),
-        (0.2369268850561891, 0.4786286704993665, 0.5688888888888889,
-         0.4786286704993665, 0.2369268850561891)),
-    6: ((-0.9324695142031521, -0.6612093864662645, -0.2386191860831969,
-         0.2386191860831969, 0.6612093864662645, 0.9324695142031521),
-        (0.1713244923791704, 0.3607615730481386, 0.4679139345726910,
-         0.4679139345726910, 0.3607615730481386, 0.1713244923791704)),
-}
+#: Gauss-Legendre nodes/weights on [-1, 1].
+GAUSS_NODES = {g: tuple(map(tuple, leggauss(g))) for g in range(2, 7)}
 
 
 def expm_2p(w: np.ndarray, t: float, p: int = 20) -> np.ndarray:
@@ -320,39 +281,11 @@ def mpim_operators(system: StateSpaceSystem, dt: float, g: int = 4, p: int = 20)
     return big_h, exps, offsets
 
 
-def _mpim_loop(system, big_h, exps, offsets, u0, dt, t_max):
-    n_steps = _steps(t_max, dt)
-    n2 = system.w.shape[0]
-    states = np.zeros((n_steps + 1, n2))
-    states[0] = np.asarray(u0, dtype=float)
-    h = system.h
-    ref_norm = max(np.linalg.norm(states[0]), 1e-30)
-    diverged = False
-    completed = n_steps
-    for k in range(n_steps):
-        nxt = big_h @ states[k]
-        if h is not None:
-            t = k * dt
-            w_k = np.zeros(n2)
-            for ex, off in zip(exps, offsets):
-                w_k += ex @ h(t + off)
-            nxt = nxt + w_k
-            ref_norm += np.linalg.norm(w_k)
-        states[k + 1] = nxt
-        norm = np.linalg.norm(nxt)
-        if not np.isfinite(norm) or norm > _DIVERGENCE_FACTOR * ref_norm:
-            diverged = True
-            completed = k + 1
-            break
-    n = n2 // 2
-    times = np.arange(completed + 1) * dt
-    return Trajectory(times=times, displacements=states[:completed + 1, :n],
-                      velocities=states[:completed + 1, n:], diverged=diverged)
-
-
 def mpim(system: StateSpaceSystem, u0: np.ndarray, dt: float, t_max: float,
          g: int = 4, p: int = 20) -> Trajectory:
     """Modified precise integration: exact-to-roundoff homogeneous
     propagation plus Gauss quadrature of the forcing convolution."""
+    n_steps = _steps(t_max, dt)
     big_h, exps, offsets = mpim_operators(system, dt, g, p)
-    return _mpim_loop(system, big_h, exps, offsets, u0, dt, t_max)
+    return recurrence(big_h, u0, dt, n_steps, system.h, offsets,
+                      np.hstack(exps), dt)

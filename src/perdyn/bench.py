@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -134,10 +134,7 @@ def run_method(model: SystemModel, method: str, dt: float, t_max: float,
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     params = params or baselines.IntegratorParams(method=method)
     if method == "per":
-        config = per_config or per.PerConfig(dt=dt)
-        if config.dt != dt:
-            config = per.PerConfig(dt=dt, p=config.p, m_a=config.m_a,
-                                   r_a=config.r_a, m_b=config.m_b, r_b=config.r_b)
+        config = replace(per_config, dt=dt) if per_config else per.PerConfig(dt=dt)
         return per.integrate(model, config, t_max)
     if method == "newmark":
         return baselines.newmark(model, dt, t_max, params.newmark_gamma,
@@ -155,11 +152,34 @@ def run_method(model: SystemModel, method: str, dt: float, t_max: float,
 
 def _per_rho(model, config, dt):
     """rho(beta_b) at this dt, warnings silenced (divergence is sweep data)."""
-    sized = per.PerConfig(dt=dt, p=config.p, m_a=config.m_a, r_a=config.r_a,
-                          m_b=config.m_b, r_b=config.r_b)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return per.compute_b_factors(model, sized).rho_beta_b
+        return per.compute_b_factors(model, replace(config, dt=dt)).rho_beta_b
+
+
+def _sweep_row(model, method, dt, t_max, dof, per_config, params, refine,
+               abscissa, extra) -> SweepRow:
+    """Error of one run against its RK4 reference, or a diverged row.
+
+    A PER run whose rho(beta_b) >= 1 (in ``extra``) is not attempted: its
+    series does not converge.
+    """
+    ref = reference_solution(model, dt, t_max, refine=refine)
+    traj = None
+    if method != "per" or extra["rho_beta_b"] < 1.0:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                traj = run_method(model, method, dt, t_max,
+                                  per_config=per_config, params=params)
+        except per.DivergenceError:
+            traj = None
+    if traj is None or traj.diverged or len(traj.times) != len(ref.times):
+        return SweepRow(dt=dt, dt_over_t=abscissa, e_disp=float("nan"),
+                        e_vel=float("nan"), diverged=True, extra=extra)
+    rep = global_error(traj, ref, dof)
+    return SweepRow(dt=dt, dt_over_t=abscissa, e_disp=rep.e_disp,
+                    e_vel=rep.e_vel, diverged=False, extra=extra)
 
 
 def sweep_dt(model: SystemModel, method: str, dt_list, t_max: float, dof: int,
@@ -176,28 +196,10 @@ def sweep_dt(model: SystemModel, method: str, dt_list, t_max: float, dof: int,
     rows = []
     for dt in dt_list:
         extra = {}
-        ref = reference_solution(model, dt, t_max, refine=refine)
-        bad = False
         if method == "per":
-            rho = _per_rho(model, per_config or per.PerConfig(dt=dt), dt)
-            extra["rho_beta_b"] = rho
-            bad = rho >= 1.0
-        traj = None
-        if not bad:
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    traj = run_method(model, method, dt, t_max,
-                                      per_config=per_config, params=params)
-            except per.DivergenceError:
-                traj = None
-        if traj is None or traj.diverged or len(traj.times) != len(ref.times):
-            rows.append(SweepRow(dt=dt, dt_over_t=dt / t_min, e_disp=float("nan"),
-                                 e_vel=float("nan"), diverged=True, extra=extra))
-            continue
-        rep = global_error(traj, ref, dof)
-        rows.append(SweepRow(dt=dt, dt_over_t=dt / t_min, e_disp=rep.e_disp,
-                             e_vel=rep.e_vel, diverged=False, extra=extra))
+            extra["rho_beta_b"] = _per_rho(model, per_config or per.PerConfig(dt=dt), dt)
+        rows.append(_sweep_row(model, method, dt, t_max, dof, per_config, params,
+                               refine, dt / t_min, extra))
     return rows
 
 
@@ -218,25 +220,10 @@ def sweep_damping(model: SystemModel, zeta_list, dt: float, t_max: float,
         if zeta < 0.0:
             raise ValueError("zeta must be >= 0")
         scaled = model.with_damping(zeta * model.damping)
-        rho = _per_rho(scaled, config, dt)
-        level = damping_level(scaled) if zeta > 0.0 else 0.0
-        extra = {"rho_beta_b": rho, "damping_level": level}
-        ref = reference_solution(scaled, dt, t_max, refine=refine)
-        bad = method == "per" and rho >= 1.0
-        traj = None
-        if not bad:
-            try:
-                traj = run_method(scaled, method, dt, t_max,
-                                  per_config=config, params=params)
-            except per.DivergenceError:
-                traj = None
-        if traj is None or traj.diverged or len(traj.times) != len(ref.times):
-            rows.append(SweepRow(dt=dt, dt_over_t=zeta, e_disp=float("nan"),
-                                 e_vel=float("nan"), diverged=True, extra=extra))
-            continue
-        rep = global_error(traj, ref, dof)
-        rows.append(SweepRow(dt=dt, dt_over_t=zeta, e_disp=rep.e_disp,
-                             e_vel=rep.e_vel, diverged=False, extra=extra))
+        extra = {"rho_beta_b": _per_rho(scaled, config, dt),
+                 "damping_level": damping_level(scaled) if zeta > 0.0 else 0.0}
+        rows.append(_sweep_row(scaled, method, dt, t_max, dof, config, params,
+                               refine, zeta, extra))
     return rows
 
 
@@ -305,9 +292,10 @@ def timing_run(model: SystemModel, method: str, dt: float, t_max: float,
                repeats: int = 3) -> tuple[float, float]:
     """(setup_seconds, loop_seconds), best of ``repeats`` runs.
 
-    Setup covers operator preparation (scheme matrices, exponentials,
-    factorizations); the loop phase covers time stepping.  t_max below
-    one step means a setup-only measurement.
+    Setup is the time of a one-step run: operator preparation (scheme
+    matrices, exponentials, factorizations) plus one step.  The loop
+    phase is the time of the full run less that.  t_max below one step
+    means a setup-only measurement.
     """
     params = params or baselines.IntegratorParams(method=method)
     best_setup = best_loop = float("inf")
@@ -319,36 +307,11 @@ def timing_run(model: SystemModel, method: str, dt: float, t_max: float,
 
 
 def _timed_once(model, method, dt, t_max, per_config, params):
-    u0 = np.concatenate([model.u0, model.v0])
-    run_loop = t_max >= dt
-    if method == "per":
-        config = per_config or per.PerConfig(dt=dt)
-        t0 = time.perf_counter()
-        scheme = per.build_scheme(model, config)
-        t1 = time.perf_counter()
-        if run_loop:
-            per._step_loop(model, scheme, config, t_max)
-        return t1 - t0, time.perf_counter() - t1
-    if method == "mpim":
-        t0 = time.perf_counter()
-        system = baselines.state_space(model)
-        ops = baselines.mpim_operators(system, dt, params.mpim_g, params.mpim_p)
-        t1 = time.perf_counter()
-        if run_loop:
-            baselines._mpim_loop(system, *ops, u0, dt, t_max)
-        return t1 - t0, time.perf_counter() - t1
-    if method == "rk4":
-        t0 = time.perf_counter()
-        system = baselines.state_space(model)
-        t1 = time.perf_counter()
-        if run_loop:
-            baselines.rk4(system, u0, dt, t_max)
-        return t1 - t0, time.perf_counter() - t1
-    # implicit methods: setup = factorization of the effective matrices,
-    # measured by a one-step run; loop = the remaining steps
     t0 = time.perf_counter()
-    run_method(model, method, dt, dt, params=params)
+    run_method(model, method, dt, dt, per_config, params)
+    setup_s = time.perf_counter() - t0
+    if t_max < dt:
+        return setup_s, 0.0
     t1 = time.perf_counter()
-    if run_loop:
-        run_method(model, method, dt, t_max, params=params)
-    return t1 - t0, time.perf_counter() - t1
+    run_method(model, method, dt, t_max, per_config, params)
+    return setup_s, max(0.0, time.perf_counter() - t1 - setup_s)

@@ -27,10 +27,6 @@ CONFIG_VERSION = 1
 EXIT_VALIDATION = 2
 EXIT_DIVERGENCE = 3
 
-#: Fixed seed of the power-iteration fallback inside spectral_radius,
-#: echoed in run summaries for reproducibility.
-POWER_ITERATION_SEED = 12345
-
 
 class ConfigError(ValueError):
     pass
@@ -230,7 +226,6 @@ def _summary(model, config: RunConfig, traj) -> dict:
         "rho_beta_b": factors.rho_beta_b,
         "dt_max_bound": bound,
         "diverged": traj.diverged,
-        "power_iteration_seed": POWER_ITERATION_SEED,
     }
 
 

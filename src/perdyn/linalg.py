@@ -5,9 +5,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-_POWER_SEED = 12345
-_DENSE_LIMIT = 400  # matrix dimension up to which the dense eigensolver is used
-
 
 class DivergenceError(RuntimeError):
     """Raised when an iteration produces non-finite or unbounded values."""
@@ -27,32 +24,17 @@ def spd_solver(mat):
     return solve
 
 
-def spectral_radius(mat, tol=1e-6, max_iter=10_000):
-    """Spectral radius of a square matrix.
+def spectral_radius(mat):
+    """Spectral radius of a square matrix by a dense eigensolve.
 
-    Dense eigensolve for dimensions up to 400; power iteration with a fixed
-    random seed above that (the result is only used as a scalar diagnostic).
+    Exact to roundoff at every size: the stability gates compare it
+    with 1, so an estimate that can miss a complex or clustered
+    dominant pair is not acceptable.
     """
     mat = np.asarray(mat, dtype=float)
     if not np.isfinite(mat).all():
         return float("inf")
-    n = mat.shape[0]
-    if n <= _DENSE_LIMIT:
-        return float(np.abs(np.linalg.eigvals(mat)).max())
-    rng = np.random.default_rng(_POWER_SEED)
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    rho = 0.0
-    for _ in range(max_iter):
-        y = mat @ x
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return 0.0
-        x = y / ny
-        if abs(ny - rho) <= tol * max(ny, 1.0):
-            return float(ny)
-        rho = ny
-    return float(rho)
+    return float(np.abs(np.linalg.eigvals(mat)).max())
 
 
 def neumann_sum(mat, order):

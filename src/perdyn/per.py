@@ -13,7 +13,7 @@ summed scheme.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import factorial
 from typing import Iterator
 
@@ -345,22 +345,31 @@ def build_scheme(model: SystemModel, config: PerConfig) -> SchemeMatrices:
                           rho_beta_b=partial.rho_beta_b, rho_beta_a=rho_beta_a)
 
 
+def _per_offsets(dt):
+    """Force abscissae of one step: the cubic-interpolation nodes."""
+    return (0.0, dt / 3.0, 2.0 * dt / 3.0, dt)
+
+
+def _force_sampler(model):
+    """t -> M^-1 f(t); a non-finite sample raises ValueError."""
+    solve_mass = spd_solver(model.mass)
+
+    def sample(t):
+        g = solve_mass(model.force_at(t))
+        if not np.isfinite(g).all():
+            raise ValueError(f"non-finite force sample at t = {t}")
+        return g
+
+    return sample
+
+
+def _stacked_samples(sample, t_k, offsets):
+    return np.concatenate([sample(t_k + off) for off in offsets])
+
+
 def force_samples(model: SystemModel, k: int, dt: float) -> np.ndarray:
     """g_k: M^-1 f at the four interpolation abscissae of step k."""
-    solve_mass = spd_solver(model.mass)
-    return _sample_forces(model, solve_mass, k * dt, dt)
-
-
-def _sample_forces(model, solve_mass, t_k, dt):
-    g = np.concatenate([
-        solve_mass(model.force_at(t_k)),
-        solve_mass(model.force_at(t_k + dt / 3.0)),
-        solve_mass(model.force_at(t_k + 2.0 * dt / 3.0)),
-        solve_mass(model.force_at(t_k + dt)),
-    ])
-    if not np.isfinite(g).all():
-        raise ValueError(f"non-finite force sample in step starting at t = {t_k}")
-    return g
+    return _stacked_samples(_force_sampler(model), k * dt, _per_offsets(dt))
 
 
 def _divergence_info(model, config, rho_beta_b, step):
@@ -386,44 +395,53 @@ def integrate(model: SystemModel, config: PerConfig, t_max: float) -> Trajectory
     if t_max < config.dt:
         raise ValueError("t_max must be at least one time step")
     scheme = build_scheme(model, config)
-    return _step_loop(model, scheme, config, t_max)
+    n_steps = max(1, int(round(t_max / config.dt)))
+    x0 = np.concatenate([model.u0, model.v0])
+    if model.force is None:
+        traj = recurrence(scheme.a, x0, config.dt, n_steps, None, (), None, 0.0)
+    else:
+        # the guard scale is the raw forcing operator, deliberately without
+        # the Neumann factor so that its blow-up is detected
+        traj = recurrence(scheme.a, x0, config.dt, n_steps, _force_sampler(model),
+                          _per_offsets(config.dt), scheme.neumann_b @ scheme.l_b,
+                          np.linalg.norm(scheme.l_b, 2))
+    info = {"rho_beta_b": scheme.rho_beta_b}
+    if traj.diverged:
+        info = _divergence_info(model, config, scheme.rho_beta_b, traj.n_steps)
+    return replace(traj, info=info)
 
 
-def _step_loop(model, scheme, config, t_max):
-    n = model.n_dof
-    dt = config.dt
-    n_steps = max(1, int(round(t_max / dt)))
-    solve_mass = spd_solver(model.mass)
-    forced = model.force is not None
-    b_op = scheme.neumann_b @ scheme.l_b if forced else None
-    # reference scale for the divergence guard: the raw forcing operator,
-    # deliberately without the Neumann factor so its blow-up is detected
-    l_norm = np.linalg.norm(scheme.l_b, 2) if forced else 0.0
+def recurrence(phi, x0, dt, n_steps, sample, offsets, weights, ref_scale) -> Trajectory:
+    """Step U_{k+1} = phi U_k + weights @ [s(t_k + o_1); ...; s(t_k + o_q)].
 
-    states = np.zeros((n_steps + 1, 2 * n))
-    states[0, :n] = model.u0
-    states[0, n:] = model.v0
+    The one step loop of the explicit maps (this scheme, RK4 and MPIM):
+    t_k = k*dt, ``sample`` is the forcing s(t) (None when unforced) and
+    ``offsets`` its abscissae inside the step.  The run stops at the first state whose norm is non-finite
+    or exceeds _DIVERGENCE_FACTOR times the initial norm plus ref_scale
+    times the accumulated sample norms; the prefix is returned with
+    ``diverged=True`` and ``info["diverged_at_step"]``.
+    """
+    n2 = phi.shape[0]
+    states = np.zeros((n_steps + 1, n2))
+    states[0] = x0
     ref_norm = np.linalg.norm(states[0])
-
     diverged = False
     completed = n_steps
     for k in range(n_steps):
-        nxt = scheme.a @ states[k]
-        if forced:
-            g_k = _sample_forces(model, solve_mass, k * dt, dt)
-            nxt = nxt + b_op @ g_k
-            ref_norm += l_norm * np.linalg.norm(g_k)
+        nxt = phi @ states[k]
+        if sample is not None:
+            g_k = _stacked_samples(sample, k * dt, offsets)
+            nxt = nxt + weights @ g_k
+            ref_norm += ref_scale * np.linalg.norm(g_k)
         states[k + 1] = nxt
         norm = np.linalg.norm(nxt)
         if not np.isfinite(norm) or norm > _DIVERGENCE_FACTOR * max(ref_norm, 1e-30):
             diverged = True
             completed = k + 1
             break
-
+    n = n2 // 2
     times = np.arange(completed + 1) * dt
-    info = {"rho_beta_b": scheme.rho_beta_b}
-    if diverged:
-        info = _divergence_info(model, config, scheme.rho_beta_b, completed)
+    info = {"diverged_at_step": completed} if diverged else {}
     return Trajectory(times=times, displacements=states[:completed + 1, :n],
                       velocities=states[:completed + 1, n:],
                       diverged=diverged, info=info)
@@ -456,8 +474,9 @@ def integrate_asymptotic(model: SystemModel, config: PerConfig, t_max: float,
     alpha = assemble_series(model, dt, m, "alpha")
     beta = assemble_series(model, dt, m, "beta")
 
-    solve_mass = spd_solver(model.mass)
     forced = model.force is not None
+    sample = _force_sampler(model) if forced else None
+    offsets = _per_offsets(dt)
 
     term = np.zeros((n_steps + 1, 2 * n))
     term[0, :n] = model.u0
@@ -465,7 +484,7 @@ def integrate_asymptotic(model: SystemModel, config: PerConfig, t_max: float,
     for k in range(n_steps):
         term[k + 1] = t_mat @ term[k]
         if forced:
-            term[k + 1] += l_mat @ _sample_forces(model, solve_mass, k * dt, dt)
+            term[k + 1] += l_mat @ _stacked_samples(sample, k * dt, offsets)
 
     total = term.copy()
     term_norms = [float(np.abs(term).max())]

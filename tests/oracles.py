@@ -96,3 +96,21 @@ def generalized_modes(stiffness, mass):
 def l2_norm(values):
     values = np.asarray(values, dtype=float)
     return float(np.sqrt((values * values).sum()))
+
+
+def rk4_stage_loop(w, h, u0, dt, n_steps):
+    """Classical RK4 on dU/dt = W U + h(t), stage by stage; all states."""
+    def rate(t, y):
+        return w @ y + h(t)
+
+    states = np.zeros((n_steps + 1, len(u0)))
+    states[0] = u0
+    for k in range(n_steps):
+        t = k * dt
+        y = states[k]
+        k1 = rate(t, y)
+        k2 = rate(t + dt / 2.0, y + dt / 2.0 * k1)
+        k3 = rate(t + dt / 2.0, y + dt / 2.0 * k2)
+        k4 = rate(t + dt, y + dt * k3)
+        states[k + 1] = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return states

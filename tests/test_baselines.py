@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import (companion_matrix, damped_free_vibration, expm_eig,
-                     l2_norm, sdof_model)
+                     l2_norm, rk4_stage_loop, sdof_model)
 
 from perdyn.baselines import (GAUSS_NODES, bathe, expm_2p, mpim,
                               mpim_operators, newmark, rk4, state_space,
@@ -156,6 +156,38 @@ class TestRk4:
         system = state_space(zero_ic_model())
         traj = rk4(system, np.zeros(2), 0.01, 0.1)
         assert np.all(traj.displacements == 0.0)
+
+    def test_step_map_matches_stage_loop(self):
+        # the collapsed step map R, P0, Pm reorders the stage arithmetic;
+        # it must stay at the rounding level of the stage loop
+        model = SystemModel(
+            np.array([[2.0, 0.3], [0.3, 1.0]]),
+            np.array([[0.4, -0.1], [-0.1, 0.2]]),
+            np.array([[50.0, -20.0], [-20.0, 30.0]]),
+            force=lambda t: np.array([np.sin(3.0 * t), 0.5 * np.cos(7.0 * t) + 1.0]),
+            u0=np.array([0.01, -0.02]), v0=np.array([0.1, 0.0]))
+        system = state_space(model)
+        u0 = np.concatenate([model.u0, model.v0])
+        dt = 0.01
+        traj = rk4(system, u0, dt, 2000 * dt)
+        assert traj.n_steps == 2000
+        got = np.hstack([traj.displacements, traj.velocities])
+        want = rk4_stage_loop(system.w, system.h, u0, dt, 2000)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_overflowing_forcing_flags_divergence():
+    # a finite load whose M^-1 f overflows ends rk4 and mpim as a
+    # diverged run, not as an exception
+    model = sdof_model(mass=1e-300,
+                       force=lambda t: np.array([1e100 if t > 0.25 else 0.0]))
+    system = state_space(model)
+    u0 = np.array([1.0, 0.0])
+    with np.errstate(invalid="ignore"):  # inf * 0 in the step map
+        runs = (rk4(system, u0, 0.1, 1.0), mpim(system, u0, 0.1, 1.0))
+    for traj in runs:
+        assert traj.diverged
+        assert traj.n_steps == traj.info["diverged_at_step"] < 10
 
 
 class TestMpim:

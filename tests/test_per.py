@@ -227,6 +227,17 @@ class TestComputeBFactors:
             factors = per.compute_b_factors(model, per.PerConfig(dt=0.3, m_b=8))
         assert factors.rho_beta_b >= 1.0
 
+    def test_exact_radius_above_four_hundred(self):
+        # 2N = 480: the dominant eigenvalues of beta_b are a complex pair
+        # at 1.133, which a power iteration reads as 0.349
+        model = benchmark_chain(2.0, n_dof=240)
+        config = per.PerConfig(dt=0.05, m_b=8)
+        with pytest.warns(RuntimeWarning, match="does not converge"):
+            factors = per.compute_b_factors(model, config)
+        beta = per.assemble_series(model, 0.05, 8, "beta")
+        rho_ref = np.abs(np.linalg.eigvals(beta)).max()
+        assert factors.rho_beta_b == pytest.approx(rho_ref, rel=1e-12)
+
 
 # ---------------------------------------------------------------------------
 # Force sampling
@@ -241,6 +252,14 @@ class TestForceSamples:
         model = sdof_model(mass=2.0, force=lambda t: np.array([t]))
         g = per.force_samples(model, 0, 0.3)
         np.testing.assert_allclose(g, [0.0, 0.05, 0.10, 0.15], atol=1e-15)
+
+    def test_non_finite_sample_rejected(self):
+        # a finite load whose M^-1 f overflows: scipy's finiteness check
+        # of the load does not see it, the sampler's check does
+        model = sdof_model(mass=1e-300,
+                           force=lambda t: np.array([1e100 if t > 0.25 else 0.0]))
+        with pytest.raises(ValueError, match="non-finite force sample"):
+            per.integrate(model, per.PerConfig(dt=0.1), 1.0)
 
     def test_step_index_offsets(self):
         model = sdof_model(mass=1.0, force=lambda t: np.array([t]))
