@@ -20,6 +20,7 @@ from .model import SystemModel, modal_analysis
 
 #: Modulus of the sigma eigenvalues at tau = 0: 1/(2*sqrt(3)).
 SIGMA_THRESHOLD = 1.0 / (2.0 * np.sqrt(3.0))
+_SCAN_CHUNK = 128  # scan points of tau_limit per batched eigensolve
 
 
 @dataclass(frozen=True)
@@ -68,10 +69,15 @@ def sigma_matrix(m: int, tau: float, dt: float = 1.0) -> np.ndarray:
     (diagonal similarity), so dt = 1 is used unless stated otherwise.
     """
     per._check_order(m)
-    out = np.zeros((2, 2))
+    return _sigma_stack(m, [tau], dt)[0]
+
+
+def _sigma_stack(m: int, taus: list[float], dt: float = 1.0) -> np.ndarray:
+    """sigma_m(tau) for every tau of the list, stacked along the first axis."""
+    out = np.zeros((len(taus), 2, 2))
     for j in range(m // 2 + 1):
-        c = (-1.0) ** j * tau ** (2 * j) / factorial(2 * j + 4)
-        out += c * np.array([
+        c = np.array([(-1.0) ** j * tau ** (2 * j) / factorial(2 * j + 4) for tau in taus])
+        out += c[:, None, None] * np.array([
             [-12.0 * (j + 1), 2.0 * (2 * j + 1) * dt],
             [-12.0 * (2 * j + 1) * (j + 2) / dt, 8.0 * j * (j + 2)],
         ])
@@ -108,18 +114,22 @@ def tau_limit(m: int, scan_step: float = 0.01, tau_max: float = 100.0,
     prev_tau, prev_f = 0.0, 0.0
     tau = scan_step
     while tau <= tau_max:
-        f = _sigma_excess(m, tau)
-        if f > 0.0 and prev_f <= 0.0:
-            lo, hi = prev_tau, tau
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                if _sigma_excess(m, mid) > 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            return 0.5 * (lo + hi)
-        prev_tau, prev_f = tau, f
-        tau += scan_step
+        taus = []  # the scan grid, one chunk per batched eigensolve
+        while tau <= tau_max and len(taus) < _SCAN_CHUNK:
+            taus.append(tau)
+            tau += scan_step
+        excess = np.abs(np.linalg.eigvals(_sigma_stack(m, taus))).max(axis=1) - SIGMA_THRESHOLD
+        for t, f in zip(taus, excess.tolist()):
+            if f > 0.0 and prev_f <= 0.0:
+                lo, hi = prev_tau, t
+                while hi - lo > tol:
+                    mid = 0.5 * (lo + hi)
+                    if _sigma_excess(m, mid) > 0.0:
+                        hi = mid
+                    else:
+                        lo = mid
+                return 0.5 * (lo + hi)
+            prev_tau, prev_f = t, f
     return float("inf")
 
 

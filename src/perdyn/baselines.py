@@ -21,15 +21,16 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .linalg import spd_solver
 from .model import SystemModel
-from .per import Trajectory, recurrence
+from .per import Trajectory, _force_sampler, recurrence
 
 
 @dataclass(frozen=True)
 class StateSpaceSystem:
-    """First-order form dU/dt = W U + h(t) with U = [u; v]."""
+    """First-order form dU/dt = W U + h(t) with U = [u; v]; ``h`` maps a
+    time to a 2N vector and an array of times to one row per time."""
 
     w: np.ndarray
-    h: Callable[[float], np.ndarray] | None = None
+    h: Callable[[float | np.ndarray], np.ndarray] | None = None
 
     @property
     def n_dof(self) -> int:
@@ -60,10 +61,13 @@ def state_space(model: SystemModel) -> StateSpaceSystem:
     if model.force is None:
         return StateSpaceSystem(w=w, h=None)
 
+    force_rows = _force_sampler(model, solve_mass)
+
     def h(t, _n=n):
-        out = np.zeros(2 * _n)
-        out[_n:] = solve_mass(model.force_at(t))
-        return out
+        times = np.asarray(t, dtype=float)
+        out = np.zeros((times.size, 2 * _n))
+        out[:, _n:] = force_rows(times.ravel())
+        return out if times.ndim else out[0]
 
     return StateSpaceSystem(w=w, h=h)
 

@@ -40,8 +40,15 @@ def format_number(x) -> str:
 
 
 def write_csv(path: str, header, rows) -> None:
+    """Write ``rows``, a 2-D float array (one format string per row) or
+    mixed rows (item by item); numbers get format_number's bytes."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
+        if isinstance(rows, np.ndarray):
+            fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+            for row in rows:
+                fh.write(fmt % tuple(row.tolist()))
+            return
         for row in rows:
             fields = []
             for item in row:
@@ -217,13 +224,14 @@ def dump_config(config: RunConfig, path: str) -> None:
 
 def _summary(model, config: RunConfig, traj) -> dict:
     pc = config.per_config()
-    factors = per.compute_b_factors(model, pc)
+    rho = (traj.info["rho_beta_b"] if config.method_name() == "per"
+           else per.compute_b_factors(model, pc).rho_beta_b)
     try:
         bound = analysis.dt_bound(model, pc.m_b).dt_max
     except ValueError:
         bound = float("nan")
     return {
-        "rho_beta_b": factors.rho_beta_b,
+        "rho_beta_b": rho,
         "dt_max_bound": bound,
         "diverged": traj.diverged,
     }
@@ -243,9 +251,7 @@ def cmd_simulate(args) -> int:
     n = model.n_dof
     header = (["t"] + [f"u_{i+1}" for i in range(n)]
               + [f"v_{i+1}" for i in range(n)])
-    rows = [[traj.times[k], *traj.displacements[k], *traj.velocities[k]]
-            for k in range(len(traj.times))]
-    write_csv(out, header, rows)
+    write_csv(out, header, np.column_stack([traj.times, traj.displacements, traj.velocities]))
     for key, val in _summary(model, config, traj).items():
         print(f"{key}: {val}")
     return EXIT_DIVERGENCE if traj.diverged else 0

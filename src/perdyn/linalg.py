@@ -14,12 +14,14 @@ def spd_solver(mat):
     """Return a solve(x) closure backed by a Cholesky factorization of ``mat``.
 
     The factorization is computed once; every call applies mat^-1 to a
-    vector or matrix without ever forming the inverse explicitly.
+    vector or matrix without ever forming the inverse explicitly.  Only
+    the factor is checked: a non-finite right-hand side gives a
+    non-finite solution, for the caller's divergence guard to report.
     """
     factor = cho_factor(np.asarray(mat, dtype=float))
 
     def solve(rhs):
-        return cho_solve(factor, rhs)
+        return cho_solve(factor, rhs, check_finite=False)
 
     return solve
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from math import factorial
+from math import factorial, isfinite, sqrt
 from typing import Iterator
 
 import numpy as np
@@ -25,6 +25,9 @@ from .model import StateVector, SystemModel
 MAX_SERIES_ORDER = 60  # higher truncations are numerically unreliable
 
 _DIVERGENCE_FACTOR = 1e12
+
+#: Force samples held at once by the step loop (1 MB of float64).
+_BLOCK_FLOATS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -350,26 +353,31 @@ def _per_offsets(dt):
     return (0.0, dt / 3.0, 2.0 * dt / 3.0, dt)
 
 
-def _force_sampler(model):
-    """t -> M^-1 f(t); a non-finite sample raises ValueError."""
-    solve_mass = spd_solver(model.mass)
-
-    def sample(t):
-        g = solve_mass(model.force_at(t))
-        if not np.isfinite(g).all():
-            raise ValueError(f"non-finite force sample at t = {t}")
-        return g
-
-    return sample
+def _force_sampler(model, solve_mass):
+    """times -> M^-1 f(t), one row per time, by one multi-RHS mass solve."""
+    return lambda times: solve_mass(np.array([model.force_at(t) for t in times.tolist()]).T).T
 
 
-def _stacked_samples(sample, t_k, offsets):
-    return np.concatenate([sample(t_k + off) for off in offsets])
+def _step_samples(sample, k0, k1, dt, offsets):
+    """[s(t_k + o_1), ..., s(t_k + o_q)] with t_k = k*dt, one row per step k0 <= k < k1."""
+    times = np.arange(k0, k1)[:, None] * dt + np.asarray(offsets)
+    return sample(times.ravel()).reshape(k1 - k0, -1)
+
+
+def _per_samples(model, k0, k1, dt):
+    """PER force rows of the steps k0 <= k < k1; a non-finite sample raises ValueError."""
+    offsets = _per_offsets(dt)
+    g = _step_samples(_force_sampler(model, spd_solver(model.mass)), k0, k1, dt, offsets)
+    bad = np.flatnonzero(~np.isfinite(g.reshape(-1, model.n_dof)).all(axis=1))
+    if len(bad):
+        k, i = divmod(int(bad[0]), len(offsets))
+        raise ValueError(f"non-finite force sample at t = {(k0 + k) * dt + offsets[i]}")
+    return g
 
 
 def force_samples(model: SystemModel, k: int, dt: float) -> np.ndarray:
     """g_k: M^-1 f at the four interpolation abscissae of step k."""
-    return _stacked_samples(_force_sampler(model), k * dt, _per_offsets(dt))
+    return _per_samples(model, k, k + 1, dt)[0]
 
 
 def _divergence_info(model, config, rho_beta_b, step):
@@ -402,11 +410,14 @@ def integrate(model: SystemModel, config: PerConfig, t_max: float) -> Trajectory
     else:
         # the guard scale is the raw forcing operator, deliberately without
         # the Neumann factor so that its blow-up is detected
-        traj = recurrence(scheme.a, x0, config.dt, n_steps, _force_sampler(model),
+        traj = recurrence(scheme.a, x0, config.dt, n_steps,
+                          _force_sampler(model, spd_solver(model.mass)),
                           _per_offsets(config.dt), scheme.neumann_b @ scheme.l_b,
                           np.linalg.norm(scheme.l_b, 2))
     info = {"rho_beta_b": scheme.rho_beta_b}
     if traj.diverged:
+        if model.force is not None:  # raises if a non-finite sample stopped the run
+            force_samples(model, traj.n_steps - 1, config.dt)
         info = _divergence_info(model, config, scheme.rho_beta_b, traj.n_steps)
     return replace(traj, info=info)
 
@@ -415,10 +426,12 @@ def recurrence(phi, x0, dt, n_steps, sample, offsets, weights, ref_scale) -> Tra
     """Step U_{k+1} = phi U_k + weights @ [s(t_k + o_1); ...; s(t_k + o_q)].
 
     The one step loop of the explicit maps (this scheme, RK4 and MPIM):
-    t_k = k*dt, ``sample`` is the forcing s(t) (None when unforced) and
-    ``offsets`` its abscissae inside the step.  The run stops at the first state whose norm is non-finite
-    or exceeds _DIVERGENCE_FACTOR times the initial norm plus ref_scale
-    times the accumulated sample norms; the prefix is returned with
+    t_k = k*dt, ``sample`` maps an array of times to one forcing row per
+    time (None when unforced), drawn _BLOCK_FLOATS numbers at a time, and
+    ``offsets`` are its abscissae inside the step.  The run stops at the
+    first state whose norm is non-finite (as after a non-finite sample) or
+    exceeds _DIVERGENCE_FACTOR times the initial norm plus ref_scale times
+    the accumulated sample norms; the prefix is returned with
     ``diverged=True`` and ``info["diverged_at_step"]``.
     """
     n2 = phi.shape[0]
@@ -427,15 +440,18 @@ def recurrence(phi, x0, dt, n_steps, sample, offsets, weights, ref_scale) -> Tra
     ref_norm = np.linalg.norm(states[0])
     diverged = False
     completed = n_steps
+    block = max(1, _BLOCK_FLOATS // weights.shape[1]) if sample is not None else 1
     for k in range(n_steps):
         nxt = phi @ states[k]
         if sample is not None:
-            g_k = _stacked_samples(sample, k * dt, offsets)
+            if k % block == 0:
+                g = _step_samples(sample, k, min(k + block, n_steps), dt, offsets)
+            g_k = g[k % block]
             nxt = nxt + weights @ g_k
-            ref_norm += ref_scale * np.linalg.norm(g_k)
+            ref_norm += ref_scale * sqrt(g_k @ g_k)  # np.linalg.norm, less its overhead
         states[k + 1] = nxt
-        norm = np.linalg.norm(nxt)
-        if not np.isfinite(norm) or norm > _DIVERGENCE_FACTOR * max(ref_norm, 1e-30):
+        norm = sqrt(nxt @ nxt)
+        if not isfinite(norm) or norm > _DIVERGENCE_FACTOR * max(ref_norm, 1e-30):
             diverged = True
             completed = k + 1
             break
@@ -475,8 +491,7 @@ def integrate_asymptotic(model: SystemModel, config: PerConfig, t_max: float,
     beta = assemble_series(model, dt, m, "beta")
 
     forced = model.force is not None
-    sample = _force_sampler(model) if forced else None
-    offsets = _per_offsets(dt)
+    g = _per_samples(model, 0, n_steps, dt) if forced else None
 
     term = np.zeros((n_steps + 1, 2 * n))
     term[0, :n] = model.u0
@@ -484,7 +499,7 @@ def integrate_asymptotic(model: SystemModel, config: PerConfig, t_max: float,
     for k in range(n_steps):
         term[k + 1] = t_mat @ term[k]
         if forced:
-            term[k + 1] += l_mat @ _stacked_samples(sample, k * dt, offsets)
+            term[k + 1] += l_mat @ g[k]
 
     total = term.copy()
     term_norms = [float(np.abs(term).max())]

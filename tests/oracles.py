@@ -4,6 +4,8 @@ Everything here is deliberately written against the underlying physics
 or textbook formulas, not against the library's own code paths.
 """
 
+from math import factorial
+
 import numpy as np
 
 from perdyn.model import SystemModel
@@ -114,3 +116,63 @@ def rk4_stage_loop(w, h, u0, dt, n_steps):
         k4 = rate(t + dt, y + dt * k3)
         states[k + 1] = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return states
+
+
+def step_loop(phi, x0, dt, n_steps, sample, offsets, weights, ref_scale):
+    """U_{k+1} = phi U_k + weights @ [s(t_k + o_1); ...] one step at a time.
+
+    ``sample`` maps one time to one vector, t_k = k*dt, and the run stops
+    at the first state whose norm is non-finite or exceeds 1e12 times the
+    initial norm plus ref_scale times the accumulated sample norms.
+    Returns (states computed, step at which it stopped or None).
+    """
+    states = np.zeros((n_steps + 1, len(x0)))
+    states[0] = x0
+    ref_norm = np.linalg.norm(states[0])
+    for k in range(n_steps):
+        nxt = phi @ states[k]
+        if sample is not None:
+            g_k = np.concatenate([sample(k * dt + off) for off in offsets])
+            nxt = nxt + weights @ g_k
+            ref_norm += ref_scale * np.linalg.norm(g_k)
+        states[k + 1] = nxt
+        norm = np.linalg.norm(nxt)
+        if not np.isfinite(norm) or norm > 1e12 * max(ref_norm, 1e-30):
+            return states[:k + 2], k + 1
+    return states, None
+
+
+def tau_limit_scalar_scan(m, scan_step=0.01, tau_max=100.0, tol=1e-8):
+    """First upward crossing of rho(sigma_m(tau)) through 1/(2 sqrt(3)).
+
+    One 2x2 eigensolve per grid point, the grid accumulated by
+    tau += scan_step, then bisection of the bracketing interval.
+    """
+    threshold = 1.0 / (2.0 * np.sqrt(3.0))
+
+    def excess(tau):
+        sigma = np.zeros((2, 2))
+        for j in range(m // 2 + 1):
+            c = (-1.0) ** j * tau ** (2 * j) / factorial(2 * j + 4)
+            sigma += c * np.array([
+                [-12.0 * (j + 1), 2.0 * (2 * j + 1)],
+                [-12.0 * (2 * j + 1) * (j + 2), 8.0 * j * (j + 2)],
+            ])
+        return float(np.abs(np.linalg.eigvals(sigma)).max()) - threshold
+
+    prev_tau, prev_f = 0.0, 0.0
+    tau = scan_step
+    while tau <= tau_max:
+        f = excess(tau)
+        if f > 0.0 and prev_f <= 0.0:
+            lo, hi = prev_tau, tau
+            while hi - lo > tol:
+                mid = 0.5 * (lo + hi)
+                if excess(mid) > 0.0:
+                    hi = mid
+                else:
+                    lo = mid
+            return 0.5 * (lo + hi)
+        prev_tau, prev_f = tau, f
+        tau += scan_step
+    return float("inf")

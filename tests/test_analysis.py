@@ -4,7 +4,7 @@ single-dof stability map."""
 import numpy as np
 import pytest
 
-from oracles import sdof_model
+from oracles import sdof_model, tau_limit_scalar_scan
 
 import perdyn.per as per
 from perdyn.analysis import (SIGMA_THRESHOLD, beta_radius_map, dt_bound,
@@ -78,6 +78,12 @@ class TestTauLimit:
         assert values == sorted(values)
         np.testing.assert_allclose(values, [7.38332, 11.3105, 15.1700, 19.0203],
                                    atol=2e-3)
+
+    def test_batched_scan_equals_scalar_scan(self):
+        # the scan grid is evaluated in chunks with one batched eigensolve;
+        # grid, crossing and bisection must stay those of the scalar scan
+        for m in range(2, 22, 2):
+            assert tau_limit(m) == tau_limit_scalar_scan(m), m
 
     def test_order_zero_rejected(self):
         with pytest.raises(ValueError, match="m = 0"):

@@ -9,7 +9,7 @@ from oracles import (companion_matrix, damped_free_vibration, expm_eig,
 from perdyn.baselines import (GAUSS_NODES, bathe, expm_2p, mpim,
                               mpim_operators, newmark, rk4, state_space,
                               wilson)
-from perdyn.model import SystemModel
+from perdyn.model import SystemModel, benchmark_chain
 from perdyn.per import PerConfig, integrate
 
 OMEGA = 2.0 * np.pi
@@ -190,6 +190,19 @@ def test_overflowing_forcing_flags_divergence():
         assert traj.n_steps == traj.info["diverged_at_step"] < 10
 
 
+def test_nan_forcing_flags_divergence():
+    # the mass solve does not reject a NaN load: rk4 and mpim end as
+    # diverged runs at the step that samples it
+    model = sdof_model(force=lambda t: np.array([np.nan if t > 0.25 else 1.0]))
+    system = state_space(model)
+    runs = (rk4(system, np.array([1.0, 0.0]), 0.1, 1.0),
+            mpim(system, np.array([1.0, 0.0]), 0.1, 1.0))
+    for traj in runs:
+        assert traj.diverged
+        assert traj.n_steps == traj.info["diverged_at_step"] == 3
+        assert np.isfinite(traj.displacements[:-1]).all()
+
+
 class TestMpim:
     def test_exponential_matches_oracle(self):
         model = sdof_model(omega=OMEGA, zeta=0.05)
@@ -296,3 +309,15 @@ class TestStateSpace:
         model = sdof_model(mass=2.0, force=lambda t: np.array([4.0 * t]))
         system = state_space(model)
         np.testing.assert_allclose(system.h(1.5), [0.0, 3.0], atol=1e-15)
+
+    def test_array_of_times_gives_one_row_per_time(self):
+        rows = np.eye(3)
+        model = benchmark_chain(0.1, n_dof=3).with_force(
+            lambda t: rows[0] * np.sin(t) + rows[2] * t * t)
+        system = state_space(model)
+        times = np.array([0.0, 0.3, 1.7, 2.25])
+        batch = system.h(times)
+        assert batch.shape == (4, 6)
+        for t, row in zip(times.tolist(), batch):
+            assert system.h(t).shape == (6,)
+            assert np.array_equal(system.h(t), row)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from perdyn.cli import (EXIT_DIVERGENCE, EXIT_VALIDATION, RunConfig,
-                        dump_config, load_config, main)
+                        dump_config, load_config, main, write_csv)
 from perdyn.model import benchmark_chain
 from perdyn.per import PerConfig, integrate
 
@@ -129,6 +129,23 @@ class TestSimulate:
         code = main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "d.csv")])
         assert code == EXIT_DIVERGENCE
+
+    def test_non_finite_load_exit_codes(self, tmp_path, capsys):
+        # rk4 ends a NaN load as a diverged run; PER names the sample
+        cfg = tmp_path / "nan.json"
+        write_config(cfg, {
+            "version": 1,
+            "model": {"kind": "chain", "n_dof": 3, "mass": 1.0,
+                      "stiffness": 100.0, "dampers": [{"i": 0, "j": None, "c": 1.0}]},
+            "force": {"kind": "constant-step", "dof": 1, "t_c": 0.05, "f0": float("nan")},
+            "dt": 0.01, "t_max": 0.2,
+        })
+        out = str(tmp_path / "nan.csv")
+        assert main(["simulate", "--config", str(cfg), "--out", out,
+                     "--method", "rk4"]) == EXIT_DIVERGENCE
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(cfg), "--out", out]) == EXIT_VALIDATION
+        assert "non-finite force sample at t = 0.05" in capsys.readouterr().err
 
 
 class TestConfigRoundTrip:
@@ -263,3 +280,17 @@ class TestCsvFormat:
         # a 17-significant-digit float must round-trip exactly
         value = text.splitlines()[1].split(",")[1]
         assert float(value) == float(f"{float(value):.17g}")
+
+    def test_array_rows_write_the_per_item_bytes(self, tmp_path):
+        values = np.array([
+            [0.0, -0.0, 5e-324, -5e-324, 1e300],
+            [-1e300, 1.0, -2.0, 3.0, 1e16],
+            [0.1, -1.0 / 3.0, 2.0 ** 0.5, -123456789.0, 2.5e-308],
+            [np.pi, -np.e, 1e-5, 65536.0, -0.5],
+        ])
+        header = ["a", "b", "c", "d", "e"]
+        write_csv(str(tmp_path / "array.csv"), header, values)
+        write_csv(str(tmp_path / "items.csv"), header, values.tolist())
+        raw = (tmp_path / "array.csv").read_bytes()
+        assert raw == (tmp_path / "items.csv").read_bytes()
+        assert raw.splitlines()[1] == b"0,-0,4.9406564584124654e-324,-4.9406564584124654e-324,1.0000000000000001e+300"

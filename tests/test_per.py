@@ -7,10 +7,11 @@ import pytest
 
 from oracles import (companion_matrix, damped_free_vibration, expm_eig,
                      gauss_panel_integral, lagrange_cubic_basis, l2_norm,
-                     rotation_propagator, sdof_model)
+                     rotation_propagator, sdof_model, step_loop)
+from scipy.linalg import cho_factor, cho_solve
 
 import perdyn.per as per
-from perdyn.linalg import DivergenceError, neumann_sum
+from perdyn.linalg import DivergenceError, neumann_sum, spd_solver
 from perdyn.model import benchmark_chain, build_chain, damping_level
 
 
@@ -261,6 +262,13 @@ class TestForceSamples:
         with pytest.raises(ValueError, match="non-finite force sample"):
             per.integrate(model, per.PerConfig(dt=0.1), 1.0)
 
+    def test_nan_load_raises_the_sampler_message(self):
+        # the mass solve passes a NaN load through, so the message is PER's
+        # own, with the first non-finite abscissa of the step
+        model = sdof_model(force=lambda t: np.array([np.nan if t > 0.25 else 1.0]))
+        with pytest.raises(ValueError, match=r"non-finite force sample at t = 0\.266"):
+            per.integrate(model, per.PerConfig(dt=0.1), 1.0)
+
     def test_step_index_offsets(self):
         model = sdof_model(mass=1.0, force=lambda t: np.array([t]))
         g = per.force_samples(model, 3, 0.3)
@@ -383,6 +391,72 @@ class TestIntegrate:
         traj = per.integrate(sdof_model(zeta=0.1), per.PerConfig(dt=0.1), 0.1)
         assert traj.n_steps == 1
         assert traj.times[-1] == pytest.approx(0.1)
+
+
+class TestBlockedForcing:
+    """The step loop samples the forcing a block of steps at a time; the
+    result must be the one-sample-at-a-time loop's, bit for bit."""
+
+    N = 64
+
+    def forced_chain(self):
+        model = build_chain(self.N, 1.0, 100.0, [(0, None, 2.0), (5, 6, 1.0)])
+        rows = np.eye(self.N)
+        return model.with_force(lambda t: rows[3] * np.sin(2.0 * t)
+                                + rows[40] * np.exp(-0.01 * t))
+
+    def scalar_sampler(self, model):
+        factor = cho_factor(model.mass)
+        return lambda t: cho_solve(factor, model.force_at(t))
+
+    def test_forced_per_matches_step_loop(self):
+        model = self.forced_chain()
+        config = per.PerConfig(dt=0.2, m_b=8)
+        block = per._BLOCK_FLOATS // (4 * self.N)
+        n_steps = 3 * block + 100
+        assert n_steps % block != 0
+        traj = per.integrate(model, config, n_steps * config.dt)
+        assert traj.n_steps == n_steps and not traj.diverged
+
+        scheme = per.build_scheme(model, config)
+        states, stop = step_loop(scheme.a, np.concatenate([model.u0, model.v0]),
+                                 config.dt, n_steps, self.scalar_sampler(model),
+                                 (0.0, config.dt / 3.0, 2.0 * config.dt / 3.0, config.dt),
+                                 scheme.neumann_b @ scheme.l_b,
+                                 np.linalg.norm(scheme.l_b, 2))
+        assert stop is None
+        assert np.array_equal(states, np.hstack([traj.displacements, traj.velocities]))
+
+    def test_divergence_in_a_later_block(self):
+        # a growing map that trips the guard in the fourth block
+        model = self.forced_chain()
+        dt = 0.2
+        offsets = (0.0, dt / 3.0, 2.0 * dt / 3.0, dt)
+        rng = np.random.default_rng(5)
+        phi = 1.02 * np.eye(2 * self.N)
+        weights = 1e-3 * rng.standard_normal((2 * self.N, 4 * self.N))
+        x0 = rng.standard_normal(2 * self.N)
+        block = per._BLOCK_FLOATS // (4 * self.N)
+        traj = per.recurrence(phi, x0, dt, 5 * block,
+                              per._force_sampler(model, spd_solver(model.mass)),
+                              offsets, weights, 1.0)
+        states, stop = step_loop(phi, x0, dt, 5 * block, self.scalar_sampler(model),
+                                 offsets, weights, 1.0)
+        assert traj.diverged and 3 * block < stop < 4 * block
+        assert traj.info["diverged_at_step"] == traj.n_steps == stop
+        assert np.array_equal(states, np.hstack([traj.displacements, traj.velocities]))
+
+    def test_non_finite_load_after_the_stop_is_not_sampled_into_an_error(self):
+        # the run stops at step 1; the load turns NaN later in the same
+        # block, which the loop samples but never reaches
+        def force(t):
+            return np.full(12, np.nan) if t > 2.0 else np.eye(12)[3] * np.sin(2.0 * t)
+
+        config = per.PerConfig(dt=1.4, m_b=2, r_b=12)
+        with pytest.warns(RuntimeWarning):
+            traj = per.integrate(benchmark_chain(3.0).with_force(force), config, 70.0)
+        assert traj.diverged
+        assert traj.info["diverged_at_step"] == traj.n_steps == 1
 
 
 class TestPerConfigValidation:
