@@ -19,7 +19,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import cho_factor, cho_solve
 
-from .linalg import spd_solver
+from .linalg import double_increment, spd_solver
 from .model import SystemModel
 from .per import Trajectory, _force_sampler, recurrence
 
@@ -263,9 +263,7 @@ def expm_2p(w: np.ndarray, t: float, p: int = 20) -> np.ndarray:
     x = w * (t / 2.0 ** p)
     x2 = x @ x
     delta = x + x2 / 2.0 + x2 @ x / 6.0 + x2 @ x2 / 24.0
-    for _ in range(p):
-        delta = 2.0 * delta + delta @ delta
-    return np.eye(n2) + delta
+    return np.eye(n2) + double_increment(delta, p)
 
 
 def mpim_operators(system: StateSpaceSystem, dt: float, g: int = 4, p: int = 20):

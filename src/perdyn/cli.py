@@ -226,10 +226,12 @@ def _summary(model, config: RunConfig, traj) -> dict:
     pc = config.per_config()
     rho = (traj.info["rho_beta_b"] if config.method_name() == "per"
            else per.compute_b_factors(model, pc).rho_beta_b)
-    try:
-        bound = analysis.dt_bound(model, pc.m_b).dt_max
-    except ValueError:
-        bound = float("nan")
+    bound = traj.info.get("dt_max_bound")  # a diverged PER run carries it
+    if bound is None:
+        try:
+            bound = analysis.dt_bound(model, pc.m_b).dt_max
+        except ValueError:
+            bound = float("nan")
     return {
         "rho_beta_b": rho,
         "dt_max_bound": bound,

@@ -2,8 +2,23 @@
 
 from __future__ import annotations
 
+from math import sqrt
+
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+
+
+#: Smallest matrix order whose doubling flushes underflowing entries.  The
+#: flush is an O(N^2) pass: at order 24 it costs 4-12 us, against 7 us for
+#: the whole doubling, and the 12-dof chain and the 48-dof beam never hold a
+#: tiny entry.  From order 128 up, banded models do: on a 64-dof chain the 20
+#: doublings took 28 ms unflushed and 2.5 ms flushed, on the 480-dof
+#: benchmark chain 1.6 s and 0.8 s (one OpenBLAS thread, Xeon 2.1 GHz).
+_FLUSH_MIN_ORDER = 128
+
+#: Flush threshold relative to the largest entry: the product of two kept
+#: entries stays above the smallest normal number.
+_FLUSH_REL = sqrt(np.finfo(float).tiny)
 
 
 class DivergenceError(RuntimeError):
@@ -54,3 +69,24 @@ def neumann_sum(mat, order):
     for _ in range(order // 2 - 1):
         total = eye + mat + sq @ total
     return total
+
+
+def double_increment(delta, p):
+    """Increment at t from the increment at t/2^p by p doublings
+    delta <- 2 delta + delta @ delta, i.e. exp(Wt) - I from exp(Wt/2^p) - I.
+
+    From order _FLUSH_MIN_ORDER up, every entry below _FLUSH_REL times the
+    largest magnitude is set to zero after each doubling.  Far-off-diagonal
+    entries of a banded model's propagator decay below the normal range,
+    and products on subnormal numbers run about ten times slower.  A
+    non-finite entry is never flushed: an inf makes the threshold inf and
+    stays, a NaN compares false.
+    """
+    flush = delta.shape[0] >= _FLUSH_MIN_ORDER
+    for _ in range(p):
+        delta = 2.0 * delta + delta @ delta
+        if flush:
+            # no full-size abs() temporary: it adds to the peak memory of the setup
+            tol = _FLUSH_REL * max(delta.max(), -delta.min())
+            delta[(delta > -tol) & (delta < tol)] = 0.0
+    return delta

@@ -19,7 +19,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .linalg import DivergenceError, neumann_sum, spd_solver, spectral_radius
+from .linalg import (DivergenceError, double_increment, neumann_sum, spd_solver,
+                     spectral_radius)
 from .model import StateVector, SystemModel
 
 MAX_SERIES_ORDER = 60  # higher truncations are numerically unreliable
@@ -241,7 +242,12 @@ def assemble_series(model: SystemModel, dt: float, m: int, which: str) -> np.nda
         raise ValueError(f"unknown series {which!r}; expected T, L, alpha or beta")
     _check_order(m)
     _, a_mat, minv_c = system_operators(model)
-    n = model.n_dof
+    return _series(a_mat, minv_c, dt, m, which)
+
+
+def _series(a_mat, minv_c, dt, m, which):
+    """assemble_series on the operators A = M^-1 K and minv_c = M^-1 C."""
+    n = a_mat.shape[0]
     j_max = m // 2
     powers = [np.eye(n)]
     for _ in range(j_max):
@@ -296,8 +302,7 @@ def compute_a(model: SystemModel, config: PerConfig) -> np.ndarray:
 def _doubled_increment(a_mat, minv_c, config):
     """da(dt) after the p doublings, plus rho(beta_a) as diagnostic."""
     delta_a, rho_beta_a = _increment_at_reduced_step(a_mat, minv_c, config)
-    for _ in range(config.p):
-        delta_a = 2.0 * delta_a + delta_a @ delta_a
+    delta_a = double_increment(delta_a, config.p)
     if not np.isfinite(delta_a).all():
         raise DivergenceError(
             "non-finite entries while doubling the transition increment "
@@ -327,23 +332,28 @@ def compute_b_factors(model: SystemModel, config: PerConfig) -> SchemeMatrices:
     longer approximates (I - beta_b)^-1 and the scheme will diverge.
     """
     _, a_mat, minv_c = system_operators(model)
+    return _b_factors(a_mat, minv_c, config)
+
+
+def _b_factors(a_mat, minv_c, config):
+    """compute_b_factors on the operators A = M^-1 K and minv_c = M^-1 C."""
     beta_b = _damping_series(a_mat, minv_c, config.dt, config.m_b, coeff_beta)
-    l_b = assemble_series(model, config.dt, config.m_b, "L")
+    l_b = _series(a_mat, minv_c, config.dt, config.m_b, "L")
     rho = spectral_radius(beta_b)
     if rho >= 1.0:
         warnings.warn(
             f"rho(beta_b) = {rho:.4f} >= 1: the damping series does not "
-            "converge at this time step", RuntimeWarning, stacklevel=2)
+            "converge at this time step", RuntimeWarning, stacklevel=3)
     return SchemeMatrices(a=None, neumann_b=neumann_sum(beta_b, config.r_b),
                           l_b=l_b, rho_beta_b=rho)
 
 
 def build_scheme(model: SystemModel, config: PerConfig) -> SchemeMatrices:
-    """All one-step operators of the scheme."""
+    """All one-step operators of the scheme; M is factorized once."""
     _, a_mat, minv_c = system_operators(model)
     delta_a, rho_beta_a = _doubled_increment(a_mat, minv_c, config)
     a = np.eye(2 * model.n_dof) + delta_a
-    partial = compute_b_factors(model, config)
+    partial = _b_factors(a_mat, minv_c, config)
     return SchemeMatrices(a=a, neumann_b=partial.neumann_b, l_b=partial.l_b,
                           rho_beta_b=partial.rho_beta_b, rho_beta_a=rho_beta_a)
 

@@ -142,6 +142,14 @@ def step_loop(phi, x0, dt, n_steps, sample, offsets, weights, ref_scale):
     return states, None
 
 
+def doubling_unflushed(delta, p):
+    """exp(Wt) - I from exp(Wt/2^p) - I by p plain doublings
+    delta <- 2 delta + delta @ delta, keeping every entry however small."""
+    for _ in range(p):
+        delta = 2.0 * delta + delta @ delta
+    return delta
+
+
 def tau_limit_scalar_scan(m, scan_step=0.01, tau_max=100.0, tol=1e-8):
     """First upward crossing of rho(sigma_m(tau)) through 1/(2 sqrt(3)).
 

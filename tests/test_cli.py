@@ -130,6 +130,35 @@ class TestSimulate:
                      "--out", str(tmp_path / "d.csv")])
         assert code == EXIT_DIVERGENCE
 
+    def test_diverged_per_summary_reuses_the_bound(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # the diverged PER run carries dt_max_bound; the summary prints it
+        # without a second dt_bound (modal analysis and tau_limit scan)
+        from perdyn import analysis
+        calls = []
+        dt_bound = analysis.dt_bound
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return dt_bound(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "dt_bound", counting)
+        cfg = tmp_path / "div.json"
+        write_config(cfg, {
+            "version": 1,
+            "model": {"kind": "chain", "zeta": 3.0},
+            "force": {"kind": "constant-step", "dof": 1, "t_c": 0.0, "f0": 1.0},
+            "method": {"name": "per", "mb": 2, "rb": 12},
+            "dt": 1.4, "t_max": 14.0,
+        })
+        with pytest.warns(RuntimeWarning, match="rho"):
+            code = main(["simulate", "--config", str(cfg),
+                         "--out", str(tmp_path / "d.csv")])
+        assert code == EXIT_DIVERGENCE
+        assert len(calls) == 1
+        printed = capsys.readouterr().out
+        assert f"dt_max_bound: {dt_bound(*calls[0]).dt_max}" in printed
+
     def test_non_finite_load_exit_codes(self, tmp_path, capsys):
         # rk4 ends a NaN load as a diverged run; PER names the sample
         cfg = tmp_path / "nan.json"

@@ -5,14 +5,18 @@ integration modes."""
 import numpy as np
 import pytest
 
-from oracles import (companion_matrix, damped_free_vibration, expm_eig,
-                     gauss_panel_integral, lagrange_cubic_basis, l2_norm,
-                     rotation_propagator, sdof_model, step_loop)
+from oracles import (companion_matrix, damped_free_vibration,
+                     doubling_unflushed, expm_eig, gauss_panel_integral,
+                     lagrange_cubic_basis, l2_norm, rotation_propagator,
+                     sdof_model, step_loop)
 from scipy.linalg import cho_factor, cho_solve
 
 import perdyn.per as per
-from perdyn.linalg import DivergenceError, neumann_sum, spd_solver
-from perdyn.model import benchmark_chain, build_chain, damping_level
+from perdyn.baselines import expm_2p, state_space
+from perdyn.linalg import (DivergenceError, double_increment, neumann_sum,
+                           spd_solver)
+from perdyn.model import (benchmark_beam, benchmark_chain, build_chain,
+                          damping_level)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +194,71 @@ class TestComputeA:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match="rho"):
                 per.compute_a(model, per.PerConfig(dt=1e80, p=2))
+
+
+class TestDoublingFlush:
+    """The doubling flushes entries below sqrt(tiny) * max from order 128 up."""
+
+    @staticmethod
+    def unflushed_a(model, config):
+        a_mat, minv_c = per.system_operators(model)[1:]
+        seed, _ = per._increment_at_reduced_step(a_mat, minv_c, config)
+        return np.eye(2 * model.n_dof) + doubling_unflushed(seed, config.p)
+
+    @staticmethod
+    def unflushed_expm(w, t, p=20):
+        x = w * (t / 2.0 ** p)
+        x2 = x @ x
+        seed = x + x2 / 2.0 + x2 @ x / 6.0 + x2 @ x2 / 24.0
+        return np.eye(w.shape[0]) + doubling_unflushed(seed, p)
+
+    @pytest.fixture(scope="class")
+    def chain64(self):
+        # order 128: the far-off-diagonal entries of a(dt) underflow
+        model = build_chain(64, 1.0, 100.0, [(0, None, 1.0)])
+        config = per.PerConfig(dt=0.01)
+        w = state_space(model).w
+        return {"a": (per.build_scheme(model, config).a, self.unflushed_a(model, config)),
+                "expm": (expm_2p(w, config.dt), self.unflushed_expm(w, config.dt))}
+
+    @pytest.mark.parametrize("which", ["a", "expm"])
+    def test_no_subnormal_entries(self, chain64, which):
+        got, unflushed = chain64[which]
+        tiny = np.finfo(float).tiny
+        assert ((unflushed != 0.0) & (np.abs(unflushed) < tiny)).any()
+        assert not ((got != 0.0) & (np.abs(got) < tiny)).any()
+
+    @pytest.mark.parametrize("which", ["a", "expm"])
+    def test_kept_entries_bit_for_bit(self, chain64, which):
+        got, unflushed = chain64[which]
+        big = np.abs(unflushed) > 1e-100 * np.abs(unflushed).max()
+        np.testing.assert_array_equal(got[big], unflushed[big])
+        assert np.abs(got - unflushed).max() <= 1e-150 * np.abs(unflushed).max()
+
+    @pytest.mark.parametrize("model, config", [
+        # the README chain (order 24) and the benchmark beam (order 96)
+        (build_chain(12, 1.0, 100.0, [(0, None, 2.0), (1, 2, 2.0)]),
+         per.PerConfig(dt=0.024, m_b=8, r_b=4)),
+        (benchmark_beam(), per.PerConfig(dt=2e-5, m_b=8)),
+    ], ids=["chain12", "beam48"])
+    def test_below_the_gate_unchanged(self, model, config):
+        np.testing.assert_array_equal(per.build_scheme(model, config).a,
+                                      self.unflushed_a(model, config))
+        w = state_space(model).w
+        np.testing.assert_array_equal(expm_2p(w, config.dt),
+                                      self.unflushed_expm(w, config.dt))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entry_is_not_flushed(self, bad, monkeypatch):
+        # an inf makes the threshold inf; the entry itself must survive
+        seed = 1e-3 * np.eye(128)
+        seed[5, 7] = bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert not np.isfinite(double_increment(seed, 3)).all()
+            monkeypatch.setattr(per, "_increment_at_reduced_step",
+                                lambda a_mat, minv_c, config: (seed, 0.5))
+            with pytest.raises(DivergenceError, match="non-finite"):
+                per._doubled_increment(None, None, per.PerConfig(dt=0.01))
 
 
 # ---------------------------------------------------------------------------
