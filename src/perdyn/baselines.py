@@ -50,20 +50,27 @@ class IntegratorParams:
     mpim_p: int = 20
 
 
-def state_space(model: SystemModel) -> StateSpaceSystem:
-    """Companion form of a second-order model; M is factorized once."""
+def _companion(model):
+    """(W, solve_mass): W = [[0, I], [-M^-1 K, -M^-1 C]] and the M^-1 of
+    the one factorization of M that built it."""
     n = model.n_dof
     solve_mass = spd_solver(model.mass)
     w = np.block([
         [np.zeros((n, n)), np.eye(n)],
         [-solve_mass(model.stiffness), -solve_mass(model.damping)],
     ])
+    return w, solve_mass
+
+
+def state_space(model: SystemModel) -> StateSpaceSystem:
+    """Companion form of a second-order model; M is factorized once."""
+    w, solve_mass = _companion(model)
     if model.force is None:
         return StateSpaceSystem(w=w, h=None)
 
     force_rows = _force_sampler(model, solve_mass)
 
-    def h(t, _n=n):
+    def h(t, _n=model.n_dof):
         times = np.asarray(t, dtype=float)
         out = np.zeros((times.size, 2 * _n))
         out[:, _n:] = force_rows(times.ravel())
@@ -221,14 +228,27 @@ def bathe(model: SystemModel, dt: float, t_max: float,
 # ---------------------------------------------------------------------------
 # RK4
 
-def rk4(system: StateSpaceSystem, u0: np.ndarray, dt: float,
-        t_max: float) -> Trajectory:
-    """Classical fourth-order Runge-Kutta on dU/dt = W U + h(t).
+def rk4_operators(w: np.ndarray, dt: float):
+    """(R, P0, Pm) of one RK4 step of size dt on dU/dt = W U + h(t).
 
     On a linear system the four stages collapse into the step map
     U_{k+1} = R U_k + dt/6 (P0 h(t_k) + Pm h(t_k + dt/2) + I h(t_k + dt))
     with X = W dt, R = I + X + X^2/2 + X^3/6 + X^4/24,
     P0 = I + X + X^2/2 + X^3/4 and Pm = 4I + 2X + X^2/2.
+    """
+    eye = np.eye(w.shape[0])
+    x = w * dt
+    x2 = x @ x
+    x3 = x2 @ x
+    r = eye + x + x2 / 2.0 + x3 / 6.0 + x2 @ x2 / 24.0
+    return r, eye + x + x2 / 2.0 + x3 / 4.0, 4.0 * eye + 2.0 * x + x2 / 2.0
+
+
+def rk4(system: StateSpaceSystem, u0: np.ndarray, dt: float,
+        t_max: float) -> Trajectory:
+    """Classical fourth-order Runge-Kutta on dU/dt = W U + h(t), stepped as
+    its one-step map (see ``rk4_operators``), three force samples per step.
+
     ``u0`` is the 2N initial state [u; v].  Divergence (non-finite or
     unbounded growth) truncates the run and sets the flag.
     """
@@ -237,13 +257,8 @@ def rk4(system: StateSpaceSystem, u0: np.ndarray, dt: float,
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (n2,):
         raise ValueError(f"initial state must have length {n2}")
-    eye = np.eye(n2)
-    x = system.w * dt
-    x2 = x @ x
-    x3 = x2 @ x
-    r = eye + x + x2 / 2.0 + x3 / 6.0 + x2 @ x2 / 24.0
-    weights = dt / 6.0 * np.hstack([eye + x + x2 / 2.0 + x3 / 4.0,
-                                    4.0 * eye + 2.0 * x + x2 / 2.0, eye])
+    r, p0, pm = rk4_operators(system.w, dt)
+    weights = dt / 6.0 * np.hstack([p0, pm, np.eye(n2)])
     return recurrence(r, u0, dt, n_steps, system.h, (0.0, dt / 2.0, dt),
                       weights, dt)
 

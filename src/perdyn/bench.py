@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import baselines, per
-from .model import SystemModel, modal_analysis
+from .model import SystemModel, _force_rows, modal_analysis
 
 METHODS = ("per", "newmark", "wilson", "bathe", "rk4", "mpim")
 
@@ -48,8 +48,11 @@ class CostModel:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One sweep point: ``abscissa`` is dt/T_min in sweep_dt and zeta in
+    sweep_damping."""
+
     dt: float
-    dt_over_t: float
+    abscissa: float
     e_disp: float
     e_vel: float
     diverged: bool
@@ -101,6 +104,14 @@ def reference_solution(model: SystemModel, dt: float, t_max: float,
     The refinement doubles automatically (up to 8000) until
     omega_max * dt_fine clears the RK4 stability margin; the refine
     value actually used is reported in ``info``.
+
+    The system is linear, so s fine steps fold into one step map
+    U <- R^s U + W g (a blocked linear scan: the same RK4 in exact
+    arithmetic), and only every s-th fine state is computed.  ``g`` holds
+    M^-1 f at the 2s+1 half-step nodes of the s steps, sampled through the
+    array form of a built-in load.  s is refine unless W would hold more
+    than per._BLOCK_FLOATS numbers; then it is the largest divisor of
+    refine whose W fits.
     """
     if refine < 1:
         raise ValueError("refine must be >= 1")
@@ -112,18 +123,79 @@ def reference_solution(model: SystemModel, dt: float, t_max: float,
             raise ValueError(
                 f"cannot reach RK4 stability below refine={MAX_REFINE} "
                 f"(omega_max*dt = {w_max * dt:.3e})")
-    system = baselines.state_space(model)
-    u0 = np.concatenate([model.u0, model.v0])
+    w, solve_mass = baselines._companion(model)
+    h = dt / used
+    fold = _fold_size(used, model.n_dof)
+    phi, weights = _folded_rk4(w, h, fold)
+    x0 = np.concatenate([model.u0, model.v0])
     n_coarse = max(1, int(round(t_max / dt)))
-    fine = baselines.rk4(system, u0, dt / used, n_coarse * used * (dt / used))
-    if fine.diverged:
+    n_steps = n_coarse * (used // fold)
+
+    def sample(times):
+        return solve_mass(_force_rows(model.force, _on_fine_grid(times, h)).T).T
+
+    # guard scale: the folded step, as RK4's is its step
+    run = per.recurrence(phi, x0, fold * h, n_steps,
+                         None if model.force is None else sample,
+                         np.arange(2 * fold + 1) * (h / 2.0), weights, fold * h)
+    if run.diverged:
         raise ValueError("reference RK4 run diverged")
-    sl = slice(None, None, used)
-    traj = per.Trajectory(times=np.arange(n_coarse + 1) * dt,
-                          displacements=fine.displacements[sl].copy(),
-                          velocities=fine.velocities[sl].copy(),
+    sl = slice(None, None, used // fold)
+    return per.Trajectory(times=np.arange(n_coarse + 1) * dt,
+                          displacements=run.displacements[sl].copy(),
+                          velocities=run.velocities[sl].copy(),
                           info={"refine": used})
-    return traj
+
+
+def _fold_size(refine, n_dof):
+    """Fine steps per folded step: the largest divisor of refine whose
+    (2N) x (2s+1)N weight matrix holds at most per._BLOCK_FLOATS numbers
+    (1 from N = 115 up)."""
+    s_max = max(1, (per._BLOCK_FLOATS // (2 * n_dof * n_dof) - 1) // 2)
+    return next(s for s in range(min(refine, s_max), 0, -1) if refine % s == 0)
+
+
+def _folded_rk4(w, h, s):
+    """(R^s, W): s RK4 steps of size h on dU/dt = W U + h(t) as one step.
+
+    Step j of the s contributes R^(s-1-j) h/6 (P0, Pm, I) at the nodes
+    2j, 2j+1, 2j+2 of the half-step grid, so node 2j (0 < j < s) weighs
+    R^(s-1-j) (P0 + R).  The upper half of h(t) is zero, so W keeps only
+    the velocity columns: N per node.  The powers are doubled as increments
+    R^j - I (R^(a+b) - I = D_a + D_b + D_a D_b, one batched product per
+    doubling), because R is close to I: products of the powers themselves
+    round the small increments away and put the README chain's reference
+    at t_max = 4 twice as far from exact RK4 arithmetic as the fine loop.
+    """
+    r, p0, pm = baselines.rk4_operators(w, h)
+    n2 = w.shape[0]
+    n = n2 // 2
+    eye = np.eye(n2)
+    d_one = r - eye
+    inc = np.zeros((1, n2, n2))  # inc[j] = R^j - I
+    d_len = d_one  # R^len(inc) - I
+    # a diverging map overflows to inf and nan here; the run's guard reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(inc) < s:
+            inc = np.concatenate([inc, inc + d_len + inc @ d_len])
+            d_len = 2.0 * d_len + d_len @ d_len
+        q = inc[s - 1::-1]  # q[j] = R^(s-1-j) - I
+        head = h / 6.0 * np.hstack([(p0 + r)[:, n:], pm[:, n:]])
+        blocks = head + q @ head
+        first = h / 6.0 * p0[:, n:]
+        blocks[0, :, :n] = first + q[0] @ first
+        phi = eye + (q[0] + d_one + q[0] @ d_one)
+    weights = np.hstack([blocks.transpose(1, 0, 2).reshape(n2, 2 * s * n),
+                         h / 6.0 * eye[:, n:]])
+    return phi, weights
+
+
+def _on_fine_grid(times, h):
+    """Node times t_k + i h/2 snapped to k*h + (0 or h/2), the values the
+    fine-step loop computes: a step load switching at a node then switches
+    at the same sample."""
+    k, odd = np.divmod(np.rint(times / (h / 2.0)), 2.0)
+    return k * h + odd * (h / 2.0)
 
 
 def run_method(model: SystemModel, method: str, dt: float, t_max: float,
@@ -134,8 +206,7 @@ def run_method(model: SystemModel, method: str, dt: float, t_max: float,
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     params = params or baselines.IntegratorParams(method=method)
     if method == "per":
-        config = replace(per_config, dt=dt) if per_config else per.PerConfig(dt=dt)
-        return per.integrate(model, config, t_max)
+        return per.integrate(model, _at_dt(per_config, dt), t_max)
     if method == "newmark":
         return baselines.newmark(model, dt, t_max, params.newmark_gamma,
                                  params.newmark_beta)
@@ -150,6 +221,11 @@ def run_method(model: SystemModel, method: str, dt: float, t_max: float,
     return baselines.mpim(system, u0, dt, t_max, params.mpim_g, params.mpim_p)
 
 
+def _at_dt(per_config, dt):
+    """The PER configuration of a run at this dt."""
+    return replace(per_config, dt=dt) if per_config else per.PerConfig(dt=dt)
+
+
 def _per_rho(model, config, dt):
     """rho(beta_b) at this dt, warnings silenced (divergence is sweep data)."""
     with warnings.catch_warnings():
@@ -157,28 +233,44 @@ def _per_rho(model, config, dt):
         return per.compute_b_factors(model, replace(config, dt=dt)).rho_beta_b
 
 
+def _per_scheme(model, config):
+    """(build_scheme result, rho(beta_b)), warnings silenced: the b-factors
+    are built once per sweep point.  The scheme is None when the 2^p
+    doubling diverges; rho then comes from compute_b_factors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            scheme = per.build_scheme(model, config)
+        except per.DivergenceError:
+            return None, per.compute_b_factors(model, config).rho_beta_b
+    return scheme, scheme.rho_beta_b
+
+
 def _sweep_row(model, method, dt, t_max, dof, per_config, params, refine,
-               abscissa, extra) -> SweepRow:
+               abscissa, extra, scheme) -> SweepRow:
     """Error of one run against its RK4 reference, or a diverged row.
 
-    A PER run whose rho(beta_b) >= 1 (in ``extra``) is not attempted: its
-    series does not converge.
+    PER runs on ``scheme`` (from _per_scheme) and is not attempted when it
+    is None or rho(beta_b) >= 1 (in ``extra``): the series does not
+    converge.
     """
     ref = reference_solution(model, dt, t_max, refine=refine)
     traj = None
-    if method != "per" or extra["rho_beta_b"] < 1.0:
+    if method != "per" or (scheme is not None and extra["rho_beta_b"] < 1.0):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                traj = run_method(model, method, dt, t_max,
-                                  per_config=per_config, params=params)
+                if method == "per":
+                    traj = per._integrate(model, _at_dt(per_config, dt), t_max, scheme)
+                else:
+                    traj = run_method(model, method, dt, t_max, params=params)
         except per.DivergenceError:
             traj = None
     if traj is None or traj.diverged or len(traj.times) != len(ref.times):
-        return SweepRow(dt=dt, dt_over_t=abscissa, e_disp=float("nan"),
+        return SweepRow(dt=dt, abscissa=abscissa, e_disp=float("nan"),
                         e_vel=float("nan"), diverged=True, extra=extra)
     rep = global_error(traj, ref, dof)
-    return SweepRow(dt=dt, dt_over_t=abscissa, e_disp=rep.e_disp,
+    return SweepRow(dt=dt, abscissa=abscissa, e_disp=rep.e_disp,
                     e_vel=rep.e_vel, diverged=False, extra=extra)
 
 
@@ -195,11 +287,11 @@ def sweep_dt(model: SystemModel, method: str, dt_list, t_max: float, dof: int,
     t_min = modal_analysis(model).min_period
     rows = []
     for dt in dt_list:
-        extra = {}
+        extra, scheme = {}, None
         if method == "per":
-            extra["rho_beta_b"] = _per_rho(model, per_config or per.PerConfig(dt=dt), dt)
+            scheme, extra["rho_beta_b"] = _per_scheme(model, _at_dt(per_config, dt))
         rows.append(_sweep_row(model, method, dt, t_max, dof, per_config, params,
-                               refine, dt / t_min, extra))
+                               refine, dt / t_min, extra, scheme))
     return rows
 
 
@@ -220,10 +312,14 @@ def sweep_damping(model: SystemModel, zeta_list, dt: float, t_max: float,
         if zeta < 0.0:
             raise ValueError("zeta must be >= 0")
         scaled = model.with_damping(zeta * model.damping)
-        extra = {"rho_beta_b": _per_rho(scaled, config, dt),
+        if method == "per":
+            scheme, rho = _per_scheme(scaled, replace(config, dt=dt))
+        else:
+            scheme, rho = None, _per_rho(scaled, config, dt)
+        extra = {"rho_beta_b": rho,
                  "damping_level": damping_level(scaled) if zeta > 0.0 else 0.0}
         rows.append(_sweep_row(scaled, method, dt, t_max, dof, config, params,
-                               refine, zeta, extra))
+                               refine, zeta, extra, scheme))
     return rows
 
 

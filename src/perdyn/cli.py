@@ -301,7 +301,7 @@ def cmd_sweep_dt(args) -> int:
                           params=config.integrator_params(),
                           refine=int(config.reference.get("refine", 500)))
     write_csv(args.out, ["dt", "dt_over_T", "e_disp", "e_vel", "diverged"],
-              [[r.dt, r.dt_over_t, r.e_disp, r.e_vel, r.diverged] for r in rows])
+              [[r.dt, r.abscissa, r.e_disp, r.e_vel, r.diverged] for r in rows])
     return 0
 
 
@@ -317,7 +317,7 @@ def cmd_sweep_damping(args) -> int:
                                refine=int(config.reference.get("refine", 500)))
     write_csv(args.out,
               ["zeta", "damping_level", "e_disp", "e_vel", "rho_beta_b", "diverged"],
-              [[r.dt_over_t, r.extra["damping_level"], r.e_disp, r.e_vel,
+              [[r.abscissa, r.extra["damping_level"], r.e_disp, r.e_vel,
                 r.extra["rho_beta_b"], r.diverged] for r in rows])
     return 0
 

@@ -291,6 +291,13 @@ def build_beam(length: float, bending_stiffness: float, total_mass: float,
                 out[dof] += sign * fn(t)
             return out
 
+        def rows(times, _loads=tuple(loads), _n=n):
+            out = np.zeros((len(times), _n))
+            for dof, sign, fn in _loads:
+                out[:, dof] += sign * _force_rows(fn, times)
+            return out
+        force._rows = rows
+
     return SystemModel(mass, damp, stiff, force=force)
 
 
@@ -342,11 +349,25 @@ def damping_level(model: SystemModel) -> float:
 
 # ---------------------------------------------------------------------------
 # Force builders shared by the library, the tests and the CLI config loader.
+#
+# Each built-in load also carries a private array form ``_rows``: an array of
+# times to one value (or row) per time, equal to the scalar calls.  Only the
+# RK4 reference samples through it; every integrator calls the scalar form.
+
+def _force_rows(fn: Callable, times: np.ndarray) -> np.ndarray:
+    """``fn`` at each time of the 1-D array ``times``, one row (or value) per
+    time: the array form of a built-in load, one call per time otherwise."""
+    rows = getattr(fn, "_rows", None)
+    if rows is None:
+        return np.array([fn(t) for t in times.tolist()], dtype=float)
+    return rows(times)
+
 
 def step_function(t_c: float, f0: float) -> Callable[[float], float]:
     """Scalar step: 0 for t < t_c, f0 for t >= t_c."""
     def step(t):
         return f0 if t >= t_c else 0.0
+    step._rows = lambda times: np.where(times >= t_c, f0, 0.0)
     return step
 
 
@@ -359,6 +380,12 @@ def constant_step_force(n_dof: int, dof: int, t_c: float, f0: float) -> ForceFun
         if t >= t_c:
             out[dof] = f0
         return out
+
+    def rows(times):
+        out = np.zeros((len(times), n_dof))
+        out[times >= t_c, dof] = f0
+        return out
+    force._rows = rows
     return force
 
 
@@ -378,4 +405,13 @@ def gaussian_multiharmonic_force(n_dof: int, dof: int, t0: float, s: float,
         env = np.exp(-(t - t0) ** 2 / (2.0 * s * s))
         out[dof] = env * sum(a * np.sin(w * t) for a, w in comps)
         return out
+
+    def rows(times):
+        # same operations as the scalar form; numpy's vectorized exp and sin
+        # may round the last bit differently
+        out = np.zeros((len(times), n_dof))
+        env = np.exp(-(times - t0) ** 2 / (2.0 * s * s))
+        out[:, dof] = env * sum(a * np.sin(w * times) for a, w in comps)
+        return out
+    force._rows = rows
     return force

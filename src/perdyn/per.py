@@ -15,7 +15,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field, replace
 from math import factorial, isfinite, sqrt
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -82,6 +82,7 @@ class SchemeMatrices:
     l_b        2N x 4N force-interpolation operator
     rho_beta_b spectral radius of beta_b (convergence diagnostic)
     rho_beta_a spectral radius of beta_a at the reduced step
+    solve_mass M^-1 by the Cholesky factor the operators were built with
     """
 
     a: np.ndarray | None
@@ -89,6 +90,8 @@ class SchemeMatrices:
     l_b: np.ndarray
     rho_beta_b: float
     rho_beta_a: float | None = None
+    solve_mass: Callable[[np.ndarray], np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
 
     def __post_init__(self):
         # shareable across concurrent runs: freeze the operator arrays
@@ -350,12 +353,11 @@ def _b_factors(a_mat, minv_c, config):
 
 def build_scheme(model: SystemModel, config: PerConfig) -> SchemeMatrices:
     """All one-step operators of the scheme; M is factorized once."""
-    _, a_mat, minv_c = system_operators(model)
+    solve_mass, a_mat, minv_c = system_operators(model)
     delta_a, rho_beta_a = _doubled_increment(a_mat, minv_c, config)
     a = np.eye(2 * model.n_dof) + delta_a
     partial = _b_factors(a_mat, minv_c, config)
-    return SchemeMatrices(a=a, neumann_b=partial.neumann_b, l_b=partial.l_b,
-                          rho_beta_b=partial.rho_beta_b, rho_beta_a=rho_beta_a)
+    return replace(partial, a=a, rho_beta_a=rho_beta_a, solve_mass=solve_mass)
 
 
 def _per_offsets(dt):
@@ -408,11 +410,18 @@ def integrate(model: SystemModel, config: PerConfig, t_max: float) -> Trajectory
     t_max by less than one step.  On divergence the computed prefix is
     returned with ``diverged=True`` and diagnostics in ``info``.
     """
+    return _integrate(model, config, t_max, None)
+
+
+def _integrate(model, config, t_max, scheme):
+    """integrate on ``scheme``, the build_scheme result at ``config``, which
+    is built here when None."""
     if config.dt <= 0.0:
         raise ValueError("integration requires dt > 0")
     if t_max < config.dt:
         raise ValueError("t_max must be at least one time step")
-    scheme = build_scheme(model, config)
+    if scheme is None:
+        scheme = build_scheme(model, config)
     n_steps = max(1, int(round(t_max / config.dt)))
     x0 = np.concatenate([model.u0, model.v0])
     if model.force is None:
@@ -421,7 +430,7 @@ def integrate(model: SystemModel, config: PerConfig, t_max: float) -> Trajectory
         # the guard scale is the raw forcing operator, deliberately without
         # the Neumann factor so that its blow-up is detected
         traj = recurrence(scheme.a, x0, config.dt, n_steps,
-                          _force_sampler(model, spd_solver(model.mass)),
+                          _force_sampler(model, scheme.solve_mass),
                           _per_offsets(config.dt), scheme.neumann_b @ scheme.l_b,
                           np.linalg.norm(scheme.l_b, 2))
     info = {"rho_beta_b": scheme.rho_beta_b}

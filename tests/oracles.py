@@ -8,7 +8,7 @@ from math import factorial
 
 import numpy as np
 
-from perdyn.model import SystemModel
+from perdyn.model import SystemModel, modal_analysis
 
 
 def sdof_model(omega=2.0 * np.pi, zeta=0.0, mass=1.0, u0=1.0, v0=0.0,
@@ -184,3 +184,22 @@ def tau_limit_scalar_scan(m, scan_step=0.01, tau_max=100.0, tol=1e-8):
         prev_tau, prev_f = tau, f
         tau += scan_step
     return float("inf")
+
+
+def reference_fine_rk4(model, dt, t_max, refine=500):
+    """RK4 reference stepped one fine step of dt/refine at a time through
+    ``baselines.rk4`` (three force calls per step), sampled every refine
+    steps; refine doubles up to 8000 until omega_max * dt/refine < 2.5.
+    Returns (displacements, velocities, refine used)."""
+    from perdyn.baselines import rk4, state_space
+    w_max = modal_analysis(model).frequencies[-1]
+    while w_max * dt / refine >= 2.5:
+        refine *= 2
+        if refine > 8000:
+            raise ValueError("cannot reach RK4 stability")
+    n_coarse = max(1, int(round(t_max / dt)))
+    fine = rk4(state_space(model), np.concatenate([model.u0, model.v0]),
+               dt / refine, n_coarse * refine * (dt / refine))
+    if fine.diverged:
+        raise ValueError("reference RK4 run diverged")
+    return fine.displacements[::refine], fine.velocities[::refine], refine

@@ -3,15 +3,19 @@
 import numpy as np
 import pytest
 
-from oracles import damped_free_vibration, l2_norm, sdof_model
+from oracles import (damped_free_vibration, l2_norm, reference_fine_rk4,
+                     sdof_model)
 
+import perdyn.bench as bench
 import perdyn.per as per
 from perdyn.baselines import IntegratorParams
 from perdyn.bench import (cost_mpim, cost_per, cost_rk4, fit_order,
                           global_error, per_mpim_setup_ratio,
                           reference_solution, run_method, sweep_damping,
                           sweep_dt, timing_run, trajectory_norm)
-from perdyn.model import benchmark_beam, benchmark_chain, build_chain
+from perdyn.model import (SystemModel, benchmark_beam, benchmark_chain,
+                          build_chain, constant_step_force,
+                          gaussian_multiharmonic_force)
 from perdyn.per import PerConfig, Trajectory, integrate
 
 OMEGA = 2.0 * np.pi
@@ -101,6 +105,70 @@ class TestReferenceSolution:
         ref = reference_solution(model, dt, 2 * dt)
         assert ref.info["refine"] > 500
 
+    def test_refine_cap_raises(self):
+        model = sdof_model(omega=1.0)
+        with pytest.raises(ValueError, match="cannot reach RK4 stability"):
+            reference_solution(model, 2.5 * 8000.0, 3 * 2.5 * 8000.0)
+
+    def test_overdamped_fine_map_diverges(self):
+        # omega_max = 1 passes the refine check, but the fine step 0.002
+        # puts the damping pole -2000 at h*lambda = -4, outside RK4's region
+        model = SystemModel(np.array([[1.0]]), np.array([[2000.0]]),
+                            np.array([[1.0]]), u0=np.array([1.0]))
+        with pytest.raises(ValueError, match="reference RK4 run diverged"):
+            reference_solution(model, 1.0, 3.0)
+
+
+def _damped_chain4(force):
+    """Forced 4-dof chain with ground and inter-mass dampers (non-proportional)."""
+    model = build_chain(4, 1.0, 100.0, [(0, None, 1.5), (1, 2, 0.8)])
+    return model.with_force(force).with_initial_state(
+        [0.01, -0.02, 0.015, 0.0], [0.0, 0.1, 0.0, -0.05])
+
+
+_GAUSS4 = gaussian_multiharmonic_force(4, 2, t0=0.3, s=0.2,
+                                       components=[(1.0, 3.0), (0.5, 7.1)])
+
+
+class TestFoldedReference:
+    """The folded reference against the fine-step loop it replaces."""
+
+    @staticmethod
+    def assert_matches_fine_loop(model, dt, t_max, refine=500):
+        ref = reference_solution(model, dt, t_max, refine=refine)
+        u, v, used = reference_fine_rk4(model, dt, t_max, refine)
+        assert ref.info["refine"] == used
+        for got, want in ((ref.displacements, u), (ref.velocities, v)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("force", [
+        _GAUSS4,                                    # array form
+        # switches on fine node 581, where k*h exceeds the node time that
+        # the folded steps compute as 1*(s*h) + 162*(h/2) by one ulp
+        constant_step_force(4, 1, 581 * (0.025 / 500), 2.0),
+        lambda t: _GAUSS4(t),                       # scalar fallback
+    ], ids=["gaussian", "step", "lambda"])
+    def test_whole_coarse_step_folded(self, force):
+        assert bench._fold_size(500, 4) == 500
+        self.assert_matches_fine_loop(_damped_chain4(force), 0.025, 1.0)
+
+    def test_divisor_of_refine_folded(self):
+        # 2N x 1001N weights of the 12-dof chain exceed the cap: s = 125
+        assert bench._fold_size(500, 12) == 125
+        model = benchmark_chain(0.1).with_force(gaussian_multiharmonic_force(
+            12, 2, t0=0.3, s=2.5, components=[(1.0, 3.0), (0.5, 7.1)]))
+        self.assert_matches_fine_loop(model.with_initial_state(
+            np.linspace(0.0, 1e-3, 12), np.zeros(12)), 0.024, 0.6)
+
+    def test_fold_size_divides_refine(self):
+        for refine in (1, 7, 500, 1000, 8000):
+            for n in (1, 4, 12, 48, 200):
+                s = bench._fold_size(refine, n)
+                assert refine % s == 0
+                assert s == 1 or 2 * n * n * (2 * s + 1) <= per._BLOCK_FLOATS
+        assert bench._fold_size(8000, 48) == 10
+
 
 class TestSweeps:
     def test_rk4_order_from_sweep(self):
@@ -150,6 +218,26 @@ class TestSweeps:
         # undamped run sits at the series-truncation floor
         errs = [r.e_disp for r in rows]
         assert errs[0] == min(errs)
+
+    def test_b_factors_built_once_per_point(self, monkeypatch):
+        calls = []
+        b_factors = per._b_factors
+        monkeypatch.setattr(per, "_b_factors",
+                            lambda *args: calls.append(1) or b_factors(*args))
+        model = sdof_model(omega=OMEGA, zeta=0.05)
+        dts = [T / 40, T / 20]
+        rows = sweep_dt(model, "per", dts, 0.5, 0)
+        assert len(calls) == 2 and not any(r.diverged for r in rows)
+        assert [r.abscissa for r in rows] == pytest.approx([1 / 40, 1 / 20])
+        # the rho >= 1 point is skipped, but its rho is still reported
+        chain = benchmark_chain(1.0).with_initial_state(
+            np.linspace(0.0, 0.11, 12), np.zeros(12))
+        calls.clear()
+        rows = sweep_damping(chain, [0.1, 4.0], 0.16, 0.64, 0,
+                             per_config=PerConfig(dt=0.16, m_b=8))
+        assert len(calls) == 2
+        assert [r.abscissa for r in rows] == [0.1, 4.0]
+        assert rows[1].diverged and rows[1].extra["rho_beta_b"] >= 1.0
 
     def test_damping_sweep_divergence_flag(self):
         model = benchmark_chain(1.0).with_initial_state(

@@ -5,9 +5,9 @@ import pytest
 
 from oracles import generalized_modes, sdof_model
 
-from perdyn.model import (SystemModel, beam_matrices, benchmark_beam,
-                          benchmark_chain, build_beam, build_chain,
-                          constant_step_force, damping_level,
+from perdyn.model import (SystemModel, _force_rows, beam_matrices,
+                          benchmark_beam, benchmark_chain, build_beam,
+                          build_chain, constant_step_force, damping_level,
                           gaussian_multiharmonic_force, modal_analysis,
                           step_function)
 
@@ -226,3 +226,44 @@ class TestForceBuilders:
     def test_bad_dof_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             constant_step_force(3, 3, 0.0, 1.0)
+
+
+class TestForceArrayForm:
+    """The array form of each built-in load against its scalar calls."""
+
+    @staticmethod
+    def scalar_rows(force, times):
+        return np.array([force(t) for t in times.tolist()], dtype=float)
+
+    def test_constant_step_force_exact(self):
+        t_c = 0.1
+        force = constant_step_force(4, 2, t_c, 7.0)
+        times = np.array([0.0, np.nextafter(t_c, -np.inf), t_c,
+                          np.nextafter(t_c, np.inf), 0.3, -1.0])
+        np.testing.assert_array_equal(_force_rows(force, times),
+                                      self.scalar_rows(force, times))
+
+    def test_gaussian_multiharmonic_within_roundoff(self):
+        force = gaussian_multiharmonic_force(3, 1, t0=2.0, s=0.5,
+                                             components=[(1.0, 3.0), (0.5, 7.1)])
+        times = np.linspace(-1.0, 5.0, 4001)
+        scalar = self.scalar_rows(force, times)
+        assert np.abs(_force_rows(force, times) - scalar).max() <= 1e-15 * np.abs(scalar).max()
+
+    def test_beam_point_loads_exact(self):
+        # a built-in step and a plain callable on the same node
+        t_c = 0.01
+        model = build_beam(3.0, 437.5e3, 235.5, 4, point_loads=[
+            (4, -1.0, step_function(t_c, 1.0e3)),
+            (4, 1.0, lambda t: 2.0 * t),
+            (2, 1.0, step_function(0.0, 5.0))])
+        times = np.array([0.0, np.nextafter(t_c, -np.inf), t_c, 0.02, 1.0])
+        np.testing.assert_array_equal(_force_rows(model.force, times),
+                                      self.scalar_rows(model.force, times))
+
+    def test_other_callable_called_once_per_time(self):
+        calls = []
+        rows = _force_rows(lambda t: calls.append(t) or np.array([t, 2.0 * t]),
+                          np.array([0.0, 0.5, 1.0]))
+        np.testing.assert_array_equal(rows, [[0.0, 0.0], [0.5, 1.0], [1.0, 2.0]])
+        assert calls == [0.0, 0.5, 1.0]

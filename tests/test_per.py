@@ -452,6 +452,16 @@ class TestIntegrate:
         assert "dt_max_bound" in traj.info
         assert np.isfinite(traj.displacements).all()
 
+    def test_forced_run_factorizes_mass_once(self, monkeypatch):
+        # the force sampler reuses build_scheme's factorization of M
+        calls = []
+        solver = per.spd_solver
+        monkeypatch.setattr(per, "spd_solver",
+                            lambda mat: calls.append(1) or solver(mat))
+        traj = per.integrate(benchmark_beam(), per.PerConfig(dt=2e-5, m_b=8), 2e-4)
+        assert len(calls) == 1
+        assert traj.n_steps == 10 and not traj.diverged
+
     def test_t_max_shorter_than_step_rejected(self):
         with pytest.raises(ValueError, match="one time step"):
             per.integrate(sdof_model(), per.PerConfig(dt=0.1), 0.05)
