@@ -6,8 +6,13 @@ Euler).  Explicit: classical RK4 on the state-space form, collapsed
 into its one-step map, and the modified precise integration method
 (MPIM) whose matrix exponential is built by the same 2^p doubling idea
 with a 4th-order Taylor seed and whose forcing integral uses
-Gauss-Legendre quadrature.  Both explicit methods step through
-``per.recurrence``, the loop of the perturbation scheme.
+Gauss-Legendre quadrature.
+
+Every method is a step map U_{k+1} = Phi U_k + W g(t_k + o_i) stepped
+through ``per.recurrence``, the loop of the perturbation scheme: the
+explicit ones on U = [u; v] with g = M^-1 f, the implicit ones on
+U = [u; v; a] with g = f, their maps built once by applying the step to
+the columns of the identity.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .linalg import double_increment, spd_solver
 from .model import SystemModel
-from .per import Trajectory, _force_sampler, recurrence
+from .per import (Trajectory, _force_sampler, _load_sampler, _steps,
+                  _trajectory, recurrence)
 
 
 @dataclass(frozen=True)
@@ -79,66 +85,68 @@ def state_space(model: SystemModel) -> StateSpaceSystem:
     return StateSpaceSystem(w=w, h=h)
 
 
-def _steps(t_max, dt):
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if t_max < dt:
-        raise ValueError("t_max must be at least one time step")
-    return max(1, int(round(t_max / dt)))
+def _step_map(model, offsets, step):
+    """(Phi, offsets, W) of a one-step method on the state U = (u, v, a).
+
+    ``step(u, v, a, f_1, ..., f_q)`` advances U by one step under the
+    loads f_i = f(t_k + offsets[i]).  It is linear and acts column by
+    column, so one call on the columns of the identity gives Phi (the
+    state columns) and W (the load columns) of
+    U_{k+1} = Phi U_k + W [f(t_k + o_1); ...; f(t_k + o_q)].
+    """
+    n = model.n_dof
+    blocks = np.split(np.eye((3 + len(offsets)) * n), 3 + len(offsets))
+    out = np.vstack(step(*blocks))
+    return out[:, :3 * n], offsets, out[:, 3 * n:]
 
 
-def _second_order_trajectory(times, u_hist, v_hist, diverged=False, info=None):
-    return Trajectory(times=times, displacements=np.array(u_hist),
-                      velocities=np.array(v_hist), diverged=diverged,
-                      info=info or {})
-
-
-def _initial_acceleration(model, solve_mass):
-    return solve_mass(model.force_at(0.0) - model.damping @ model.v0
-                      - model.stiffness @ model.u0)
+def _run_map(model, dt, t_max, build, *params):
+    """The map ``build(model, dt, *params)`` stepped through ``recurrence``
+    from [u0, v0, M^-1 (f(0) - C v0 - K u0)].  The guard scale is the
+    2-norm of W, the raw forcing operator, as for the perturbation scheme."""
+    n_steps = _steps(t_max, dt)
+    phi, offsets, weights = build(model, dt, *params)
+    acc0 = spd_solver(model.mass)(model.force_at(0.0) - model.damping @ model.v0
+                                  - model.stiffness @ model.u0)
+    x0 = np.concatenate([model.u0, model.v0, acc0])
+    if model.force is None:
+        run = recurrence(phi, x0, dt, n_steps, None, (), None, 0.0)
+    else:
+        run = recurrence(phi, x0, dt, n_steps, _load_sampler(model), offsets,
+                         weights, np.linalg.norm(weights, 2))
+    return _trajectory(*run, dt, model.n_dof)
 
 
 # ---------------------------------------------------------------------------
 # Newmark
-
-def _newmark_ops(model, dt, gamma, beta):
-    a0 = 1.0 / (beta * dt * dt)
-    a1 = gamma / (beta * dt)
-    k_eff = model.stiffness + a0 * model.mass + a1 * model.damping
-    return cho_factor(k_eff)
-
 
 def newmark(model: SystemModel, dt: float, t_max: float,
             gamma: float = 0.5, beta: float = 0.25) -> Trajectory:
     """Newmark recursion; defaults are the average-acceleration pair."""
     if beta <= 0.0:
         raise ValueError("newmark beta must be positive")
-    n_steps = _steps(t_max, dt)
-    solve_mass = spd_solver(model.mass)
-    factor = _newmark_ops(model, dt, gamma, beta)
+    return _run_map(model, dt, t_max, _newmark_map, gamma, beta)
+
+
+def _newmark_map(model, dt, gamma, beta):
+    """Newmark's step map: load at t + dt."""
     a0 = 1.0 / (beta * dt * dt)
     a1 = gamma / (beta * dt)
     a2 = 1.0 / (beta * dt)
     a3 = 1.0 / (2.0 * beta) - 1.0
     a4 = gamma / beta - 1.0
     a5 = dt / 2.0 * (gamma / beta - 2.0)
+    factor = cho_factor(model.stiffness + a0 * model.mass + a1 * model.damping)
 
-    u = model.u0.copy()
-    v = model.v0.copy()
-    acc = _initial_acceleration(model, solve_mass)
-    us, vs = [u.copy()], [v.copy()]
-    for k in range(n_steps):
-        f_next = model.force_at((k + 1) * dt)
+    def step(u, v, acc, f_next):
         rhs = (f_next + model.mass @ (a0 * u + a2 * v + a3 * acc)
                + model.damping @ (a1 * u + a4 * v + a5 * acc))
         u_next = cho_solve(factor, rhs)
         acc_next = a0 * (u_next - u) - a2 * v - a3 * acc
         v_next = v + dt * ((1.0 - gamma) * acc + gamma * acc_next)
-        u, v, acc = u_next, v_next, acc_next
-        us.append(u.copy())
-        vs.append(v.copy())
-    times = np.arange(n_steps + 1) * dt
-    return _second_order_trajectory(times, us, vs)
+        return u_next, v_next, acc_next
+
+    return _step_map(model, (dt,), step)
 
 
 # ---------------------------------------------------------------------------
@@ -150,20 +158,17 @@ def wilson(model: SystemModel, dt: float, t_max: float,
     theta*dt, force linearly extrapolated to t + theta*dt."""
     if theta < 1.0:
         raise ValueError("theta must be >= 1")
-    n_steps = _steps(t_max, dt)
-    solve_mass = spd_solver(model.mass)
+    return _run_map(model, dt, t_max, _wilson_map, theta)
+
+
+def _wilson_map(model, dt, theta):
+    """Wilson's step map: loads at t and t + dt."""
     td = theta * dt
     k_eff = model.stiffness + 6.0 / td**2 * model.mass + 3.0 / td * model.damping
     factor = cho_factor(k_eff)
 
-    u = model.u0.copy()
-    v = model.v0.copy()
-    acc = _initial_acceleration(model, solve_mass)
-    us, vs = [u.copy()], [v.copy()]
-    for k in range(n_steps):
-        t = k * dt
-        f_now = model.force_at(t)
-        f_theta = f_now + theta * (model.force_at(t + dt) - f_now)
+    def step(u, v, acc, f_now, f_next):
+        f_theta = f_now + theta * (f_next - f_now)
         rhs = (f_theta + model.mass @ (6.0 / td**2 * u + 6.0 / td * v + 2.0 * acc)
                + model.damping @ (3.0 / td * u + 2.0 * v + td / 2.0 * acc))
         u_theta = cho_solve(factor, rhs)
@@ -171,11 +176,9 @@ def wilson(model: SystemModel, dt: float, t_max: float,
                     - 6.0 / (theta**2 * dt) * v + (1.0 - 3.0 / theta) * acc)
         v_next = v + dt / 2.0 * (acc_next + acc)
         u_next = u + dt * v + dt * dt / 6.0 * (acc_next + 2.0 * acc)
-        u, v, acc = u_next, v_next, acc_next
-        us.append(u.copy())
-        vs.append(v.copy())
-    times = np.arange(n_steps + 1) * dt
-    return _second_order_trajectory(times, us, vs)
+        return u_next, v_next, acc_next
+
+    return _step_map(model, (0.0, dt), step)
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +187,15 @@ def wilson(model: SystemModel, dt: float, t_max: float,
 def bathe(model: SystemModel, dt: float, t_max: float,
           gamma: float = 0.5) -> Trajectory:
     """Composite scheme: trapezoidal rule on [t, t+gamma*dt], 3-point
-    backward differences on the full step.  Both effective matrices are
-    factorized once."""
+    backward differences on the full step."""
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    n_steps = _steps(t_max, dt)
-    solve_mass = spd_solver(model.mass)
+    return _run_map(model, dt, t_max, _bathe_map, gamma)
+
+
+def _bathe_map(model, dt, gamma):
+    """The composite scheme's step map: loads at t + gamma*dt and t + dt.
+    Both effective matrices are factorized once."""
     dt1 = gamma * dt
     b0 = 4.0 / (dt1 * dt1)
     b1 = 2.0 / dt1
@@ -199,30 +205,20 @@ def bathe(model: SystemModel, dt: float, t_max: float,
     c3 = (2.0 - gamma) / ((1.0 - gamma) * dt)
     factor2 = cho_factor(model.stiffness + c3 * c3 * model.mass + c3 * model.damping)
 
-    u = model.u0.copy()
-    v = model.v0.copy()
-    acc = _initial_acceleration(model, solve_mass)
-    us, vs = [u.copy()], [v.copy()]
-    for k in range(n_steps):
-        t = k * dt
+    def step(u, v, acc, f_mid, f_next):
         # sub-step 1: trapezoidal to t + gamma*dt
-        f_mid = model.force_at(t + dt1)
         rhs = (f_mid + model.mass @ (b0 * u + 4.0 / dt1 * v + acc)
                + model.damping @ (b1 * u + v))
         u_mid = cho_solve(factor1, rhs)
         v_mid = b1 * (u_mid - u) - v
         # sub-step 2: backward differences over (t, t+gamma*dt, t+dt)
-        f_next = model.force_at(t + dt)
         rhs = (f_next - model.mass @ (c1 * v + c2 * v_mid + c3 * (c1 * u + c2 * u_mid))
                - model.damping @ (c1 * u + c2 * u_mid))
         u_next = cho_solve(factor2, rhs)
         v_next = c1 * u + c2 * u_mid + c3 * u_next
-        acc = c1 * v + c2 * v_mid + c3 * v_next
-        u, v = u_next, v_next
-        us.append(u.copy())
-        vs.append(v.copy())
-    times = np.arange(n_steps + 1) * dt
-    return _second_order_trajectory(times, us, vs)
+        return u_next, v_next, c1 * v + c2 * v_mid + c3 * v_next
+
+    return _step_map(model, (dt1, dt), step)
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +255,8 @@ def rk4(system: StateSpaceSystem, u0: np.ndarray, dt: float,
         raise ValueError(f"initial state must have length {n2}")
     r, p0, pm = rk4_operators(system.w, dt)
     weights = dt / 6.0 * np.hstack([p0, pm, np.eye(n2)])
-    return recurrence(r, u0, dt, n_steps, system.h, (0.0, dt / 2.0, dt),
-                      weights, dt)
+    return _trajectory(*recurrence(r, u0, dt, n_steps, system.h, (0.0, dt / 2.0, dt),
+                                   weights, dt), dt, system.n_dof)
 
 
 # ---------------------------------------------------------------------------
@@ -304,5 +300,5 @@ def mpim(system: StateSpaceSystem, u0: np.ndarray, dt: float, t_max: float,
     propagation plus Gauss quadrature of the forcing convolution."""
     n_steps = _steps(t_max, dt)
     big_h, exps, offsets = mpim_operators(system, dt, g, p)
-    return recurrence(big_h, u0, dt, n_steps, system.h, offsets,
-                      np.hstack(exps), dt)
+    return _trajectory(*recurrence(big_h, u0, dt, n_steps, system.h, offsets,
+                                   np.hstack(exps), dt), dt, system.n_dof)

@@ -135,15 +135,16 @@ def reference_solution(model: SystemModel, dt: float, t_max: float,
         return solve_mass(_force_rows(model.force, _on_fine_grid(times, h)).T).T
 
     # guard scale: the folded step, as RK4's is its step
-    run = per.recurrence(phi, x0, fold * h, n_steps,
-                         None if model.force is None else sample,
-                         np.arange(2 * fold + 1) * (h / 2.0), weights, fold * h)
-    if run.diverged:
+    states, stop = per.recurrence(phi, x0, fold * h, n_steps,
+                                  None if model.force is None else sample,
+                                  np.arange(2 * fold + 1) * (h / 2.0), weights, fold * h)
+    if stop is not None:
         raise ValueError("reference RK4 run diverged")
-    sl = slice(None, None, used // fold)
+    coarse = states[::used // fold]
+    n = model.n_dof
     return per.Trajectory(times=np.arange(n_coarse + 1) * dt,
-                          displacements=run.displacements[sl].copy(),
-                          velocities=run.velocities[sl].copy(),
+                          displacements=coarse[:, :n].copy(),
+                          velocities=coarse[:, n:].copy(),
                           info={"refine": used})
 
 

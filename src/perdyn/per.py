@@ -365,9 +365,15 @@ def _per_offsets(dt):
     return (0.0, dt / 3.0, 2.0 * dt / 3.0, dt)
 
 
+def _load_sampler(model):
+    """times -> f(t), one row per time, one force call per time."""
+    return lambda times: np.array([model.force_at(t) for t in times.tolist()])
+
+
 def _force_sampler(model, solve_mass):
     """times -> M^-1 f(t), one row per time, by one multi-RHS mass solve."""
-    return lambda times: solve_mass(np.array([model.force_at(t) for t in times.tolist()]).T).T
+    loads = _load_sampler(model)
+    return lambda times: solve_mass(loads(times).T).T
 
 
 def _step_samples(sample, k0, k1, dt, offsets):
@@ -403,6 +409,15 @@ def _divergence_info(model, config, rho_beta_b, step):
     return info
 
 
+def _steps(t_max, dt):
+    """round(t_max/dt), the step count of every integrator, at least 1."""
+    if dt <= 0.0:
+        raise ValueError("integration requires dt > 0")
+    if t_max < dt:
+        raise ValueError("t_max must be at least one time step")
+    return max(1, int(round(t_max / dt)))
+
+
 def integrate(model: SystemModel, config: PerConfig, t_max: float) -> Trajectory:
     """Run the explicit scheme from the model's initial state to t_max.
 
@@ -416,23 +431,20 @@ def integrate(model: SystemModel, config: PerConfig, t_max: float) -> Trajectory
 def _integrate(model, config, t_max, scheme):
     """integrate on ``scheme``, the build_scheme result at ``config``, which
     is built here when None."""
-    if config.dt <= 0.0:
-        raise ValueError("integration requires dt > 0")
-    if t_max < config.dt:
-        raise ValueError("t_max must be at least one time step")
+    n_steps = _steps(t_max, config.dt)
     if scheme is None:
         scheme = build_scheme(model, config)
-    n_steps = max(1, int(round(t_max / config.dt)))
     x0 = np.concatenate([model.u0, model.v0])
     if model.force is None:
-        traj = recurrence(scheme.a, x0, config.dt, n_steps, None, (), None, 0.0)
+        run = recurrence(scheme.a, x0, config.dt, n_steps, None, (), None, 0.0)
     else:
         # the guard scale is the raw forcing operator, deliberately without
         # the Neumann factor so that its blow-up is detected
-        traj = recurrence(scheme.a, x0, config.dt, n_steps,
-                          _force_sampler(model, scheme.solve_mass),
-                          _per_offsets(config.dt), scheme.neumann_b @ scheme.l_b,
-                          np.linalg.norm(scheme.l_b, 2))
+        run = recurrence(scheme.a, x0, config.dt, n_steps,
+                         _force_sampler(model, scheme.solve_mass),
+                         _per_offsets(config.dt), scheme.neumann_b @ scheme.l_b,
+                         np.linalg.norm(scheme.l_b, 2))
+    traj = _trajectory(*run, config.dt, model.n_dof)
     info = {"rho_beta_b": scheme.rho_beta_b}
     if traj.diverged:
         if model.force is not None:  # raises if a non-finite sample stopped the run
@@ -441,24 +453,24 @@ def _integrate(model, config, t_max, scheme):
     return replace(traj, info=info)
 
 
-def recurrence(phi, x0, dt, n_steps, sample, offsets, weights, ref_scale) -> Trajectory:
+def recurrence(phi, x0, dt, n_steps, sample, offsets, weights, ref_scale):
     """Step U_{k+1} = phi U_k + weights @ [s(t_k + o_1); ...; s(t_k + o_q)].
 
-    The one step loop of the explicit maps (this scheme, RK4 and MPIM):
-    t_k = k*dt, ``sample`` maps an array of times to one forcing row per
-    time (None when unforced), drawn _BLOCK_FLOATS numbers at a time, and
-    ``offsets`` are its abscissae inside the step.  The run stops at the
-    first state whose norm is non-finite (as after a non-finite sample) or
-    exceeds _DIVERGENCE_FACTOR times the initial norm plus ref_scale times
-    the accumulated sample norms; the prefix is returned with
-    ``diverged=True`` and ``info["diverged_at_step"]``.
+    The one step loop of all six methods: this scheme, RK4 and MPIM on
+    the state [u; v], Newmark, Wilson and the composite scheme on
+    [u; v; a].  t_k = k*dt, ``sample`` maps an array of times to one
+    forcing row per time (None when unforced), drawn _BLOCK_FLOATS numbers
+    at a time, and ``offsets`` are its abscissae inside the step.  The run
+    stops at the first state whose norm is non-finite (as after a
+    non-finite sample) or exceeds _DIVERGENCE_FACTOR times the initial
+    norm plus ref_scale times the accumulated sample norms.  Returns
+    (states, stop): the computed states, one row per step from x0 on, and
+    the step at which the guard stopped the run (None when it ran all
+    n_steps).
     """
-    n2 = phi.shape[0]
-    states = np.zeros((n_steps + 1, n2))
+    states = np.zeros((n_steps + 1, phi.shape[0]))
     states[0] = x0
     ref_norm = np.linalg.norm(states[0])
-    diverged = False
-    completed = n_steps
     block = max(1, _BLOCK_FLOATS // weights.shape[1]) if sample is not None else 1
     for k in range(n_steps):
         nxt = phi @ states[k]
@@ -471,15 +483,16 @@ def recurrence(phi, x0, dt, n_steps, sample, offsets, weights, ref_scale) -> Tra
         states[k + 1] = nxt
         norm = sqrt(nxt @ nxt)
         if not isfinite(norm) or norm > _DIVERGENCE_FACTOR * max(ref_norm, 1e-30):
-            diverged = True
-            completed = k + 1
-            break
-    n = n2 // 2
-    times = np.arange(completed + 1) * dt
-    info = {"diverged_at_step": completed} if diverged else {}
-    return Trajectory(times=times, displacements=states[:completed + 1, :n],
-                      velocities=states[:completed + 1, n:],
-                      diverged=diverged, info=info)
+            return states[:k + 2], k + 1
+    return states, None
+
+
+def _trajectory(states, stop, dt, n):
+    """Trajectory of the (u, v) part, the first 2n entries, of the states
+    of ``recurrence``; a guard stop marks it diverged."""
+    return Trajectory(times=np.arange(len(states)) * dt, displacements=states[:, :n],
+                      velocities=states[:, n:2 * n], diverged=stop is not None,
+                      info={} if stop is None else {"diverged_at_step": stop})
 
 
 def integrate_asymptotic(model: SystemModel, config: PerConfig, t_max: float,
@@ -493,15 +506,11 @@ def integrate_asymptotic(model: SystemModel, config: PerConfig, t_max: float,
     reported in ``info["term_norms"]`` and sustained growth over the
     last 10 terms flags divergence.
     """
-    if config.dt <= 0.0:
-        raise ValueError("integration requires dt > 0")
-    if t_max < config.dt:
-        raise ValueError("t_max must be at least one time step")
+    n_steps = _steps(t_max, config.dt)
     if n_terms < 0:
         raise ValueError("n_terms must be >= 0")
     n = model.n_dof
     dt = config.dt
-    n_steps = max(1, int(round(t_max / dt)))
     m = config.m_b
 
     t_mat = assemble_series(model, dt, m, "T")

@@ -7,6 +7,7 @@ or textbook formulas, not against the library's own code paths.
 from math import factorial
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from perdyn.model import SystemModel, modal_analysis
 
@@ -203,3 +204,96 @@ def reference_fine_rk4(model, dt, t_max, refine=500):
     if fine.diverged:
         raise ValueError("reference RK4 run diverged")
     return fine.displacements[::refine], fine.velocities[::refine], refine
+
+
+def _initial_acceleration(model):
+    return np.linalg.solve(model.mass, model.force_at(0.0)
+                           - model.damping @ model.v0 - model.stiffness @ model.u0)
+
+
+def newmark_loop(model, dt, n_steps, gamma=0.5, beta=0.25):
+    """Newmark recursion stepped one step at a time, load at (k+1)*dt.
+    Returns (displacements, velocities), one row per step."""
+    a0 = 1.0 / (beta * dt * dt)
+    a1 = gamma / (beta * dt)
+    a2 = 1.0 / (beta * dt)
+    a3 = 1.0 / (2.0 * beta) - 1.0
+    a4 = gamma / beta - 1.0
+    a5 = dt / 2.0 * (gamma / beta - 2.0)
+    factor = cho_factor(model.stiffness + a0 * model.mass + a1 * model.damping)
+    u = model.u0.copy()
+    v = model.v0.copy()
+    acc = _initial_acceleration(model)
+    us, vs = [u.copy()], [v.copy()]
+    for k in range(n_steps):
+        f_next = model.force_at((k + 1) * dt)
+        rhs = (f_next + model.mass @ (a0 * u + a2 * v + a3 * acc)
+               + model.damping @ (a1 * u + a4 * v + a5 * acc))
+        u_next = cho_solve(factor, rhs)
+        acc_next = a0 * (u_next - u) - a2 * v - a3 * acc
+        v_next = v + dt * ((1.0 - gamma) * acc + gamma * acc_next)
+        u, v, acc = u_next, v_next, acc_next
+        us.append(u.copy())
+        vs.append(v.copy())
+    return np.array(us), np.array(vs)
+
+
+def wilson_loop(model, dt, n_steps, theta=1.4):
+    """Wilson-theta recursion stepped one step at a time: linear
+    acceleration over theta*dt, force extrapolated to t + theta*dt."""
+    td = theta * dt
+    factor = cho_factor(model.stiffness + 6.0 / td**2 * model.mass
+                        + 3.0 / td * model.damping)
+    u = model.u0.copy()
+    v = model.v0.copy()
+    acc = _initial_acceleration(model)
+    us, vs = [u.copy()], [v.copy()]
+    for k in range(n_steps):
+        t = k * dt
+        f_now = model.force_at(t)
+        f_theta = f_now + theta * (model.force_at(t + dt) - f_now)
+        rhs = (f_theta + model.mass @ (6.0 / td**2 * u + 6.0 / td * v + 2.0 * acc)
+               + model.damping @ (3.0 / td * u + 2.0 * v + td / 2.0 * acc))
+        u_theta = cho_solve(factor, rhs)
+        acc_next = (6.0 / (theta**3 * dt * dt) * (u_theta - u)
+                    - 6.0 / (theta**2 * dt) * v + (1.0 - 3.0 / theta) * acc)
+        v_next = v + dt / 2.0 * (acc_next + acc)
+        u_next = u + dt * v + dt * dt / 6.0 * (acc_next + 2.0 * acc)
+        u, v, acc = u_next, v_next, acc_next
+        us.append(u.copy())
+        vs.append(v.copy())
+    return np.array(us), np.array(vs)
+
+
+def bathe_loop(model, dt, n_steps, gamma=0.5):
+    """Composite scheme stepped one step at a time: trapezoidal rule to
+    t + gamma*dt, then 3-point backward differences to t + dt."""
+    dt1 = gamma * dt
+    b0 = 4.0 / (dt1 * dt1)
+    b1 = 2.0 / dt1
+    factor1 = cho_factor(model.stiffness + b0 * model.mass + b1 * model.damping)
+    c1 = (1.0 - gamma) / (gamma * dt)
+    c2 = -1.0 / ((1.0 - gamma) * gamma * dt)
+    c3 = (2.0 - gamma) / ((1.0 - gamma) * dt)
+    factor2 = cho_factor(model.stiffness + c3 * c3 * model.mass + c3 * model.damping)
+    u = model.u0.copy()
+    v = model.v0.copy()
+    acc = _initial_acceleration(model)
+    us, vs = [u.copy()], [v.copy()]
+    for k in range(n_steps):
+        t = k * dt
+        f_mid = model.force_at(t + dt1)
+        rhs = (f_mid + model.mass @ (b0 * u + 4.0 / dt1 * v + acc)
+               + model.damping @ (b1 * u + v))
+        u_mid = cho_solve(factor1, rhs)
+        v_mid = b1 * (u_mid - u) - v
+        f_next = model.force_at(t + dt)
+        rhs = (f_next - model.mass @ (c1 * v + c2 * v_mid + c3 * (c1 * u + c2 * u_mid))
+               - model.damping @ (c1 * u + c2 * u_mid))
+        u_next = cho_solve(factor2, rhs)
+        v_next = c1 * u + c2 * u_mid + c3 * u_next
+        acc = c1 * v + c2 * v_mid + c3 * v_next
+        u, v = u_next, v_next
+        us.append(u.copy())
+        vs.append(v.copy())
+    return np.array(us), np.array(vs)

@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
-from oracles import (companion_matrix, damped_free_vibration, expm_eig,
-                     l2_norm, rk4_stage_loop, sdof_model)
+from oracles import (bathe_loop, companion_matrix, damped_free_vibration,
+                     expm_eig, l2_norm, newmark_loop, rk4_stage_loop,
+                     sdof_model, wilson_loop)
 
+import perdyn.baselines as baselines
 from perdyn.baselines import (GAUSS_NODES, bathe, expm_2p, mpim,
                               mpim_operators, newmark, rk4, state_space,
                               wilson)
-from perdyn.model import SystemModel, benchmark_chain
+from perdyn.model import (SystemModel, benchmark_chain, build_chain,
+                          constant_step_force, gaussian_multiharmonic_force)
 from perdyn.per import PerConfig, integrate
 
 OMEGA = 2.0 * np.pi
@@ -177,26 +180,42 @@ class TestRk4:
 
 
 def test_overflowing_forcing_flags_divergence():
-    # a finite load whose M^-1 f overflows ends rk4 and mpim as a
-    # diverged run, not as an exception
+    # a finite load whose response overflows (M^-1 f for rk4 and mpim, the
+    # effective-stiffness solve for the implicit maps) ends every method as
+    # a diverged run, not as an exception
     model = sdof_model(mass=1e-300,
                        force=lambda t: np.array([1e100 if t > 0.25 else 0.0]))
     system = state_space(model)
     u0 = np.array([1.0, 0.0])
-    with np.errstate(invalid="ignore"):  # inf * 0 in the step map
-        runs = (rk4(system, u0, 0.1, 1.0), mpim(system, u0, 0.1, 1.0))
+    with np.errstate(invalid="ignore", over="ignore"):  # the overflow, inf * 0
+        runs = (rk4(system, u0, 0.1, 1.0), mpim(system, u0, 0.1, 1.0),
+                newmark(model, 0.1, 1.0), wilson(model, 0.1, 1.0),
+                bathe(model, 0.1, 1.0))
     for traj in runs:
         assert traj.diverged
         assert traj.n_steps == traj.info["diverged_at_step"] < 10
 
 
+def test_unstable_newmark_pair_stopped_by_the_guard():
+    # beta = 1/12 is stable only up to omega dt = sqrt(6); at omega dt = 10
+    # the map grows 8.6x a step and the guard stops the forced run once the
+    # state passes 1e12 times its reference, long before 200 steps
+    model = sdof_model(omega=1.0, force=lambda t: np.array([1.0]))
+    traj = newmark(model, 10.0, 2000.0, gamma=0.5, beta=1.0 / 12.0)
+    assert traj.diverged
+    assert traj.n_steps == traj.info["diverged_at_step"] < 50
+    assert np.isfinite(traj.displacements).all()
+
+
 def test_nan_forcing_flags_divergence():
-    # the mass solve does not reject a NaN load: rk4 and mpim end as
-    # diverged runs at the step that samples it
+    # neither the mass solve nor the implicit maps reject a NaN load: every
+    # method ends as a diverged run at the step that samples it
     model = sdof_model(force=lambda t: np.array([np.nan if t > 0.25 else 1.0]))
     system = state_space(model)
     runs = (rk4(system, np.array([1.0, 0.0]), 0.1, 1.0),
-            mpim(system, np.array([1.0, 0.0]), 0.1, 1.0))
+            mpim(system, np.array([1.0, 0.0]), 0.1, 1.0),
+            newmark(model, 0.1, 1.0), wilson(model, 0.1, 1.0),
+            bathe(model, 0.1, 1.0))
     for traj in runs:
         assert traj.diverged
         assert traj.n_steps == traj.info["diverged_at_step"] == 3
@@ -321,3 +340,60 @@ class TestStateSpace:
         for t, row in zip(times.tolist(), batch):
             assert system.h(t).shape == (6,)
             assert np.array_equal(system.h(t), row)
+
+
+# ---------------------------------------------------------------------------
+# The implicit methods as step maps
+
+#: The README chain: 12 dofs, two dampers, the Gaussian multiharmonic load.
+README_CHAIN = build_chain(12, 1.0, 100.0, [(0, None, 2.0), (1, 2, 2.0)]).with_force(
+    gaussian_multiharmonic_force(12, 2, t0=10.0, s=2.5,
+                                 components=[(1.0, 3.0), (0.5, 7.1)]))
+
+#: A damped 4-dof chain whose step load switches on at a grid node: t_c is
+#: 8 steps of a dt exact in binary, so every time the methods sample is
+#: exact and the load switches on the same step in the map and the loop.
+STEP_CHAIN = build_chain(4, 1.0, 100.0, [(0, None, 1.5), (1, 2, 0.8)]).with_force(
+    constant_step_force(4, 3, t_c=8 * 0.0625, f0=2.0)).with_initial_state(
+    np.array([0.01, 0.0, -0.02, 0.0]), np.array([0.0, 0.1, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("method, oracle", [(newmark, newmark_loop),
+                                            (wilson, wilson_loop),
+                                            (bathe, bathe_loop)],
+                         ids=["newmark", "wilson", "bathe"])
+@pytest.mark.parametrize("model, dt, t_max", [(README_CHAIN, 0.024, 4.0),
+                                              (STEP_CHAIN, 0.0625, 5.0)],
+                         ids=["readme_chain", "step_chain"])
+def test_step_map_matches_step_loop(method, oracle, model, dt, t_max):
+    traj = method(model, dt, t_max)
+    u_ref, v_ref = oracle(model, dt, traj.n_steps)
+    assert not traj.diverged and traj.n_steps == round(t_max / dt)
+    for got, want in ((traj.displacements, u_ref), (traj.velocities, v_ref)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def unit_oscillator(zeta):
+    return sdof_model(omega=1.0, zeta=zeta, u0=0.0)
+
+
+OMEGA_DT = np.logspace(-2, 3, 51)
+
+
+def test_average_acceleration_newmark_conserves_amplitude():
+    # undamped: |lambda| = 1 for the oscillation pair at every omega dt;
+    # the third root is 0 because a_{k+1} follows from equilibrium
+    for x in OMEGA_DT:
+        phi, _, _ = baselines._newmark_map(unit_oscillator(0.0), x, 0.5, 0.25)
+        mods = np.sort(np.abs(np.linalg.eigvals(phi)))
+        assert np.abs(mods[1:] - 1.0).max() <= 1e-12
+        assert mods[0] <= 1e-12
+
+
+@pytest.mark.parametrize("zeta", [0.0, 0.05])
+@pytest.mark.parametrize("build, param", [("_wilson_map", 1.4), ("_bathe_map", 0.5)],
+                         ids=["wilson", "bathe"])
+def test_unconditionally_stable_maps(build, param, zeta):
+    for x in OMEGA_DT:
+        phi, _, _ = getattr(baselines, build)(unit_oscillator(zeta), x, param)
+        assert np.abs(np.linalg.eigvals(phi)).max() <= 1.0 + 1e-12

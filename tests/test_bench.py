@@ -1,5 +1,7 @@
 """Tests for error norms, sweeps, cost models and timing."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -300,6 +302,30 @@ class TestForcedChainEndToEnd:
         rep = global_error(traj, ref, 0)
         assert rep.e_disp <= 1e-4
         assert rep.e_vel <= 1e-3
+
+
+_FORCE_12 = gaussian_multiharmonic_force(12, 2, t0=0.1, s=0.4,
+                                         components=[(1.0, 3.0), (0.5, 7.1)])
+
+
+@pytest.mark.parametrize("method", bench.METHODS)
+def test_every_method_runs_one_step_loop(method, monkeypatch):
+    # one call of per.recurrence per run, counted in every perdyn module
+    # that binds it
+    original, calls = per.recurrence, []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("perdyn") and getattr(module, "recurrence", None) is original:
+            monkeypatch.setattr(module, "recurrence", counted)
+    model = benchmark_chain(0.1).with_force(_FORCE_12)
+    traj = run_method(model, method, 0.024, 0.24,
+                      per_config=PerConfig(dt=0.024, m_b=8, r_b=4))
+    assert not traj.diverged and traj.n_steps == 10
+    assert len(calls) == 1
 
 
 class TestQualitativeOrdering:
