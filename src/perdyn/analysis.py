@@ -93,10 +93,6 @@ def sigma_eigenvalues(m: int, tau: float) -> SigmaEigen:
                       modulus_max=float(np.abs(mu).max()))
 
 
-def _sigma_excess(m: int, tau: float) -> float:
-    return float(np.abs(np.linalg.eigvals(sigma_matrix(m, tau))).max()) - SIGMA_THRESHOLD
-
-
 def tau_limit(m: int, scan_step: float = 0.01, tau_max: float = 100.0,
               tol: float = 1e-8) -> float:
     """Smallest tau > 0 where the spectral radius of sigma_m(tau) climbs
@@ -121,16 +117,21 @@ def tau_limit(m: int, scan_step: float = 0.01, tau_max: float = 100.0,
         excess = np.abs(np.linalg.eigvals(_sigma_stack(m, taus))).max(axis=1) - SIGMA_THRESHOLD
         for t, f in zip(taus, excess.tolist()):
             if f > 0.0 and prev_f <= 0.0:
-                lo, hi = prev_tau, t
-                while hi - lo > tol:
-                    mid = 0.5 * (lo + hi)
-                    if _sigma_excess(m, mid) > 0.0:
-                        hi = mid
-                    else:
-                        lo = mid
-                return 0.5 * (lo + hi)
+                return _bisect(prev_tau, t, tol,
+                               lambda x: sigma_eigenvalues(m, x).modulus_max > SIGMA_THRESHOLD)
             prev_tau, prev_f = t, f
     return float("inf")
+
+
+def _bisect(lo, hi, tol, past):
+    """Bisect [lo, hi] to width tol; ``past(x)`` is true on hi's side."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if past(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def dt_bound(model: SystemModel, m: int) -> DtBound:
@@ -145,6 +146,14 @@ def dt_bound(model: SystemModel, m: int) -> DtBound:
     truncation_bound = tau_limit(m) / w_max
     return DtBound(damping_bound=damping_bound, truncation_bound=truncation_bound,
                    dt_max=min(damping_bound, truncation_bound))
+
+
+def _dt_max(model, m):
+    """dt_bound(model, m).dt_max, or NaN for a model without stiffness."""
+    try:
+        return dt_bound(model, m).dt_max
+    except ValueError:
+        return float("nan")
 
 
 def _sdof_amplification(x: float, zeta: float, m_a: int, r_a: int) -> np.ndarray:
@@ -188,15 +197,8 @@ def sdof_stability_map(zeta: float, m_a: int, r_a: int = 2, p: int = 20,
     lams = np.array([_max_abs_eig(x, zeta, m_a, r_a) for x in xs])
     grid = np.column_stack([xs, lams])
 
-    def boundary(lo, hi, stable_low):
-        """Bisect [lo, hi] to tol; ``stable_low`` says which end is stable."""
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if (_max_abs_eig(mid, zeta, m_a, r_a) <= _STABLE_LIMIT) == stable_low:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+    def is_stable(x):
+        return _max_abs_eig(x, zeta, m_a, r_a) <= _STABLE_LIMIT
 
     boundaries = []
     stable = lams <= _STABLE_LIMIT
@@ -205,12 +207,12 @@ def sdof_stability_map(zeta: float, m_a: int, r_a: int = 2, p: int = 20,
         if not stable[i]:
             i += 1
             continue
-        lower = 0.0 if i == 0 else boundary(xs[i - 1], xs[i], False)
+        lower = 0.0 if i == 0 else _bisect(xs[i - 1], xs[i], tol, is_stable)
         j = i
         while j < len(xs) and stable[j]:
             j += 1
         if j < len(xs):
-            upper = boundary(xs[j - 1], xs[j], True)
+            upper = _bisect(xs[j - 1], xs[j], tol, lambda x: not is_stable(x))
         else:
             upper = float(xs[-1])
         if upper - lower >= 3.0 * grid_step:

@@ -115,6 +115,7 @@ def reference_solution(model: SystemModel, dt: float, t_max: float,
     """
     if refine < 1:
         raise ValueError("refine must be >= 1")
+    n_coarse = per._steps(t_max, dt)
     w_max = modal_analysis(model).frequencies[-1]
     used = refine
     while w_max * dt / used >= RK4_STABLE_PRODUCT:
@@ -128,7 +129,6 @@ def reference_solution(model: SystemModel, dt: float, t_max: float,
     fold = _fold_size(used, model.n_dof)
     phi, weights = _folded_rk4(w, h, fold)
     x0 = np.concatenate([model.u0, model.v0])
-    n_coarse = max(1, int(round(t_max / dt)))
     n_steps = n_coarse * (used // fold)
 
     def sample(times):
@@ -227,52 +227,63 @@ def _at_dt(per_config, dt):
     return replace(per_config, dt=dt) if per_config else per.PerConfig(dt=dt)
 
 
-def _per_rho(model, config, dt):
-    """rho(beta_b) at this dt, warnings silenced (divergence is sweep data)."""
+def _per_rho(model, config):
+    """rho(beta_b), warnings silenced (divergence is sweep data)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return per.compute_b_factors(model, replace(config, dt=dt)).rho_beta_b
+        return per.compute_b_factors(model, config).rho_beta_b
 
 
 def _per_scheme(model, config):
     """(build_scheme result, rho(beta_b)), warnings silenced: the b-factors
     are built once per sweep point.  The scheme is None when the 2^p
-    doubling diverges; rho then comes from compute_b_factors."""
+    doubling diverges; rho then comes from _per_rho."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         try:
             scheme = per.build_scheme(model, config)
         except per.DivergenceError:
-            return None, per.compute_b_factors(model, config).rho_beta_b
+            return None, _per_rho(model, config)
     return scheme, scheme.rho_beta_b
 
 
-def _sweep_row(model, method, dt, t_max, dof, per_config, params, refine,
-               abscissa, extra, scheme) -> SweepRow:
-    """Error of one run against its RK4 reference, or a diverged row.
-
-    PER runs on ``scheme`` (from _per_scheme) and is not attempted when it
-    is None or rho(beta_b) >= 1 (in ``extra``): the series does not
-    converge.
-    """
-    ref = reference_solution(model, dt, t_max, refine=refine)
-    traj = None
-    if method != "per" or (scheme is not None and extra["rho_beta_b"] < 1.0):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                if method == "per":
-                    traj = per._integrate(model, _at_dt(per_config, dt), t_max, scheme)
-                else:
-                    traj = run_method(model, method, dt, t_max, params=params)
-        except per.DivergenceError:
-            traj = None
+def _score(ref, dof, run, *args, **kwargs):
+    """(e_disp, e_vel, diverged) of run(*args, **kwargs) against ``ref``:
+    NaN errors and diverged when the run raises DivergenceError, is not
+    attempted (returns None), is flagged diverged or stops short of ``ref``.
+    The one scoring rule of compare and the sweeps."""
+    try:
+        traj = run(*args, **kwargs)
+    except per.DivergenceError:
+        traj = None
     if traj is None or traj.diverged or len(traj.times) != len(ref.times):
-        return SweepRow(dt=dt, abscissa=abscissa, e_disp=float("nan"),
-                        e_vel=float("nan"), diverged=True, extra=extra)
+        return float("nan"), float("nan"), True
     rep = global_error(traj, ref, dof)
-    return SweepRow(dt=dt, abscissa=abscissa, e_disp=rep.e_disp,
-                    e_vel=rep.e_vel, diverged=False, extra=extra)
+    return rep.e_disp, rep.e_vel, False
+
+
+def _sweep(method, points, t_max, dof, per_config, params, refine):
+    """Rows of the points (model, dt, abscissa, extra), scored against their RK4
+    references.  PER adds rho(beta_b) to ``extra``, runs on its _per_scheme
+    result and is not attempted when that is None or rho(beta_b) >= 1."""
+    def run(model, dt, scheme):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            if method != "per":
+                return run_method(model, method, dt, t_max, params=params)
+            if scheme is not None and scheme.rho_beta_b < 1.0:
+                return per._integrate(model, _at_dt(per_config, dt), t_max, scheme)
+        return None
+
+    rows = []
+    for model, dt, abscissa, extra in points:
+        scheme = None
+        if method == "per":
+            scheme, extra["rho_beta_b"] = _per_scheme(model, _at_dt(per_config, dt))
+        ref = reference_solution(model, dt, t_max, refine=refine)
+        scores = _score(ref, dof, run, model, dt, scheme)
+        rows.append(SweepRow(dt, abscissa, *scores, extra=extra))
+    return rows
 
 
 def sweep_dt(model: SystemModel, method: str, dt_list, t_max: float, dof: int,
@@ -286,14 +297,8 @@ def sweep_dt(model: SystemModel, method: str, dt_list, t_max: float, dof: int,
     are recorded with the diverged flag instead of numbers.
     """
     t_min = modal_analysis(model).min_period
-    rows = []
-    for dt in dt_list:
-        extra, scheme = {}, None
-        if method == "per":
-            scheme, extra["rho_beta_b"] = _per_scheme(model, _at_dt(per_config, dt))
-        rows.append(_sweep_row(model, method, dt, t_max, dof, per_config, params,
-                               refine, dt / t_min, extra, scheme))
-    return rows
+    return _sweep(method, [(model, dt, dt / t_min, {}) for dt in dt_list], t_max, dof,
+                  per_config, params, refine)
 
 
 def sweep_damping(model: SystemModel, zeta_list, dt: float, t_max: float,
@@ -307,21 +312,17 @@ def sweep_damping(model: SystemModel, zeta_list, dt: float, t_max: float,
     The template model's damping matrix is the zeta = 1 layout.
     """
     from .model import damping_level
-    config = per_config or per.PerConfig(dt=dt)
-    rows = []
+    config = _at_dt(per_config, dt)
+    points = []
     for zeta in zeta_list:
         if zeta < 0.0:
             raise ValueError("zeta must be >= 0")
         scaled = model.with_damping(zeta * model.damping)
-        if method == "per":
-            scheme, rho = _per_scheme(scaled, replace(config, dt=dt))
-        else:
-            scheme, rho = None, _per_rho(scaled, config, dt)
-        extra = {"rho_beta_b": rho,
-                 "damping_level": damping_level(scaled) if zeta > 0.0 else 0.0}
-        rows.append(_sweep_row(scaled, method, dt, t_max, dof, config, params,
-                               refine, zeta, extra, scheme))
-    return rows
+        extra = {"damping_level": damping_level(scaled) if zeta > 0.0 else 0.0}
+        if method != "per":
+            extra["rho_beta_b"] = _per_rho(scaled, config)
+        points.append((scaled, dt, zeta, extra))
+    return _sweep(method, points, t_max, dof, config, params, refine)
 
 
 def fit_order(dts, errors, floor_factor: float = 10.0) -> float:
@@ -394,7 +395,6 @@ def timing_run(model: SystemModel, method: str, dt: float, t_max: float,
     phase is the time of the full run less that.  t_max below one step
     means a setup-only measurement.
     """
-    params = params or baselines.IntegratorParams(method=method)
     best_setup = best_loop = float("inf")
     for _ in range(max(1, repeats)):
         setup_s, loop_s = _timed_once(model, method, dt, t_max, per_config, params)

@@ -228,10 +228,7 @@ def _summary(model, config: RunConfig, traj) -> dict:
            else per.compute_b_factors(model, pc).rho_beta_b)
     bound = traj.info.get("dt_max_bound")  # a diverged PER run carries it
     if bound is None:
-        try:
-            bound = analysis.dt_bound(model, pc.m_b).dt_max
-        except ValueError:
-            bound = float("nan")
+        bound = analysis._dt_max(model, pc.m_b)
     return {
         "rho_beta_b": rho,
         "dt_max_bound": bound,
@@ -240,9 +237,7 @@ def _summary(model, config: RunConfig, traj) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    config = load_config(args.config)
-    _apply_overrides(config, args)
-    model = config.build_model()
+    config, model = _configured(args)
     out = args.out or config.out
     if out is None:
         raise ConfigError("no output path: pass --out or set 'out' in the config")
@@ -271,7 +266,7 @@ def cmd_stability_map(args) -> int:
 
 
 def cmd_tau_limit(args) -> int:
-    orders = _parse_int_list(args.m)
+    orders = _parse_list(args.m, int)
     rows = []
     for m in orders:
         tl = analysis.tau_limit(m)
@@ -292,10 +287,8 @@ def cmd_tau_limit(args) -> int:
 
 
 def cmd_sweep_dt(args) -> int:
-    config = load_config(args.config)
-    _apply_overrides(config, args)
-    model = config.build_model()
-    dts = _parse_float_list(args.dts)
+    config, model = _configured(args)
+    dts = _parse_list(args.dts, float)
     rows = bench.sweep_dt(model, config.method_name(), dts, config.t_max,
                           args.dof, per_config=config.per_config(),
                           params=config.integrator_params(),
@@ -306,10 +299,8 @@ def cmd_sweep_dt(args) -> int:
 
 
 def cmd_sweep_damping(args) -> int:
-    config = load_config(args.config)
-    _apply_overrides(config, args)
-    model = config.build_model()
-    zetas = _parse_float_list(args.zetas)
+    config, model = _configured(args)
+    zetas = _parse_list(args.zetas, float)
     rows = bench.sweep_damping(model, zetas, config.dt, config.t_max, args.dof,
                                method=config.method_name(),
                                per_config=config.per_config(),
@@ -344,31 +335,25 @@ def cmd_cost_model(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config = load_config(args.config)
-    _apply_overrides(config, args)
-    model = config.build_model()
+    config, model = _configured(args)
     methods = args.methods.split(",") if args.methods else list(bench.METHODS)
     ref = bench.reference_solution(model, config.dt, config.t_max,
                                    refine=int(config.reference.get("refine", 500)))
     rows = []
     for method in methods:
         method = method.strip()
-        try:
-            traj = bench.run_method(model, method, config.dt, config.t_max,
-                                    per_config=config.per_config(),
-                                    params=config.integrator_params())
-        except DivergenceError:
-            traj = None
-        if traj is None or traj.diverged or len(traj.times) != len(ref.times):
-            rows.append([method, float("nan"), float("nan"), True])
-            continue
-        rep = bench.global_error(traj, ref, args.dof)
-        rows.append([method, rep.e_disp, rep.e_vel, False])
+        scores = bench._score(ref, args.dof, bench.run_method, model, method, config.dt,
+                              config.t_max, per_config=config.per_config(),
+                              params=config.integrator_params())
+        rows.append([method, *scores])
     write_csv(args.out, ["method", "e_disp", "e_vel", "diverged"], rows)
     return 0
 
 
-def _apply_overrides(config: RunConfig, args) -> None:
+def _configured(args) -> tuple[RunConfig, SystemModel]:
+    """The run configuration of --config with the flag overrides applied,
+    and its model."""
+    config = load_config(args.config)
     if getattr(args, "method", None):
         config.method_spec["name"] = args.method
     if getattr(args, "dt", None) is not None:
@@ -381,14 +366,11 @@ def _apply_overrides(config: RunConfig, args) -> None:
             config.method_spec[flag] = val
     if config.t_max < config.dt:
         raise ConfigError("t_max must be at least one time step")
+    return config, config.build_model()
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _parse_list(text: str, kind) -> list:
+    return [kind(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _add_override_flags(sub):

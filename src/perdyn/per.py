@@ -250,14 +250,14 @@ def assemble_series(model: SystemModel, dt: float, m: int, which: str) -> np.nda
 
 def _series(a_mat, minv_c, dt, m, which):
     """assemble_series on the operators A = M^-1 K and minv_c = M^-1 C."""
+    coeff = _COEFF_FUNCTIONS[which]
+    if which in ("alpha", "beta"):
+        return _damping_series(a_mat, minv_c, dt, m, coeff)
     n = a_mat.shape[0]
     j_max = m // 2
     powers = [np.eye(n)]
     for _ in range(j_max):
         powers.append(powers[-1] @ a_mat)
-    if which in ("alpha", "beta"):
-        powers = [pw @ minv_c for pw in powers]
-    coeff = _COEFF_FUNCTIONS[which]
     return _block_sum([coeff(j, dt) for j in range(j_max + 1)], powers, n)
 
 
@@ -399,14 +399,9 @@ def force_samples(model: SystemModel, k: int, dt: float) -> np.ndarray:
 
 
 def _divergence_info(model, config, rho_beta_b, step):
-    info = {"diverged_at_step": step, "rho_beta_b": rho_beta_b}
-    from .analysis import dt_bound  # deferred: analysis imports this module
-    try:
-        bound = dt_bound(model, config.m_b)
-        info["dt_max_bound"] = bound.dt_max
-    except ValueError:
-        info["dt_max_bound"] = float("nan")
-    return info
+    from .analysis import _dt_max  # deferred: analysis imports this module
+    return {"diverged_at_step": step, "rho_beta_b": rho_beta_b,
+            "dt_max_bound": _dt_max(model, config.m_b)}
 
 
 def _steps(t_max, dt):

@@ -10,7 +10,7 @@ import perdyn.per as per
 from perdyn.analysis import (SIGMA_THRESHOLD, beta_radius_map, dt_bound,
                              sdof_stability_map, sigma_eigenvalues,
                              sigma_matrix, tau_limit)
-from perdyn.model import SystemModel, benchmark_chain, build_chain
+from perdyn.model import SystemModel, benchmark_beam, benchmark_chain, build_chain
 
 
 def mu_closed_form_m2(tau):
@@ -169,6 +169,16 @@ class TestStabilityMap:
         with pytest.raises(ValueError, match="grid"):
             sdof_stability_map(0.0, 2, grid_max=-1.0)
 
+    def test_order_zero_runs(self):
+        # m_a = 0 keeps only the first series terms; PerConfig rejects it,
+        # so the map must not be built through a PerConfig
+        rec = sdof_stability_map(0.05, 0)
+        assert rec.grid.shape == (450, 2) and np.isfinite(rec.grid).all()
+        assert len(rec.boundaries) == 1
+        lo, hi = rec.boundaries[0]
+        assert lo == 0.0
+        assert hi == pytest.approx(0.0159292, abs=2e-6)
+
     def test_amplification_against_scalar_construction(self):
         # independent scalar build of a(dt0) at m_a = 2, r_a = 2: the
         # explicit low-order matrices, Neumann sum written out by hand
@@ -225,6 +235,15 @@ class TestBetaRadiusMap:
     def test_bad_dt_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             beta_radius_map(sdof_model(), [0.1, -0.2], 4)
+
+    @pytest.mark.parametrize("m_b", [4, 8])
+    def test_equals_the_integrator_radius(self, m_b):
+        # beta_radius_map and compute_b_factors build beta_b by one series
+        # builder, so the radii agree bit for bit
+        model = benchmark_beam()
+        [(_, rho)] = beta_radius_map(model, [2e-5], m_b)
+        config = per.PerConfig(dt=2e-5, m_b=m_b)
+        assert rho == per.compute_b_factors(model, config).rho_beta_b
 
 
 class TestAsymptoticConvergenceRegions:

@@ -97,6 +97,17 @@ class TestReferenceSolution:
         expected = np.arange(len(ref.times)) * dt
         assert np.abs(ref.times - expected).max() <= 1e-12
 
+    @pytest.mark.parametrize("dt, t_max, message", [
+        (0.0, 1.0, "dt > 0"),
+        (-0.1, 1.0, "dt > 0"),
+        (0.1, 0.05, "at least one time step"),
+    ])
+    def test_step_count_is_the_integrators(self, dt, t_max, message):
+        # the integrators' one step-count rule, checked before the
+        # refinement loop
+        with pytest.raises(ValueError, match=message):
+            reference_solution(sdof_model(omega=OMEGA, zeta=0.1), dt, t_max)
+
     def test_auto_refinement_recorded(self):
         # tiny period forces the fine step below the stability margin
         model = benchmark_beam(n_elements=8)

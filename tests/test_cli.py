@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from perdyn import baselines, per
 from perdyn.cli import (EXIT_DIVERGENCE, EXIT_VALIDATION, RunConfig,
                         dump_config, load_config, main, write_csv)
+from perdyn.linalg import DivergenceError
 from perdyn.model import benchmark_chain
 from perdyn.per import PerConfig, integrate
 
@@ -219,6 +221,14 @@ class TestAnalysisCommands:
         # both moduli start at the common threshold 1/(2 sqrt(3))
         assert float(rows[0][2]) == pytest.approx(0.2886751345948129, abs=1e-12)
 
+    def test_stability_map_order_zero(self, tmp_path, capsys):
+        out = tmp_path / "map.csv"
+        assert main(["stability-map", "--zeta", "0.05", "--ma", "0",
+                     "--out", str(out)]) == 0
+        assert "stable: 0.0000 < dt0/T < 0.0159" in capsys.readouterr().out
+        _, rows = read_csv(out)
+        assert len(rows) == 450
+
     def test_stability_map(self, tmp_path, capsys):
         out = tmp_path / "map.csv"
         assert main(["stability-map", "--zeta", "0", "--ma", "2",
@@ -285,6 +295,30 @@ class TestSweepCommands:
         assert header == ["zeta", "damping_level", "e_disp", "e_vel",
                           "rho_beta_b", "diverged"]
         assert float(rows[0][4]) == 0.0
+
+    @pytest.mark.parametrize("command", [
+        ["compare", "--methods", "per,newmark,rk4"],
+        ["sweep-dt", "--method", "per", "--dts", "0.02,0.05"],
+        ["sweep-dt", "--method", "newmark", "--dts", "0.02,0.05"],
+    ])
+    def test_raising_run_scores_as_diverged(self, sdof_config, tmp_path,
+                                            monkeypatch, command):
+        # a run that raises DivergenceError gets the diverged row of the
+        # scoring rule compare and the sweeps share
+        def diverge(*args, **kwargs):
+            raise DivergenceError("forced divergence")
+
+        monkeypatch.setattr(per, "build_scheme", diverge)
+        monkeypatch.setattr(baselines, "_newmark_map", diverge)
+        out = tmp_path / "scores.csv"
+        assert main(command + ["--config", str(sdof_config), "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        if command[0] == "compare":
+            assert rows[0] == ["per", "nan", "nan", "true"]
+            assert rows[1] == ["newmark", "nan", "nan", "true"]
+            assert rows[2][0] == "rk4" and rows[2][-1] == "false"
+        else:
+            assert [row[2:] for row in rows] == [["nan", "nan", "true"]] * 2
 
     def test_compare_csv(self, sdof_config, tmp_path):
         out = tmp_path / "cmp.csv"

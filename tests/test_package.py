@@ -1,5 +1,9 @@
 """Package-level surface checks."""
 
+import importlib
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 
 import perdyn
@@ -30,3 +34,19 @@ def test_scheme_matrices_read_only():
     scheme = build_scheme(model, PerConfig(dt=0.02))
     with pytest.raises(ValueError):
         scheme.a[0, 0] = 1.0
+
+
+def test_perfbench_traced_names_resolve():
+    # perfbench/tracer.py wraps these names from outside the package; a
+    # renamed or deleted one breaks every traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer, names in [*tracer.SPANNED.items(), *tracer.PHASES.items()]:
+        module = importlib.import_module(f"perdyn.{layer}")
+        for dotted in names:
+            owner = module
+            for part in dotted.split("."):
+                owner = getattr(owner, part, None)
+            assert callable(owner), f"perdyn.{layer}.{dotted}"
