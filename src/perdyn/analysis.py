@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from . import per
-from .linalg import neumann_sum, spectral_radius
+from .linalg import spectral_radius
 from .model import SystemModel, modal_analysis
 
 #: Modulus of the sigma eigenvalues at tau = 0: 1/(2*sqrt(3)).
@@ -160,12 +160,9 @@ def _sdof_amplification(x: float, zeta: float, m_a: int, r_a: int) -> np.ndarray
     """a(dt0) of the unit-period single-dof oscillator, x = dt0/T."""
     omega = 2.0 * np.pi
     dt0 = x  # T = 1
-    a_mat = np.array([[omega * omega]])
-    minv_c = np.array([[2.0 * omega * zeta]])
-    t_a = np.eye(2) + per.undamped_step_increment(a_mat, dt0, m_a)
-    alpha_a = per._damping_series(a_mat, minv_c, dt0, m_a, per.coeff_alpha)
-    beta_a = per._damping_series(a_mat, minv_c, dt0, m_a, per.coeff_beta)
-    return neumann_sum(beta_a, r_a) @ (t_a + alpha_a)
+    delta_a, _ = per._increment_at_reduced_step(
+        np.array([[omega * omega]]), np.array([[2.0 * omega * zeta]]), dt0, m_a, r_a)
+    return np.eye(2) + delta_a
 
 
 def _max_abs_eig(x, zeta, m_a, r_a):
@@ -224,10 +221,12 @@ def sdof_stability_map(zeta: float, m_a: int, r_a: int = 2, p: int = 20,
 
 def beta_radius_map(model: SystemModel, dt_values, m_b: int) -> list[tuple[float, float]]:
     """rho(beta_b(dt)) for each time step in dt_values."""
+    per._check_order(m_b)
+    _, a_mat, minv_c = per.system_operators(model)
     out = []
     for dt in dt_values:
         if dt <= 0.0:
             raise ValueError("time steps must be positive")
-        beta = per.assemble_series(model, dt, m_b, "beta")
+        beta = per._damping_series(a_mat, minv_c, dt, m_b, per.coeff_beta)
         out.append((float(dt), spectral_radius(beta)))
     return out

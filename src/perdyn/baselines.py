@@ -250,9 +250,6 @@ def rk4(system: StateSpaceSystem, u0: np.ndarray, dt: float,
     """
     n_steps = _steps(t_max, dt)
     n2 = system.w.shape[0]
-    u0 = np.asarray(u0, dtype=float)
-    if u0.shape != (n2,):
-        raise ValueError(f"initial state must have length {n2}")
     r, p0, pm = rk4_operators(system.w, dt)
     weights = dt / 6.0 * np.hstack([p0, pm, np.eye(n2)])
     return _trajectory(*recurrence(r, u0, dt, n_steps, system.h, (0.0, dt / 2.0, dt),

@@ -234,55 +234,36 @@ def _per_rho(model, config):
         return per.compute_b_factors(model, config).rho_beta_b
 
 
-def _per_scheme(model, config):
-    """(build_scheme result, rho(beta_b)), warnings silenced: the b-factors
-    are built once per sweep point.  The scheme is None when the 2^p
-    doubling diverges; rho then comes from _per_rho."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        try:
-            scheme = per.build_scheme(model, config)
-        except per.DivergenceError:
-            return None, _per_rho(model, config)
-    return scheme, scheme.rho_beta_b
-
-
-def _score(ref, dof, run, *args, **kwargs):
-    """(e_disp, e_vel, diverged) of run(*args, **kwargs) against ``ref``:
-    NaN errors and diverged when the run raises DivergenceError, is not
-    attempted (returns None), is flagged diverged or stops short of ``ref``.
-    The one scoring rule of compare and the sweeps."""
-    try:
-        traj = run(*args, **kwargs)
-    except per.DivergenceError:
-        traj = None
-    if traj is None or traj.diverged or len(traj.times) != len(ref.times):
-        return float("nan"), float("nan"), True
-    rep = global_error(traj, ref, dof)
-    return rep.e_disp, rep.e_vel, False
-
-
-def _sweep(method, points, t_max, dof, per_config, params, refine):
-    """Rows of the points (model, dt, abscissa, extra), scored against their RK4
-    references.  PER adds rho(beta_b) to ``extra``, runs on its _per_scheme
-    result and is not attempted when that is None or rho(beta_b) >= 1."""
-    def run(model, dt, scheme):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            if method != "per":
-                return run_method(model, method, dt, t_max, params=params)
-            if scheme is not None and scheme.rho_beta_b < 1.0:
-                return per._integrate(model, _at_dt(per_config, dt), t_max, scheme)
-        return None
-
+def _sweep(methods, points, t_max, dof, per_config, params, refine):
+    """One row per point (model, dt, abscissa, extra) and method, point by
+    point, scored against the point's RK4 reference: NaN errors and
+    diverged when the run raises DivergenceError, is flagged diverged,
+    stops short of the reference or, for PER, has rho(beta_b) >= 1 (from
+    the run, or from _per_rho when its setup raises).  PER adds rho(beta_b)
+    to the point's ``extra``.  The one scoring loop of compare and the
+    sweeps; every run goes through run_method with RuntimeWarnings silenced
+    (divergence is sweep data)."""
     rows = []
     for model, dt, abscissa, extra in points:
-        scheme = None
-        if method == "per":
-            scheme, extra["rho_beta_b"] = _per_scheme(model, _at_dt(per_config, dt))
         ref = reference_solution(model, dt, t_max, refine=refine)
-        scores = _score(ref, dof, run, model, dt, scheme)
-        rows.append(SweepRow(dt, abscissa, *scores, extra=extra))
+        config = _at_dt(per_config, dt)
+        for method in methods:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                try:
+                    traj = run_method(model, method, dt, t_max, config, params)
+                except per.DivergenceError:
+                    traj = None
+            ok = traj is not None and not traj.diverged and len(traj.times) == len(ref.times)
+            if method == "per":
+                extra["rho_beta_b"] = (_per_rho(model, config) if traj is None
+                                       else traj.info["rho_beta_b"])
+                ok = ok and extra["rho_beta_b"] < 1.0
+            scores = float("nan"), float("nan"), True
+            if ok:
+                rep = global_error(traj, ref, dof)
+                scores = rep.e_disp, rep.e_vel, False
+            rows.append(SweepRow(dt, abscissa, *scores, extra=extra))
     return rows
 
 
@@ -297,7 +278,7 @@ def sweep_dt(model: SystemModel, method: str, dt_list, t_max: float, dof: int,
     are recorded with the diverged flag instead of numbers.
     """
     t_min = modal_analysis(model).min_period
-    return _sweep(method, [(model, dt, dt / t_min, {}) for dt in dt_list], t_max, dof,
+    return _sweep([method], [(model, dt, dt / t_min, {}) for dt in dt_list], t_max, dof,
                   per_config, params, refine)
 
 
@@ -322,7 +303,7 @@ def sweep_damping(model: SystemModel, zeta_list, dt: float, t_max: float,
         if method != "per":
             extra["rho_beta_b"] = _per_rho(scaled, config)
         points.append((scaled, dt, zeta, extra))
-    return _sweep(method, points, t_max, dof, config, params, refine)
+    return _sweep([method], points, t_max, dof, config, params, refine)
 
 
 def fit_order(dts, errors, floor_factor: float = 10.0) -> float:

@@ -304,7 +304,8 @@ def compute_a(model: SystemModel, config: PerConfig) -> np.ndarray:
 
 def _doubled_increment(a_mat, minv_c, config):
     """da(dt) after the p doublings, plus rho(beta_a) as diagnostic."""
-    delta_a, rho_beta_a = _increment_at_reduced_step(a_mat, minv_c, config)
+    delta_a, rho_beta_a = _increment_at_reduced_step(a_mat, minv_c, config.dt0,
+                                                     config.m_a, config.r_a)
     delta_a = double_increment(delta_a, config.p)
     if not np.isfinite(delta_a).all():
         raise DivergenceError(
@@ -313,15 +314,15 @@ def _doubled_increment(a_mat, minv_c, config):
     return delta_a, rho_beta_a
 
 
-def _increment_at_reduced_step(a_mat, minv_c, config):
-    """da(dt0) and rho(beta_a) for the doubling start."""
-    dt0 = config.dt0
+def _increment_at_reduced_step(a_mat, minv_c, dt0, m_a, r_a):
+    """da(dt0) and rho(beta_a) for the doubling start, at the series order
+    m_a and the Neumann order r_a (m_a = 0 is allowed here)."""
     n = a_mat.shape[0]
-    delta_t = undamped_step_increment(a_mat, dt0, config.m_a)
-    alpha_a = _damping_series(a_mat, minv_c, dt0, config.m_a, coeff_alpha)
-    beta_a = _damping_series(a_mat, minv_c, dt0, config.m_a, coeff_beta)
+    delta_t = undamped_step_increment(a_mat, dt0, m_a)
+    alpha_a = _damping_series(a_mat, minv_c, dt0, m_a, coeff_alpha)
+    beta_a = _damping_series(a_mat, minv_c, dt0, m_a, coeff_beta)
     rho_beta_a = spectral_radius(beta_a)
-    delta_beta = neumann_sum(beta_a, config.r_a) - np.eye(2 * n)
+    delta_beta = neumann_sum(beta_a, r_a) - np.eye(2 * n)
     delta_a = (delta_t + alpha_a + delta_beta
                + delta_beta @ delta_t + delta_beta @ alpha_a)
     return delta_a, rho_beta_a
@@ -463,6 +464,8 @@ def recurrence(phi, x0, dt, n_steps, sample, offsets, weights, ref_scale):
     the step at which the guard stopped the run (None when it ran all
     n_steps).
     """
+    if np.shape(x0) != phi.shape[:1]:
+        raise ValueError(f"initial state must have length {phi.shape[0]}")
     states = np.zeros((n_steps + 1, phi.shape[0]))
     states[0] = x0
     ref_norm = np.linalg.norm(states[0])
@@ -508,10 +511,9 @@ def integrate_asymptotic(model: SystemModel, config: PerConfig, t_max: float,
     dt = config.dt
     m = config.m_b
 
-    t_mat = assemble_series(model, dt, m, "T")
-    l_mat = assemble_series(model, dt, m, "L")
-    alpha = assemble_series(model, dt, m, "alpha")
-    beta = assemble_series(model, dt, m, "beta")
+    _, a_mat, minv_c = system_operators(model)
+    t_mat, l_mat, alpha, beta = (_series(a_mat, minv_c, dt, m, which)
+                                 for which in ("T", "L", "alpha", "beta"))
 
     forced = model.force is not None
     g = _per_samples(model, 0, n_steps, dt) if forced else None

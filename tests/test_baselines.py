@@ -293,6 +293,16 @@ class TestMpim:
             mpim(system, np.zeros(2), 0.01, 0.1, g=9)
 
 
+@pytest.mark.parametrize("method", [rk4, mpim])
+@pytest.mark.parametrize("u0", [1.0, np.ones(3)], ids=["scalar", "wrong-length"])
+def test_initial_state_length_checked(method, u0):
+    # a 2-dof system has a 4-entry state: no broadcast of a scalar, and
+    # one message for a wrong length
+    system = state_space(build_chain(2, 1.0, 100.0))
+    with pytest.raises(ValueError, match="initial state must have length 4"):
+        method(system, u0, 0.01, 0.05)
+
+
 class TestMutualConsistency:
     def test_all_methods_agree_on_damped_sdof(self):
         zeta = 0.05

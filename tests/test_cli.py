@@ -320,6 +320,56 @@ class TestSweepCommands:
         else:
             assert [row[2:] for row in rows] == [["nan", "nan", "true"]] * 2
 
+    def test_divergent_damping_series_scores_as_diverged(self, tmp_path):
+        # the README chain with dampers c = 120: rho(beta_b) = 1.66 at
+        # dt 0.024, so PER's finite trajectory is no converged run in
+        # compare or in the sweeps
+        cfg = tmp_path / "c120.json"
+        write_config(cfg, {
+            "version": 1,
+            "model": {"kind": "chain", "n_dof": 12, "mass": 1.0, "stiffness": 100.0,
+                      "dampers": [{"i": 0, "j": None, "c": 120.0},
+                                  {"i": 1, "j": 2, "c": 120.0}]},
+            "force": {"kind": "gaussian-multiharmonic", "dof": 2, "t0": 10.0,
+                      "s": 2.5, "components": [{"a": 1.0, "omega": 3.0},
+                                               {"a": 0.5, "omega": 7.1}]},
+            "method": {"name": "per", "mb": 8, "rb": 4},
+            "dt": 0.024, "t_max": 0.48,
+        })
+        out = tmp_path / "scores.csv"
+        assert main(["compare", "--config", str(cfg), "--methods", "per",
+                     "--out", str(out)]) == 0
+        assert read_csv(out)[1] == [["per", "nan", "nan", "true"]]
+        assert main(["sweep-dt", "--config", str(cfg), "--dts", "0.024",
+                     "--out", str(out)]) == 0
+        assert read_csv(out)[1][0][2:] == ["nan", "nan", "true"]
+        assert main(["sweep-damping", "--config", str(cfg), "--zetas", "1",
+                     "--out", str(out)]) == 0
+        [row] = read_csv(out)[1]
+        assert row[2:4] == ["nan", "nan"] and float(row[4]) > 1.6 and row[5] == "true"
+
+    def test_sweep_dt_ignores_the_config_step(self, sdof_config, tmp_path):
+        # sweep-dt steps only with --dts: a config dt beyond t_max is no error
+        doc = json.loads(sdof_config.read_text())
+        doc.update(dt=5.0, t_max=4.0)
+        write_config(sdof_config, doc)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep-dt", "--config", str(sdof_config),
+                     "--dts", "0.01,0.02", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [row[-1] for row in rows] == ["false", "false"]
+
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["compare"], ["sweep-damping", "--zetas", "1"]])
+    def test_step_longer_than_the_run_rejected(self, sdof_config, tmp_path,
+                                               capsys, command):
+        # the integrators' step-count rule, reached through every command
+        # that steps with the config's dt
+        out = tmp_path / "out.csv"
+        assert main(command + ["--config", str(sdof_config), "--t-max", "0.01",
+                               "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: t_max must be at least one time step\n"
+
     def test_compare_csv(self, sdof_config, tmp_path):
         out = tmp_path / "cmp.csv"
         assert main(["compare", "--config", str(sdof_config),

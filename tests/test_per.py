@@ -202,7 +202,8 @@ class TestDoublingFlush:
     @staticmethod
     def unflushed_a(model, config):
         a_mat, minv_c = per.system_operators(model)[1:]
-        seed, _ = per._increment_at_reduced_step(a_mat, minv_c, config)
+        seed, _ = per._increment_at_reduced_step(a_mat, minv_c, config.dt0,
+                                                 config.m_a, config.r_a)
         return np.eye(2 * model.n_dof) + doubling_unflushed(seed, config.p)
 
     @staticmethod
@@ -256,7 +257,7 @@ class TestDoublingFlush:
         with np.errstate(invalid="ignore", over="ignore"):
             assert not np.isfinite(double_increment(seed, 3)).all()
             monkeypatch.setattr(per, "_increment_at_reduced_step",
-                                lambda a_mat, minv_c, config: (seed, 0.5))
+                                lambda a_mat, minv_c, dt0, m_a, r_a: (seed, 0.5))
             with pytest.raises(DivergenceError, match="non-finite"):
                 per._doubled_increment(None, None, per.PerConfig(dt=0.01))
 
@@ -620,6 +621,16 @@ class TestIntegrateAsymptotic:
                                            n_terms=50)
         got = np.hstack([partial.displacements, partial.velocities])
         assert np.abs(got - limit).max() <= 1e-12 * np.abs(limit).max()
+
+    def test_unforced_run_factorizes_mass_once(self, monkeypatch):
+        # the four series share one factorization of M
+        calls = []
+        solver = per.spd_solver
+        monkeypatch.setattr(per, "spd_solver",
+                            lambda mat: calls.append(1) or solver(mat))
+        model = benchmark_chain(0.1).with_initial_state(np.eye(12)[0], np.zeros(12))
+        per.integrate_asymptotic(model, per.PerConfig(dt=0.02, m_b=8), 0.1, n_terms=3)
+        assert len(calls) == 1
 
     def test_diverges_past_the_bound(self):
         model = benchmark_chain(2.0).with_initial_state(
