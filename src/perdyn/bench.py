@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import baselines, per
-from .model import SystemModel, _force_rows, modal_analysis
+from .model import SystemModel, modal_analysis
 
 METHODS = ("per", "newmark", "wilson", "bathe", "rk4", "mpim")
 
@@ -131,8 +131,10 @@ def reference_solution(model: SystemModel, dt: float, t_max: float,
     x0 = np.concatenate([model.u0, model.v0])
     n_steps = n_coarse * (used // fold)
 
+    force = per._force_sampler(model, solve_mass)
+
     def sample(times):
-        return solve_mass(_force_rows(model.force, _on_fine_grid(times, h)).T).T
+        return force(_on_fine_grid(times, h))
 
     # guard scale: the folded step, as RK4's is its step
     states, stop = per.recurrence(phi, x0, fold * h, n_steps,
@@ -237,10 +239,10 @@ def _per_rho(model, config):
 def _sweep(methods, points, t_max, dof, per_config, params, refine):
     """One row per point (model, dt, abscissa, extra) and method, point by
     point, scored against the point's RK4 reference: NaN errors and
-    diverged when the run raises DivergenceError, is flagged diverged,
-    stops short of the reference or, for PER, has rho(beta_b) >= 1 (from
-    the run, or from _per_rho when its setup raises).  PER adds rho(beta_b)
-    to the point's ``extra``.  The one scoring loop of compare and the
+    diverged when the run raises DivergenceError, is flagged diverged (as
+    a PER run with rho(beta_b) >= 1 is) or stops short of the reference.
+    PER adds rho(beta_b) to the point's ``extra``, from the run or, when
+    its setup raises, from _per_rho.  The one scoring loop of compare and the
     sweeps; every run goes through run_method with RuntimeWarnings silenced
     (divergence is sweep data)."""
     rows = []
@@ -258,7 +260,6 @@ def _sweep(methods, points, t_max, dof, per_config, params, refine):
             if method == "per":
                 extra["rho_beta_b"] = (_per_rho(model, config) if traj is None
                                        else traj.info["rho_beta_b"])
-                ok = ok and extra["rho_beta_b"] < 1.0
             scores = float("nan"), float("nan"), True
             if ok:
                 rep = global_error(traj, ref, dof)

@@ -351,8 +351,8 @@ def damping_level(model: SystemModel) -> float:
 # Force builders shared by the library, the tests and the CLI config loader.
 #
 # Each built-in load also carries a private array form ``_rows``: an array of
-# times to one value (or row) per time, equal to the scalar calls.  Only the
-# RK4 reference samples through it; every integrator calls the scalar form.
+# times to one value (or row) per time, equal to the scalar calls bit for bit.
+# Every integrator and the RK4 reference sample the load through it.
 
 def _force_rows(fn: Callable, times: np.ndarray) -> np.ndarray:
     """``fn`` at each time of the 1-D array ``times``, one row (or value) per
@@ -407,10 +407,11 @@ def gaussian_multiharmonic_force(n_dof: int, dof: int, t0: float, s: float,
         return out
 
     def rows(times):
-        # same operations as the scalar form; numpy's vectorized exp and sin
-        # may round the last bit differently
+        # the scalar form's operations: its ``** 2`` on a float is libm pow,
+        # which numpy's array ``** 2`` (a multiply) is not, but float_power
+        # with an array exponent is
         out = np.zeros((len(times), n_dof))
-        env = np.exp(-(times - t0) ** 2 / (2.0 * s * s))
+        env = np.exp(-np.float_power(times - t0, np.full(len(times), 2.0)) / (2.0 * s * s))
         out[:, dof] = env * sum(a * np.sin(w * times) for a, w in comps)
         return out
     force._rows = rows

@@ -14,20 +14,21 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from math import factorial, isfinite, sqrt
+from math import factorial
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .linalg import (DivergenceError, double_increment, neumann_sum, spd_solver,
                      spectral_radius)
-from .model import StateVector, SystemModel
+from .model import StateVector, SystemModel, _force_rows
 
 MAX_SERIES_ORDER = 60  # higher truncations are numerically unreliable
 
 _DIVERGENCE_FACTOR = 1e12
 
-#: Force samples held at once by the step loop (1 MB of float64).
+#: Force samples, and state entries, of one block of the step loop (1 MB of
+#: float64 each).
 _BLOCK_FLOATS = 1 << 17
 
 
@@ -367,8 +368,11 @@ def _per_offsets(dt):
 
 
 def _load_sampler(model):
-    """times -> f(t), one row per time, one force call per time."""
-    return lambda times: np.array([model.force_at(t) for t in times.tolist()])
+    """times -> f(t), one row per time: the array form of a built-in load,
+    one force call per time for any other callable, zeros when unforced."""
+    if model.force is None:
+        return lambda times: np.zeros((len(times), model.n_dof))
+    return lambda times: _force_rows(model.force, times)
 
 
 def _force_sampler(model, solve_mass):
@@ -383,10 +387,11 @@ def _step_samples(sample, k0, k1, dt, offsets):
     return sample(times.ravel()).reshape(k1 - k0, -1)
 
 
-def _per_samples(model, k0, k1, dt):
-    """PER force rows of the steps k0 <= k < k1; a non-finite sample raises ValueError."""
+def _per_samples(model, solve_mass, k0, k1, dt):
+    """PER force rows of the steps k0 <= k < k1 with M^-1 = ``solve_mass``;
+    a non-finite sample raises ValueError."""
     offsets = _per_offsets(dt)
-    g = _step_samples(_force_sampler(model, spd_solver(model.mass)), k0, k1, dt, offsets)
+    g = _step_samples(_force_sampler(model, solve_mass), k0, k1, dt, offsets)
     bad = np.flatnonzero(~np.isfinite(g.reshape(-1, model.n_dof)).all(axis=1))
     if len(bad):
         k, i = divmod(int(bad[0]), len(offsets))
@@ -396,12 +401,12 @@ def _per_samples(model, k0, k1, dt):
 
 def force_samples(model: SystemModel, k: int, dt: float) -> np.ndarray:
     """g_k: M^-1 f at the four interpolation abscissae of step k."""
-    return _per_samples(model, k, k + 1, dt)[0]
+    return _per_samples(model, spd_solver(model.mass), k, k + 1, dt)[0]
 
 
-def _divergence_info(model, config, rho_beta_b, step):
+def _divergence_info(model, config, rho_beta_b, reason):
     from .analysis import _dt_max  # deferred: analysis imports this module
-    return {"diverged_at_step": step, "rho_beta_b": rho_beta_b,
+    return {"reason": reason, "rho_beta_b": rho_beta_b,
             "dt_max_bound": _dt_max(model, config.m_b)}
 
 
@@ -418,8 +423,12 @@ def integrate(model: SystemModel, config: PerConfig, t_max: float) -> Trajectory
     """Run the explicit scheme from the model's initial state to t_max.
 
     The step count is round(t_max/dt), so the final sample may overshoot
-    t_max by less than one step.  On divergence the computed prefix is
-    returned with ``diverged=True`` and diagnostics in ``info``.
+    t_max by less than one step.  A run the guard stops returns the
+    computed prefix with ``diverged=True``; a run with rho(beta_b) >= 1,
+    whose truncated Neumann sum does not approximate (I - beta_b)^-1,
+    returns its full trajectory with ``diverged=True``.  Either carries
+    ``info["reason"]`` ("norm guard" or "rho(beta_b) >= 1"), and a guard
+    stop its ``info["diverged_at_step"]``.
     """
     return _integrate(model, config, t_max, None)
 
@@ -441,12 +450,16 @@ def _integrate(model, config, t_max, scheme):
                          _per_offsets(config.dt), scheme.neumann_b @ scheme.l_b,
                          np.linalg.norm(scheme.l_b, 2))
     traj = _trajectory(*run, config.dt, model.n_dof)
-    info = {"rho_beta_b": scheme.rho_beta_b}
     if traj.diverged:
         if model.force is not None:  # raises if a non-finite sample stopped the run
-            force_samples(model, traj.n_steps - 1, config.dt)
-        info = _divergence_info(model, config, scheme.rho_beta_b, traj.n_steps)
-    return replace(traj, info=info)
+            _per_samples(model, scheme.solve_mass, traj.n_steps - 1, traj.n_steps, config.dt)
+        reason = "norm guard"
+    elif scheme.rho_beta_b >= 1.0:
+        reason = "rho(beta_b) >= 1"
+    else:
+        return replace(traj, info={"rho_beta_b": scheme.rho_beta_b})
+    return replace(traj, diverged=True, info={
+        **traj.info, **_divergence_info(model, config, scheme.rho_beta_b, reason)})
 
 
 def recurrence(phi, x0, dt, n_steps, sample, offsets, weights, ref_scale):
@@ -455,34 +468,58 @@ def recurrence(phi, x0, dt, n_steps, sample, offsets, weights, ref_scale):
     The one step loop of all six methods: this scheme, RK4 and MPIM on
     the state [u; v], Newmark, Wilson and the composite scheme on
     [u; v; a].  t_k = k*dt, ``sample`` maps an array of times to one
-    forcing row per time (None when unforced), drawn _BLOCK_FLOATS numbers
-    at a time, and ``offsets`` are its abscissae inside the step.  The run
-    stops at the first state whose norm is non-finite (as after a
-    non-finite sample) or exceeds _DIVERGENCE_FACTOR times the initial
-    norm plus ref_scale times the accumulated sample norms.  Returns
-    (states, stop): the computed states, one row per step from x0 on, and
-    the step at which the guard stopped the run (None when it ran all
-    n_steps).
+    forcing row per time (None when unforced), and ``offsets`` are its
+    abscissae inside the step.  The run stops at the first state whose
+    norm is non-finite (as after a non-finite sample) or exceeds
+    _DIVERGENCE_FACTOR times the initial norm plus ref_scale times the
+    accumulated sample norms.  Returns (states, stop): the computed
+    states, one row per step from x0 on, and the step at which the guard
+    stopped the run (None when it ran all n_steps).
+
+    The steps run a block at a time, each block holding at most
+    _BLOCK_FLOATS samples and _BLOCK_FLOATS state entries.  A block draws
+    its samples in one call, forms all its forcing rows in one stacked
+    product (one matrix-vector product per row, the arithmetic of
+    ``weights @ g_k``), then steps phi U_k plus that row, and checks the
+    guard once on all its states.  The states equal those of the
+    step-by-step loop bit for bit; after a stop, at most the rest of its
+    block has been computed and is dropped.
     """
     if np.shape(x0) != phi.shape[:1]:
         raise ValueError(f"initial state must have length {phi.shape[0]}")
     states = np.zeros((n_steps + 1, phi.shape[0]))
     states[0] = x0
     ref_norm = np.linalg.norm(states[0])
-    block = max(1, _BLOCK_FLOATS // weights.shape[1]) if sample is not None else 1
-    for k in range(n_steps):
-        nxt = phi @ states[k]
-        if sample is not None:
-            if k % block == 0:
-                g = _step_samples(sample, k, min(k + block, n_steps), dt, offsets)
-            g_k = g[k % block]
-            nxt = nxt + weights @ g_k
-            ref_norm += ref_scale * sqrt(g_k @ g_k)  # np.linalg.norm, less its overhead
-        states[k + 1] = nxt
-        norm = sqrt(nxt @ nxt)
-        if not isfinite(norm) or norm > _DIVERGENCE_FACTOR * max(ref_norm, 1e-30):
-            return states[:k + 2], k + 1
+    width = len(x0) if sample is None else max(len(x0), weights.shape[1])
+    block = max(1, _BLOCK_FLOATS // width)
+    for k0 in range(0, n_steps, block):
+        k1 = min(k0 + block, n_steps)
+        new = states[k0 + 1:k1 + 1]
+        g = None if sample is None else _step_samples(sample, k0, k1, dt, offsets)
+        # the steps after a stop inside the block may overflow: the guard
+        # reports the stop, the rest of the block is dropped
+        with np.errstate(over="ignore", invalid="ignore"):
+            if g is None:
+                for x, nxt in zip(states[k0:k1], new):
+                    np.matmul(phi, x, out=nxt)
+                refs = ref_norm
+            else:
+                np.matmul(weights, g[:, :, None], out=new[:, :, None])
+                for x, nxt in zip(states[k0:k1], new):
+                    nxt += phi @ x
+                refs = np.cumsum(np.concatenate([[ref_norm], ref_scale * _row_norms(g)]))[1:]
+                ref_norm = refs[-1]
+            norms = _row_norms(new)
+            bad = ~np.isfinite(norms) | (norms > _DIVERGENCE_FACTOR * np.maximum(refs, 1e-30))
+        if bad.any():
+            stop = k0 + 1 + int(bad.argmax())
+            return states[:stop + 1], stop
     return states, None
+
+
+def _row_norms(rows):
+    """sqrt(r @ r) of each row r, by the same dot product as a single row."""
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
 
 
 def _trajectory(states, stop, dt, n):
@@ -511,12 +548,12 @@ def integrate_asymptotic(model: SystemModel, config: PerConfig, t_max: float,
     dt = config.dt
     m = config.m_b
 
-    _, a_mat, minv_c = system_operators(model)
+    solve_mass, a_mat, minv_c = system_operators(model)
     t_mat, l_mat, alpha, beta = (_series(a_mat, minv_c, dt, m, which)
                                  for which in ("T", "L", "alpha", "beta"))
 
     forced = model.force is not None
-    g = _per_samples(model, 0, n_steps, dt) if forced else None
+    g = _per_samples(model, solve_mass, 0, n_steps, dt) if forced else None
 
     term = np.zeros((n_steps + 1, 2 * n))
     term[0, :n] = model.u0

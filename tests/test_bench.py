@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import (damped_free_vibration, l2_norm, reference_fine_rk4,
-                     sdof_model)
+                     sdof_model, step_loop)
 
 import perdyn.bench as bench
 import perdyn.per as per
@@ -337,6 +337,37 @@ def test_every_method_runs_one_step_loop(method, monkeypatch):
                       per_config=PerConfig(dt=0.024, m_b=8, r_b=4))
     assert not traj.diverged and traj.n_steps == 10
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("forced", [True, False], ids=["forced", "unforced"])
+@pytest.mark.parametrize("method", bench.METHODS)
+def test_every_method_matches_the_step_loop(method, forced, monkeypatch):
+    # each method's blocked loop against the one-step-at-a-time oracle on
+    # the same operators and samples, across at least three block boundaries
+    monkeypatch.setattr(per, "_BLOCK_FLOATS", 1 << 10)
+    original, runs = per.recurrence, []
+
+    def recorded(*args):
+        runs.append((args, original(*args)))
+        return runs[-1][1]
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("perdyn") and getattr(module, "recurrence", None) is original:
+            monkeypatch.setattr(module, "recurrence", recorded)
+    model = benchmark_chain(0.1).with_initial_state(0.01 * np.sin(np.arange(12.0)),
+                                                    np.zeros(12))
+    if forced:
+        model = model.with_force(gaussian_multiharmonic_force(
+            12, 2, t0=1.0, s=2.5, components=[(1.0, 3.0), (0.5, 7.1)]))
+    run_method(model, method, 0.024, 3.6, per_config=PerConfig(dt=0.024, m_b=8, r_b=4))
+    (phi, x0, dt, n_steps, sample, offsets, weights, ref_scale), (states, stop) = runs[0]
+    # a block is at most _BLOCK_FLOATS // len(x0) steps
+    assert n_steps == 150 > 3 * (per._BLOCK_FLOATS // len(x0))
+    assert (sample is None) != forced
+    one_time = None if sample is None else (lambda t: sample(np.array([t]))[0])
+    want, want_stop = step_loop(phi, x0, dt, n_steps, one_time, offsets, weights, ref_scale)
+    assert stop is want_stop is None
+    assert np.array_equal(states, want)
 
 
 class TestQualitativeOrdering:

@@ -161,6 +161,32 @@ class TestSimulate:
         printed = capsys.readouterr().out
         assert f"dt_max_bound: {dt_bound(*calls[0]).dt_max}" in printed
 
+    @pytest.mark.parametrize("doc", [
+        # unforced: rho(beta_b) = 1223.6
+        {"model": {"kind": "chain", "zeta": 3.0},
+         "method": {"name": "per", "mb": 2, "rb": 12}, "dt": 1.4, "t_max": 14.0,
+         "u0": [0.01] + [0.0] * 11},
+        # the README chain with dampers c = 120: rho(beta_b) = 1.66
+        {"model": {"kind": "chain", "n_dof": 12, "mass": 1.0, "stiffness": 100.0,
+                   "dampers": [{"i": 0, "j": None, "c": 120.0},
+                               {"i": 1, "j": 2, "c": 120.0}]},
+         "force": {"kind": "gaussian-multiharmonic", "dof": 2, "t0": 10.0,
+                   "s": 2.5, "components": [{"a": 1.0, "omega": 3.0},
+                                            {"a": 0.5, "omega": 7.1}]},
+         "method": {"name": "per", "mb": 8, "rb": 4}, "dt": 0.024, "t_max": 0.48},
+    ], ids=["unforced", "readme-c120"])
+    def test_divergent_damping_series_exits_as_diverged(self, doc, tmp_path, capsys):
+        # the guard never stops these runs: the whole finite trajectory is
+        # written, and the run is reported diverged
+        cfg = tmp_path / "rho.json"
+        write_config(cfg, {"version": 1, **doc})
+        out = tmp_path / "rho.csv"
+        with pytest.warns(RuntimeWarning, match="rho"):
+            code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_DIVERGENCE
+        assert "diverged: True" in capsys.readouterr().out
+        assert len(read_csv(out)[1]) == round(doc["t_max"] / doc["dt"]) + 1
+
     def test_non_finite_load_exit_codes(self, tmp_path, capsys):
         # rk4 ends a NaN load as a diverged run; PER names the sample
         cfg = tmp_path / "nan.json"

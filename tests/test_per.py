@@ -2,6 +2,8 @@
 assembly, the doubling algorithm, the forcing factors and both
 integration modes."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from perdyn.baselines import expm_2p, state_space
 from perdyn.linalg import (DivergenceError, double_increment, neumann_sum,
                            spd_solver)
 from perdyn.model import (benchmark_beam, benchmark_chain, build_chain,
-                          damping_level)
+                          constant_step_force, damping_level)
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +465,32 @@ class TestIntegrate:
         assert len(calls) == 1
         assert traj.n_steps == 10 and not traj.diverged
 
+    def test_divergent_damping_series_ends_as_diverged(self):
+        # rho(beta_b) = 1.93: the guard does not stop the finite trajectory,
+        # but the truncated Neumann sum is no (I - beta_b)^-1
+        model = benchmark_chain(1.0).with_force(lambda t: np.eye(12)[3] * np.sin(2.0 * t))
+        config = per.PerConfig(dt=0.2, m_b=8, r_b=4)
+        with pytest.warns(RuntimeWarning, match="does not converge"):
+            traj = per.integrate(model, config, 4.0)
+        assert traj.diverged and traj.n_steps == 20
+        assert np.isfinite(traj.displacements).all()
+        assert traj.info["reason"] == "rho(beta_b) >= 1"
+        assert traj.info["rho_beta_b"] >= 1.0 and "dt_max_bound" in traj.info
+        assert "diverged_at_step" not in traj.info
+
+    def test_guard_stop_factorizes_mass_once(self, monkeypatch):
+        # the divergence path checks the last step's samples with
+        # build_scheme's factorization of M
+        calls = []
+        solver = per.spd_solver
+        monkeypatch.setattr(per, "spd_solver",
+                            lambda mat: calls.append(1) or solver(mat))
+        model = benchmark_chain(3.0).with_force(lambda t: np.eye(12)[3] * np.sin(2.0 * t))
+        with pytest.warns(RuntimeWarning):
+            traj = per.integrate(model, per.PerConfig(dt=1.4, m_b=2, r_b=12), 70.0)
+        assert traj.info["reason"] == "norm guard"
+        assert len(calls) == 1
+
     def test_t_max_shorter_than_step_rejected(self):
         with pytest.raises(ValueError, match="one time step"):
             per.integrate(sdof_model(), per.PerConfig(dt=0.1), 0.05)
@@ -523,6 +551,48 @@ class TestBlockedForcing:
         states, stop = step_loop(phi, x0, dt, 5 * block, self.scalar_sampler(model),
                                  offsets, weights, 1.0)
         assert 3 * block < stop < 4 * block
+        assert got_stop == len(got) - 1 == stop
+        assert np.array_equal(states, got)
+
+    def test_nan_sample_inside_a_later_block(self):
+        # the load turns NaN in the middle of the third block: the run stops
+        # at the step that samples it, with the step loop's prefix
+        dt = 0.2
+        offsets = (0.0, dt / 3.0, 2.0 * dt / 3.0, dt)
+        block = per._BLOCK_FLOATS // (4 * self.N)
+        t_nan = (2 * block + block // 2) * dt + 0.05
+        rows = np.eye(self.N)
+        model = build_chain(self.N, 1.0, 100.0).with_force(
+            lambda t: rows[7] * (np.nan if t > t_nan else np.cos(t)))
+        rng = np.random.default_rng(11)
+        phi = 0.5 * np.eye(2 * self.N)
+        weights = rng.standard_normal((2 * self.N, 4 * self.N))
+        x0 = rng.standard_normal(2 * self.N)
+        got, got_stop = per.recurrence(phi, x0, dt, 3 * block,
+                                       per._force_sampler(model, spd_solver(model.mass)),
+                                       offsets, weights, 1.0)
+        factor = cho_factor(model.mass)
+        states, stop = step_loop(phi, x0, dt, 3 * block,
+                                 lambda t: cho_solve(factor, model.force_at(t), check_finite=False),
+                                 offsets, weights, 1.0)
+        assert stop == 2 * block + block // 2 + 1
+        assert got_stop == len(got) - 1 == stop
+        assert np.array_equal(states, got, equal_nan=True)
+        assert np.isfinite(got[:-1]).all() and np.isnan(got[-1]).all()
+
+    def test_growing_unforced_map_stops_inside_a_block_silently(self):
+        # 10x a step: the guard stops at step 12 of a block of 32768 steps;
+        # the rest of the block overflows to inf and nan (inf * 0), which
+        # must not reach the caller as a warning
+        phi = 10.0 * np.eye(4) + np.eye(4, k=1)
+        x0 = np.array([1.0, -2.0, 0.5, 3.0])
+        n_steps = 1000
+        assert n_steps < per._BLOCK_FLOATS // len(x0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, got_stop = per.recurrence(phi, x0, 1.0, n_steps, None, (), None, 0.0)
+        states, stop = step_loop(phi, x0, 1.0, n_steps, None, (), None, 0.0)
+        assert 0 < stop < n_steps
         assert got_stop == len(got) - 1 == stop
         assert np.array_equal(states, got)
 
@@ -629,6 +699,16 @@ class TestIntegrateAsymptotic:
         monkeypatch.setattr(per, "spd_solver",
                             lambda mat: calls.append(1) or solver(mat))
         model = benchmark_chain(0.1).with_initial_state(np.eye(12)[0], np.zeros(12))
+        per.integrate_asymptotic(model, per.PerConfig(dt=0.02, m_b=8), 0.1, n_terms=3)
+        assert len(calls) == 1
+
+    def test_forced_run_factorizes_mass_once(self, monkeypatch):
+        # the force samples reuse the series' factorization of M
+        calls = []
+        solver = per.spd_solver
+        monkeypatch.setattr(per, "spd_solver",
+                            lambda mat: calls.append(1) or solver(mat))
+        model = benchmark_chain(0.1).with_force(constant_step_force(12, 3, 0.0, 1.0))
         per.integrate_asymptotic(model, per.PerConfig(dt=0.02, m_b=8), 0.1, n_terms=3)
         assert len(calls) == 1
 
