@@ -10,14 +10,16 @@ Gauss-Legendre quadrature.
 
 Every method is a step map U_{k+1} = Phi U_k + W g(t_k + o_i) stepped
 through ``per.recurrence``, the loop of the perturbation scheme: the
-explicit ones on U = [u; v] with g = M^-1 f, the implicit ones on
-U = [u; v; a] with g = f, their maps built once by applying the step to
-the columns of the identity.
+explicit ones on U = [u; v] with g = M^-1 f, the implicit ones with
+g = f on U = [u; v] (Newmark, the composite scheme) or U = [u; v; a]
+(Wilson, whose a is not in equilibrium), their maps built once by
+applying the step to the columns of the identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from inspect import signature
 from typing import Callable
 
 import numpy as np
@@ -86,35 +88,43 @@ def state_space(model: SystemModel) -> StateSpaceSystem:
 
 
 def _step_map(model, offsets, step):
-    """(Phi, offsets, W) of a one-step method on the state U = (u, v, a).
+    """(Phi, offsets, W) of a one-step method on the state U = (u, v), or
+    (u, v, a) for Wilson.
 
-    ``step(u, v, a, f_1, ..., f_q)`` advances U by one step under the
-    loads f_i = f(t_k + offsets[i]).  It is linear and acts column by
-    column, so one call on the columns of the identity gives Phi (the
-    state columns) and W (the load columns) of
+    ``step(*U_k, f_1, ..., f_q)`` returns the blocks of U_{k+1} under the
+    loads f_i = f(t_k + offsets[i]); the state width is the number of
+    blocks it returns.  It is linear and acts column by column, so one
+    call on the columns of the identity, one block per argument, gives
+    Phi (the state columns) and W (the load columns) of
     U_{k+1} = Phi U_k + W [f(t_k + o_1); ...; f(t_k + o_q)].
     """
-    n = model.n_dof
-    blocks = np.split(np.eye((3 + len(offsets)) * n), 3 + len(offsets))
-    out = np.vstack(step(*blocks))
-    return out[:, :3 * n], offsets, out[:, 3 * n:]
+    n_args = len(signature(step).parameters)
+    out = np.vstack(step(*np.split(np.eye(n_args * model.n_dof), n_args)))
+    return out[:, :len(out)], offsets, out[:, len(out):]
 
 
 def _run_map(model, dt, t_max, build, *params):
     """The map ``build(model, dt, *params)`` stepped through ``recurrence``
-    from [u0, v0, M^-1 (f(0) - C v0 - K u0)].  The guard scale is the
-    2-norm of W, the raw forcing operator, as for the perturbation scheme."""
+    from [u0, v0], extended by the equilibrium acceleration at t = 0 for
+    Wilson's (u, v, a).  The guard scale is the 2-norm of W, the raw forcing
+    operator, as for the perturbation scheme."""
     n_steps = _steps(t_max, dt)
     phi, offsets, weights = build(model, dt, *params)
-    acc0 = spd_solver(model.mass)(model.force_at(0.0) - model.damping @ model.v0
-                                  - model.stiffness @ model.u0)
-    x0 = np.concatenate([model.u0, model.v0, acc0])
+    x0 = np.concatenate([model.u0, model.v0])
+    if len(phi) > len(x0):
+        x0 = np.concatenate([x0, _acceleration(model)(model.u0, model.v0, model.force_at(0.0))])
     if model.force is None:
         run = recurrence(phi, x0, dt, n_steps, None, (), None, 0.0)
     else:
         run = recurrence(phi, x0, dt, n_steps, _load_sampler(model), offsets,
                          weights, np.linalg.norm(weights, 2))
     return _trajectory(*run, dt, model.n_dof)
+
+
+def _acceleration(model):
+    """(u, v, f) -> M^-1 (f - C v - K u), the acceleration in equilibrium."""
+    solve_mass = spd_solver(model.mass)
+    return lambda u, v, f: solve_mass(f - model.damping @ v - model.stiffness @ u)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +139,8 @@ def newmark(model: SystemModel, dt: float, t_max: float,
 
 
 def _newmark_map(model, dt, gamma, beta):
-    """Newmark's step map: load at t + dt."""
+    """Newmark's step map on (u, v): loads at t and t + dt, the first for
+    the acceleration at t."""
     a0 = 1.0 / (beta * dt * dt)
     a1 = gamma / (beta * dt)
     a2 = 1.0 / (beta * dt)
@@ -137,16 +148,18 @@ def _newmark_map(model, dt, gamma, beta):
     a4 = gamma / beta - 1.0
     a5 = dt / 2.0 * (gamma / beta - 2.0)
     factor = cho_factor(model.stiffness + a0 * model.mass + a1 * model.damping)
+    acceleration = _acceleration(model)
 
-    def step(u, v, acc, f_next):
+    def step(u, v, f_now, f_next):
+        acc = acceleration(u, v, f_now)
         rhs = (f_next + model.mass @ (a0 * u + a2 * v + a3 * acc)
                + model.damping @ (a1 * u + a4 * v + a5 * acc))
         u_next = cho_solve(factor, rhs)
         acc_next = a0 * (u_next - u) - a2 * v - a3 * acc
         v_next = v + dt * ((1.0 - gamma) * acc + gamma * acc_next)
-        return u_next, v_next, acc_next
+        return u_next, v_next
 
-    return _step_map(model, (dt,), step)
+    return _step_map(model, (0.0, dt), step)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +175,7 @@ def wilson(model: SystemModel, dt: float, t_max: float,
 
 
 def _wilson_map(model, dt, theta):
-    """Wilson's step map: loads at t and t + dt."""
+    """Wilson's step map on (u, v, a): loads at t and t + dt."""
     td = theta * dt
     k_eff = model.stiffness + 6.0 / td**2 * model.mass + 3.0 / td * model.damping
     factor = cho_factor(k_eff)
@@ -194,8 +207,9 @@ def bathe(model: SystemModel, dt: float, t_max: float,
 
 
 def _bathe_map(model, dt, gamma):
-    """The composite scheme's step map: loads at t + gamma*dt and t + dt.
-    Both effective matrices are factorized once."""
+    """The composite scheme's step map on (u, v): loads at t (for the
+    acceleration at t), t + gamma*dt and t + dt.  Both effective matrices
+    are factorized once."""
     dt1 = gamma * dt
     b0 = 4.0 / (dt1 * dt1)
     b1 = 2.0 / dt1
@@ -204,8 +218,10 @@ def _bathe_map(model, dt, gamma):
     c2 = -1.0 / ((1.0 - gamma) * gamma * dt)
     c3 = (2.0 - gamma) / ((1.0 - gamma) * dt)
     factor2 = cho_factor(model.stiffness + c3 * c3 * model.mass + c3 * model.damping)
+    acceleration = _acceleration(model)
 
-    def step(u, v, acc, f_mid, f_next):
+    def step(u, v, f_now, f_mid, f_next):
+        acc = acceleration(u, v, f_now)
         # sub-step 1: trapezoidal to t + gamma*dt
         rhs = (f_mid + model.mass @ (b0 * u + 4.0 / dt1 * v + acc)
                + model.damping @ (b1 * u + v))
@@ -215,10 +231,9 @@ def _bathe_map(model, dt, gamma):
         rhs = (f_next - model.mass @ (c1 * v + c2 * v_mid + c3 * (c1 * u + c2 * u_mid))
                - model.damping @ (c1 * u + c2 * u_mid))
         u_next = cho_solve(factor2, rhs)
-        v_next = c1 * u + c2 * u_mid + c3 * u_next
-        return u_next, v_next, c1 * v + c2 * v_mid + c3 * v_next
+        return u_next, c1 * u + c2 * u_mid + c3 * u_next
 
-    return _step_map(model, (dt1, dt), step)
+    return _step_map(model, (0.0, dt1, dt), step)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,10 @@ from scipy.linalg import cho_factor, cho_solve
 #: Smallest matrix order whose doubling flushes underflowing entries.  The
 #: flush is an O(N^2) pass: at order 24 it costs 4-12 us, against 7 us for
 #: the whole doubling, and the 12-dof chain and the 48-dof beam never hold a
-#: tiny entry.  From order 128 up, banded models do: on a 64-dof chain the 20
-#: doublings took 28 ms unflushed and 2.5 ms flushed, on the 480-dof
-#: benchmark chain 1.6 s and 0.8 s (one OpenBLAS thread, Xeon 2.1 GHz).
+#: tiny entry.  Banded models do, below this order too: the 20 doublings of
+#: the 48-dof benchmark chain (order 96) took 5.93 ms unflushed and 0.72 ms
+#: flushed, of a 64-dof chain 28 ms and 2.5 ms, of the 480-dof benchmark
+#: chain 1.6 s and 0.8 s (one OpenBLAS thread, Xeon 2.1 GHz).
 _FLUSH_MIN_ORDER = 128
 
 #: Flush threshold relative to the largest entry: the product of two kept

@@ -285,18 +285,12 @@ def build_beam(length: float, bending_stiffness: float, total_mass: float,
              for node, direction, fn in point_loads]
     force = None
     if loads:
-        def force(t, _loads=tuple(loads), _n=n):
-            out = np.zeros(_n)
-            for dof, sign, fn in _loads:
-                out[dof] += sign * fn(t)
-            return out
-
         def rows(times, _loads=tuple(loads), _n=n):
             out = np.zeros((len(times), _n))
             for dof, sign, fn in _loads:
                 out[:, dof] += sign * _force_rows(fn, times)
             return out
-        force._rows = rows
+        force = _from_rows(rows)
 
     return SystemModel(mass, damp, stiff, force=force)
 
@@ -350,9 +344,10 @@ def damping_level(model: SystemModel) -> float:
 # ---------------------------------------------------------------------------
 # Force builders shared by the library, the tests and the CLI config loader.
 #
-# Each built-in load also carries a private array form ``_rows``: an array of
-# times to one value (or row) per time, equal to the scalar calls bit for bit.
-# Every integrator and the RK4 reference sample the load through it.
+# Each built-in load is written once, as its private array form ``_rows``: an
+# array of times to one value (or row) per time.  Every integrator and the RK4
+# reference sample the load through it, and its public scalar call is the
+# same form at one time, so the two agree bit for bit.
 
 def _force_rows(fn: Callable, times: np.ndarray) -> np.ndarray:
     """``fn`` at each time of the 1-D array ``times``, one row (or value) per
@@ -363,30 +358,30 @@ def _force_rows(fn: Callable, times: np.ndarray) -> np.ndarray:
     return rows(times)
 
 
+def _from_rows(rows: Callable[[np.ndarray], np.ndarray]) -> Callable:
+    """The load t -> rows([t])[0] of the array form ``rows``, which it
+    carries as ``_rows``."""
+    def load(t):
+        return rows(np.array([t], dtype=float))[0]
+    load._rows = rows
+    return load
+
+
 def step_function(t_c: float, f0: float) -> Callable[[float], float]:
     """Scalar step: 0 for t < t_c, f0 for t >= t_c."""
-    def step(t):
-        return f0 if t >= t_c else 0.0
-    step._rows = lambda times: np.where(times >= t_c, f0, 0.0)
-    return step
+    return _from_rows(lambda times: np.where(times >= t_c, f0, 0.0))
 
 
 def constant_step_force(n_dof: int, dof: int, t_c: float, f0: float) -> ForceFunction:
     """Step force f0 applied at a single dof from time t_c on."""
     if not 0 <= dof < n_dof:
         raise ValueError(f"force dof {dof} out of range")
-    def force(t):
-        out = np.zeros(n_dof)
-        if t >= t_c:
-            out[dof] = f0
-        return out
 
     def rows(times):
         out = np.zeros((len(times), n_dof))
         out[times >= t_c, dof] = f0
         return out
-    force._rows = rows
-    return force
+    return _from_rows(rows)
 
 
 def gaussian_multiharmonic_force(n_dof: int, dof: int, t0: float, s: float,
@@ -400,19 +395,12 @@ def gaussian_multiharmonic_force(n_dof: int, dof: int, t0: float, s: float,
     if s <= 0.0:
         raise ValueError("Gaussian width s must be positive")
     comps = tuple((float(a), float(w)) for a, w in components)
-    def force(t):
-        out = np.zeros(n_dof)
-        env = np.exp(-(t - t0) ** 2 / (2.0 * s * s))
-        out[dof] = env * sum(a * np.sin(w * t) for a, w in comps)
-        return out
 
     def rows(times):
-        # the scalar form's operations: its ``** 2`` on a float is libm pow,
-        # which numpy's array ``** 2`` (a multiply) is not, but float_power
-        # with an array exponent is
+        # float_power is libm pow per element; the array ``** 2`` is a
+        # multiply, which moves some samples by an ulp and every output with them
         out = np.zeros((len(times), n_dof))
         env = np.exp(-np.float_power(times - t0, np.full(len(times), 2.0)) / (2.0 * s * s))
         out[:, dof] = env * sum(a * np.sin(w * times) for a, w in comps)
         return out
-    force._rows = rows
-    return force
+    return _from_rows(rows)

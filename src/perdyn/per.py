@@ -430,15 +430,8 @@ def integrate(model: SystemModel, config: PerConfig, t_max: float) -> Trajectory
     ``info["reason"]`` ("norm guard" or "rho(beta_b) >= 1"), and a guard
     stop its ``info["diverged_at_step"]``.
     """
-    return _integrate(model, config, t_max, None)
-
-
-def _integrate(model, config, t_max, scheme):
-    """integrate on ``scheme``, the build_scheme result at ``config``, which
-    is built here when None."""
     n_steps = _steps(t_max, config.dt)
-    if scheme is None:
-        scheme = build_scheme(model, config)
+    scheme = build_scheme(model, config)
     x0 = np.concatenate([model.u0, model.v0])
     if model.force is None:
         run = recurrence(scheme.a, x0, config.dt, n_steps, None, (), None, 0.0)
@@ -465,9 +458,9 @@ def _integrate(model, config, t_max, scheme):
 def recurrence(phi, x0, dt, n_steps, sample, offsets, weights, ref_scale):
     """Step U_{k+1} = phi U_k + weights @ [s(t_k + o_1); ...; s(t_k + o_q)].
 
-    The one step loop of all six methods: this scheme, RK4 and MPIM on
-    the state [u; v], Newmark, Wilson and the composite scheme on
-    [u; v; a].  t_k = k*dt, ``sample`` maps an array of times to one
+    The one step loop of all six methods: Wilson on the state [u; v; a],
+    the other five (this scheme, RK4, MPIM, Newmark and the composite
+    scheme) on [u; v].  t_k = k*dt, ``sample`` maps an array of times to one
     forcing row per time (None when unforced), and ``offsets`` are its
     abscissae inside the step.  The run stops at the first state whose
     norm is non-finite (as after a non-finite sample) or exceeds

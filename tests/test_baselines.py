@@ -1,5 +1,7 @@
 """Tests for the reference integrators."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ import perdyn.baselines as baselines
 from perdyn.baselines import (GAUSS_NODES, bathe, expm_2p, mpim,
                               mpim_operators, newmark, rk4, state_space,
                               wilson)
-from perdyn.model import (SystemModel, benchmark_chain, build_chain,
+from perdyn.model import (SystemModel, benchmark_beam, benchmark_chain, build_chain,
                           constant_step_force, gaussian_multiharmonic_force)
 from perdyn.per import PerConfig, integrate
 
@@ -367,14 +369,21 @@ STEP_CHAIN = build_chain(4, 1.0, 100.0, [(0, None, 1.5), (1, 2, 0.8)]).with_forc
     constant_step_force(4, 3, t_c=8 * 0.0625, f0=2.0)).with_initial_state(
     np.array([0.01, 0.0, -0.02, 0.0]), np.array([0.0, 0.1, 0.0, 0.0]))
 
+#: The 48-dof benchmark beam from the nonzero initial state of
+#: tools/cli_identity.py; its tip step load switches on at t = 0.01.
+BEAM = benchmark_beam().with_initial_state(
+    np.array([1e-3 * math.sin(i + 1.0) for i in range(48)]),
+    np.array([3e-2 * math.cos(i + 1.0) for i in range(48)]))
+
 
 @pytest.mark.parametrize("method, oracle", [(newmark, newmark_loop),
                                             (wilson, wilson_loop),
                                             (bathe, bathe_loop)],
                          ids=["newmark", "wilson", "bathe"])
 @pytest.mark.parametrize("model, dt, t_max", [(README_CHAIN, 0.024, 4.0),
-                                              (STEP_CHAIN, 0.0625, 5.0)],
-                         ids=["readme_chain", "step_chain"])
+                                              (STEP_CHAIN, 0.0625, 5.0),
+                                              (BEAM, 2e-5, 0.02)],
+                         ids=["readme_chain", "step_chain", "beam"])
 def test_step_map_matches_step_loop(method, oracle, model, dt, t_max):
     traj = method(model, dt, t_max)
     u_ref, v_ref = oracle(model, dt, traj.n_steps)
@@ -391,13 +400,26 @@ OMEGA_DT = np.logspace(-2, 3, 51)
 
 
 def test_average_acceleration_newmark_conserves_amplitude():
-    # undamped: |lambda| = 1 for the oscillation pair at every omega dt;
-    # the third root is 0 because a_{k+1} follows from equilibrium
+    # undamped: Phi is the 2x2 map of (u, v), and both of its roots have
+    # |lambda| = 1 at every omega dt
     for x in OMEGA_DT:
         phi, _, _ = baselines._newmark_map(unit_oscillator(0.0), x, 0.5, 0.25)
-        mods = np.sort(np.abs(np.linalg.eigvals(phi)))
-        assert np.abs(mods[1:] - 1.0).max() <= 1e-12
-        assert mods[0] <= 1e-12
+        assert phi.shape == (2, 2)
+        assert np.abs(np.abs(np.linalg.eigvals(phi)) - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("build, params, width", [("_newmark_map", (0.5, 0.25), 2),
+                                                  ("_wilson_map", (1.4,), 3),
+                                                  ("_bathe_map", (0.5,), 2)],
+                         ids=["newmark", "wilson", "bathe"])
+def test_implicit_map_state_width(build, params, width):
+    # Newmark and the composite scheme step (u, v), whose acceleration
+    # follows from equilibrium; Wilson's a does not, so it steps (u, v, a)
+    model = benchmark_chain(0.1)
+    phi, offsets, weights = getattr(baselines, build)(model, 0.024, *params)
+    assert phi.shape == (width * 12, width * 12)
+    assert weights.shape == (width * 12, len(offsets) * 12)
+    assert np.linalg.matrix_rank(phi) == width * 12
 
 
 @pytest.mark.parametrize("zeta", [0.0, 0.05])

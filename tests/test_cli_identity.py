@@ -36,7 +36,21 @@ def test_differing_outputs_are_reported(tmp_path):
     case = tmp_path / "change" / "compare-chain"
     (case / "out.csv").write_text("t,u_1\n0,2\n")
     (case / "curve.csv").write_text("")
+    # the largest move of a numeric column relative to its peak in the parent;
+    # text columns and a NaN in both are not moves
+    table = "method,e_disp,e_vel,diverged\nper,{},{},false\nrk4,nan,-4e-3,{}\n"
+    (tmp_path / "parent" / "sweep-damping" / "out.csv").write_text(
+        table.format("1e-3", "2e-3", "false"))
+    (tmp_path / "change" / "sweep-damping" / "out.csv").write_text(
+        table.format("1.0000000000001e-3", "2.1e-3", "true"))
+    # a CSV of another shape is only shown
+    (tmp_path / "change" / "tau-limit" / "out.csv").write_text("t,u_1\n0,1\n1,1\n")
     found = tool.differences(tmp_path / "parent", tmp_path / "change")
-    assert list(found) == ["compare-chain"]
+    assert list(found) == ["compare-chain", "sweep-damping", "tau-limit"]
     assert found["compare-chain"][0] == "  curve.csv: only in the change"
+    assert found["compare-chain"][1].startswith(
+        "  out.csv: largest difference 1 of the peak of column u_1\n")
     assert "-0,1" in found["compare-chain"][1] and "+0,2" in found["compare-chain"][1]
+    assert found["sweep-damping"][0].startswith(
+        "  out.csv: largest difference 0.025 of the peak of column e_vel\n")
+    assert found["tau-limit"][0].startswith("  out.csv:\n")

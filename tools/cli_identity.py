@@ -6,8 +6,11 @@ PARENT_SRC and CHANGE_SRC are directories that hold the ``perdyn`` package,
 such as the ``src`` directories of two checkouts.  The same fixed matrix of
 commands runs against each tree, in a fresh interpreter per tree with one
 BLAS thread, and every CSV, stdout, exit code and stderr that differs
-between the two is printed.  The script exits 0 when all are identical and
-1 otherwise.
+between the two is printed.  For a CSV whose header and row count agree,
+the largest difference of a numeric column relative to the peak of that
+column in the parent is printed too, so that a roundoff move can be read
+against a relative bar such as 1e-12.  The script exits 0 when all are
+identical and 1 otherwise.
 
 The matrix:
 
@@ -139,14 +142,38 @@ def _outputs(case_dir: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(case_dir.iterdir())}
 
 
+def _relative_move(old: str, new: str) -> str:
+    """" largest difference X of the peak of column C" over the numeric
+    columns of two CSVs with one header and row count, else ""."""
+    old_rows, new_rows = ([line.split(",") for line in text.splitlines()]
+                          for text in (old, new))
+    if not old_rows or len(old_rows) != len(new_rows) or old_rows[0] != new_rows[0]:
+        return ""
+    worst = (0.0, None)
+    for j, column in enumerate(old_rows[0]):
+        try:
+            pairs = [(float(a[j]), float(b[j])) for a, b in zip(old_rows[1:], new_rows[1:])]
+        except (ValueError, IndexError):
+            continue
+        diffs = [0.0 if a == b or math.isnan(a) and math.isnan(b) else abs(a - b)
+                 for a, b in pairs]
+        diff = max((math.inf if math.isnan(d) else d for d in diffs), default=0.0)
+        peak = max((abs(a) for a, _ in pairs if math.isfinite(a)), default=0.0)
+        rel = diff / peak if peak else (math.inf if diff else 0.0)
+        worst = max(worst, (rel, column), key=lambda item: item[0])
+    rel, column = worst
+    return f" largest difference {rel:.2g} of the peak of column {column}" if rel else ""
+
+
 def _describe(name, old: bytes | None, new: bytes | None) -> str:
     if old is None or new is None:
         return f"  {name}: only in the {'change' if old is None else 'parent'}"
-    lines = difflib.unified_diff(old.decode(errors="replace").splitlines(),
-                                 new.decode(errors="replace").splitlines(),
+    old, new = old.decode(errors="replace"), new.decode(errors="replace")
+    move = _relative_move(old, new) if name.endswith(".csv") else ""
+    lines = difflib.unified_diff(old.splitlines(), new.splitlines(),
                                  "parent", "change", n=0, lineterm="")
     shown = list(lines)[2:14]
-    return "\n".join([f"  {name}:"] + [f"    {line[:160]}" for line in shown])
+    return "\n".join([f"  {name}:{move}"] + [f"    {line[:160]}" for line in shown])
 
 
 def differences(parent_dir: str, change_dir: str) -> dict:
