@@ -9,14 +9,12 @@ spectral radius of beta_b over a time-step grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 
 import numpy as np
-from scipy.linalg import eigh
 
 from . import per
 from .linalg import spectral_radius
-from .model import SystemModel, modal_analysis
+from .model import SystemModel, _spectral_extremes
 
 #: Modulus of the sigma eigenvalues at tau = 0: 1/(2*sqrt(3)).
 SIGMA_THRESHOLD = 1.0 / (2.0 * np.sqrt(3.0))
@@ -73,15 +71,14 @@ def sigma_matrix(m: int, tau: float, dt: float = 1.0) -> np.ndarray:
 
 
 def _sigma_stack(m: int, taus: list[float], dt: float = 1.0) -> np.ndarray:
-    """sigma_m(tau) for every tau of the list, stacked along the first axis."""
-    out = np.zeros((len(taus), 2, 2))
+    """sigma_m(tau) for every tau of the list, stacked along the first axis:
+    the beta series of per.coeff_beta for the unit oscillator omega = tau/dt,
+    M^-1 C = 1, divided by dt."""
+    omega2 = (np.asarray(taus, dtype=float) / dt) ** 2
+    out = np.zeros((len(omega2), 2, 2))
     for j in range(m // 2 + 1):
-        c = np.array([(-1.0) ** j * tau ** (2 * j) / factorial(2 * j + 4) for tau in taus])
-        out += c[:, None, None] * np.array([
-            [-12.0 * (j + 1), 2.0 * (2 * j + 1) * dt],
-            [-12.0 * (2 * j + 1) * (j + 2) / dt, 8.0 * j * (j + 2)],
-        ])
-    return out
+        out += omega2[:, None, None] ** j * per.coeff_beta(j, dt)
+    return out / dt
 
 
 def sigma_eigenvalues(m: int, tau: float) -> SigmaEigen:
@@ -137,11 +134,9 @@ def _bisect(lo, hi, tol, past):
 def dt_bound(model: SystemModel, m: int) -> DtBound:
     """Combined admissible-step bound from the damping intensity and the
     series truncation order."""
-    modal = modal_analysis(model)
-    w_max = float(modal.frequencies[-1])
+    w_max, rho_c = _spectral_extremes(model)
     if w_max <= 0.0:
         raise ValueError("model has zero stiffness: no maximum frequency")
-    rho_c = float(np.abs(eigh(model.damping, model.mass, eigvals_only=True)).max())
     damping_bound = float("inf") if rho_c == 0.0 else 2.0 * np.sqrt(3.0) / rho_c
     truncation_bound = tau_limit(m) / w_max
     return DtBound(damping_bound=damping_bound, truncation_bound=truncation_bound,
@@ -220,7 +215,8 @@ def sdof_stability_map(zeta: float, m_a: int, r_a: int = 2, p: int = 20,
 
 
 def beta_radius_map(model: SystemModel, dt_values, m_b: int) -> list[tuple[float, float]]:
-    """rho(beta_b(dt)) for each time step in dt_values."""
+    """rho(beta_b(dt)) for each time step in dt_values: the radius a PER run
+    at that step reports, bit for bit, without the run's other operators."""
     per._check_order(m_b)
     _, a_mat, minv_c = per.system_operators(model)
     out = []

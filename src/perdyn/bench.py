@@ -9,8 +9,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import baselines, per
-from .model import SystemModel, modal_analysis
+from . import analysis, baselines, per
+from .model import SystemModel, _spectral_extremes, damping_level, modal_analysis
 
 METHODS = ("per", "newmark", "wilson", "bathe", "rk4", "mpim")
 
@@ -116,7 +116,7 @@ def reference_solution(model: SystemModel, dt: float, t_max: float,
     if refine < 1:
         raise ValueError("refine must be >= 1")
     n_coarse = per._steps(t_max, dt)
-    w_max = modal_analysis(model).frequencies[-1]
+    w_max = _spectral_extremes(model)[0]
     used = refine
     while w_max * dt / used >= RK4_STABLE_PRODUCT:
         used *= 2
@@ -229,22 +229,13 @@ def _at_dt(per_config, dt):
     return replace(per_config, dt=dt) if per_config else per.PerConfig(dt=dt)
 
 
-def _per_rho(model, config):
-    """rho(beta_b), warnings silenced (divergence is sweep data)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return per.compute_b_factors(model, config).rho_beta_b
-
-
 def _sweep(methods, points, t_max, dof, per_config, params, refine):
     """One row per point (model, dt, abscissa, extra) and method, point by
     point, scored against the point's RK4 reference: NaN errors and
     diverged when the run raises DivergenceError, is flagged diverged (as
     a PER run with rho(beta_b) >= 1 is) or stops short of the reference.
-    PER adds rho(beta_b) to the point's ``extra``, from the run or, when
-    its setup raises, from _per_rho.  The one scoring loop of compare and the
-    sweeps; every run goes through run_method with RuntimeWarnings silenced
-    (divergence is sweep data)."""
+    The one scoring loop of compare and the sweeps; every run goes through
+    run_method with RuntimeWarnings silenced (divergence is sweep data)."""
     rows = []
     for model, dt, abscissa, extra in points:
         ref = reference_solution(model, dt, t_max, refine=refine)
@@ -257,9 +248,6 @@ def _sweep(methods, points, t_max, dof, per_config, params, refine):
                 except per.DivergenceError:
                     traj = None
             ok = traj is not None and not traj.diverged and len(traj.times) == len(ref.times)
-            if method == "per":
-                extra["rho_beta_b"] = (_per_rho(model, config) if traj is None
-                                       else traj.info["rho_beta_b"])
             scores = float("nan"), float("nan"), True
             if ok:
                 rep = global_error(traj, ref, dof)
@@ -289,20 +277,19 @@ def sweep_damping(model: SystemModel, zeta_list, dt: float, t_max: float,
                   params: baselines.IntegratorParams | None = None,
                   refine: int = 500) -> list[SweepRow]:
     """Scale the template's damping matrix by each zeta and record the
-    global errors plus rho(beta_b).
+    global errors plus PER's rho(beta_b) at dt, whatever the method.
 
     The template model's damping matrix is the zeta = 1 layout.
     """
-    from .model import damping_level
     config = _at_dt(per_config, dt)
     points = []
     for zeta in zeta_list:
         if zeta < 0.0:
             raise ValueError("zeta must be >= 0")
         scaled = model.with_damping(zeta * model.damping)
-        extra = {"damping_level": damping_level(scaled) if zeta > 0.0 else 0.0}
-        if method != "per":
-            extra["rho_beta_b"] = _per_rho(scaled, config)
+        [(_, rho)] = analysis.beta_radius_map(scaled, [dt], config.m_b)
+        extra = {"damping_level": damping_level(scaled) if zeta > 0.0 else 0.0,
+                 "rho_beta_b": rho}
         points.append((scaled, dt, zeta, extra))
     return _sweep([method], points, t_max, dof, config, params, refine)
 

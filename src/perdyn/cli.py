@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from . import analysis, baselines, bench, per
 from .linalg import DivergenceError
 from .model import (SystemModel, benchmark_beam, benchmark_chain, build_beam,
                     build_chain, constant_step_force,
-                    gaussian_multiharmonic_force)
+                    gaussian_multiharmonic_force, step_function)
 
 CONFIG_VERSION = 1
 EXIT_VALIDATION = 2
@@ -30,6 +30,35 @@ EXIT_DIVERGENCE = 3
 
 class ConfigError(ValueError):
     pass
+
+
+_REQUIRED = object()
+
+
+def _field(spec: dict, key: str, kind, default=_REQUIRED):
+    """spec[key], or ``default`` when absent, converted by ``kind``.  A missing
+    required key, or a value ``kind`` rejects, is a ConfigError naming the key."""
+    value = spec.get(key, default)
+    if value is _REQUIRED:
+        raise ConfigError(f"config is missing the required key {key!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key!r} has the invalid value {value!r}: {exc}") from None
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError("expected an object")
+    return dict(value)
+
+
+def _objects(value) -> list:
+    return [_object(v) for v in value]
+
+
+def _array(value) -> np.ndarray:
+    return np.array(value, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -84,59 +113,47 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError("a config must be a JSON object")
         if doc.get("version", CONFIG_VERSION) != CONFIG_VERSION:
             raise ConfigError(f"unsupported config version {doc.get('version')}")
-        for key in ("model", "dt", "t_max"):
-            if key not in doc:
-                raise ConfigError(f"config is missing the required key {key!r}")
-        dt = float(doc["dt"])
-        t_max = float(doc["t_max"])
+        model_spec = _field(doc, "model", _object)
+        dt, t_max = _field(doc, "dt", float), _field(doc, "t_max", float)
         if dt <= 0.0:
             raise ConfigError("dt must be positive")
-        return cls(model_spec=dict(doc["model"]),
-                   force_spec=dict(doc.get("force", {"kind": "zero"})),
-                   method_spec=dict(doc.get("method", {"name": "per"})),
+        for key in ("u0", "v0"):  # kept as given, read by build_model
+            _field(doc, key, _array, None)
+        return cls(model_spec=model_spec,
+                   force_spec=_field(doc, "force", _object, {"kind": "zero"}),
+                   method_spec=_field(doc, "method", _object, {"name": "per"}),
                    dt=dt, t_max=t_max, out=doc.get("out"),
-                   reference=dict(doc.get("reference", {"refine": 500})),
+                   reference=_field(doc, "reference", _object, {"refine": 500}),
                    u0=doc.get("u0"), v0=doc.get("v0"))
 
     def to_dict(self) -> dict:
-        doc = {
-            "version": CONFIG_VERSION,
-            "model": self.model_spec,
-            "force": self.force_spec,
-            "method": self.method_spec,
-            "dt": self.dt,
-            "t_max": self.t_max,
-            "reference": self.reference,
-        }
-        if self.out is not None:
-            doc["out"] = self.out
-        if self.u0 is not None:
-            doc["u0"] = self.u0
-        if self.v0 is not None:
-            doc["v0"] = self.v0
-        return doc
+        doc = {"version": CONFIG_VERSION, "model": self.model_spec,
+               "force": self.force_spec, "method": self.method_spec, "dt": self.dt,
+               "t_max": self.t_max, "reference": self.reference, "out": self.out,
+               "u0": self.u0, "v0": self.v0}
+        return {key: val for key, val in doc.items() if val is not None}
 
     def build_model(self) -> SystemModel:
+        """The model; a force spec of kind "zero" keeps the model's own loads
+        (a beam's point loads), and an omitted u0 or v0 is zero."""
         model = _build_bare_model(self.model_spec)
-        n = model.n_dof
-        force = _build_force(self.force_spec, n)
-        if force is not None:
-            model = model.with_force(force)
-        if self.u0 is not None or self.v0 is not None:
-            u0 = np.array(self.u0, dtype=float) if self.u0 is not None else np.zeros(n)
-            v0 = np.array(self.v0, dtype=float) if self.v0 is not None else np.zeros(n)
-            model = model.with_initial_state(u0, v0)
-        return model
+        force = _build_force(self.force_spec, model.n_dof) or model.force
+        return replace(model, force=force, u0=self.u0, v0=self.v0)
 
     def method_name(self) -> str:
         return self.method_spec.get("name", "per")
 
+    def refine(self) -> int:
+        return _field(self.reference, "refine", int, 500)
+
     def per_config(self) -> per.PerConfig:
         """PerConfig from the method keys; omitted keys keep its defaults."""
         ms = self.method_spec
-        return per.PerConfig(dt=self.dt, **{name: int(ms[key])
+        return per.PerConfig(dt=self.dt, **{name: _field(ms, key, int)
                                             for key, name in _PER_KEYS.items()
                                             if key in ms})
 
@@ -144,50 +161,46 @@ class RunConfig:
         ms = self.method_spec
         return baselines.IntegratorParams(
             method=self.method_name(),
-            newmark_gamma=float(ms.get("gamma", 0.5)),
-            newmark_beta=float(ms.get("beta", 0.25)),
-            wilson_theta=float(ms.get("theta", 1.4)),
-            bathe_gamma=float(ms.get("gamma", 0.5)),
-            mpim_g=int(ms.get("g", 4)),
-            mpim_p=int(ms.get("p", 20)))
+            newmark_gamma=_field(ms, "gamma", float, 0.5),
+            newmark_beta=_field(ms, "beta", float, 0.25),
+            wilson_theta=_field(ms, "theta", float, 1.4),
+            bathe_gamma=_field(ms, "gamma", float, 0.5),
+            mpim_g=_field(ms, "g", int, 4),
+            mpim_p=_field(ms, "p", int, 20))
 
 
 def _build_bare_model(spec: dict) -> SystemModel:
     kind = spec.get("kind")
     if kind == "chain":
         if "zeta" in spec:
-            return benchmark_chain(float(spec["zeta"]),
-                                   n_dof=int(spec.get("n_dof", 12)),
-                                   mass_coeff=float(spec.get("mass", 1.0)),
-                                   stiffness_coeff=float(spec.get("stiffness", 100.0)))
-        dampers = [(int(d["i"]), None if d.get("j") is None else int(d["j"]),
-                    float(d["c"])) for d in spec.get("dampers", [])]
-        return build_chain(int(spec["n_dof"]), float(spec.get("mass", 1.0)),
-                           float(spec.get("stiffness", 100.0)), dampers)
+            return benchmark_chain(_field(spec, "zeta", float),
+                                   n_dof=_field(spec, "n_dof", int, 12),
+                                   mass_coeff=_field(spec, "mass", float, 1.0),
+                                   stiffness_coeff=_field(spec, "stiffness", float, 100.0))
+        dampers = [(_field(d, "i", int), None if d.get("j") is None else _field(d, "j", int),
+                    _field(d, "c", float)) for d in _field(spec, "dampers", _objects, [])]
+        return build_chain(_field(spec, "n_dof", int), _field(spec, "mass", float, 1.0),
+                           _field(spec, "stiffness", float, 100.0), dampers)
     if kind == "beam":
         if "supports" in spec:
-            supports = [(int(s["node"]), float(s.get("spring", 0.0)),
-                         float(s.get("damper", 0.0))) for s in spec["supports"]]
-            loads = []
-            for ld in spec.get("point_loads", []):
-                t_c = float(ld.get("t_c", 0.0))
-                f0 = float(ld.get("f0", 0.0))
-                from .model import step_function
-                loads.append((int(ld["node"]), float(ld.get("direction", 1.0)),
-                              step_function(t_c, f0)))
-            return build_beam(float(spec["length"]), float(spec["ei"]),
-                              float(spec["total_mass"]), int(spec["n_elements"]),
+            supports = [(_field(s, "node", int), _field(s, "spring", float, 0.0),
+                         _field(s, "damper", float, 0.0))
+                        for s in _field(spec, "supports", _objects)]
+            loads = [(_field(ld, "node", int), _field(ld, "direction", float, 1.0),
+                      step_function(_field(ld, "t_c", float, 0.0), _field(ld, "f0", float, 0.0)))
+                     for ld in _field(spec, "point_loads", _objects, [])]
+            return build_beam(_field(spec, "length", float), _field(spec, "ei", float),
+                              _field(spec, "total_mass", float), _field(spec, "n_elements", int),
                               supports=supports, point_loads=loads)
-        return benchmark_beam(zeta_a=float(spec.get("zeta_a", 0.5)),
-                              zeta_b=float(spec.get("zeta_b", 0.5)),
-                              n_elements=int(spec.get("n_elements", 24)),
-                              length=float(spec.get("length", 3.0)),
-                              bending_stiffness=float(spec.get("ei", 437.5e3)),
-                              total_mass=float(spec.get("total_mass", 235.5)))
+        return benchmark_beam(zeta_a=_field(spec, "zeta_a", float, 0.5),
+                              zeta_b=_field(spec, "zeta_b", float, 0.5),
+                              n_elements=_field(spec, "n_elements", int, 24),
+                              length=_field(spec, "length", float, 3.0),
+                              bending_stiffness=_field(spec, "ei", float, 437.5e3),
+                              total_mass=_field(spec, "total_mass", float, 235.5))
     if kind == "matrices":
-        return SystemModel(np.array(spec["mass"], dtype=float),
-                           np.array(spec["damping"], dtype=float),
-                           np.array(spec["stiffness"], dtype=float))
+        return SystemModel(*(_field(spec, key, _array)
+                             for key in ("mass", "damping", "stiffness")))
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
@@ -196,12 +209,13 @@ def _build_force(spec: dict, n_dof: int):
     if kind == "zero":
         return None
     if kind == "constant-step":
-        return constant_step_force(n_dof, int(spec["dof"]),
-                                   float(spec.get("t_c", 0.0)), float(spec["f0"]))
+        return constant_step_force(n_dof, _field(spec, "dof", int),
+                                   _field(spec, "t_c", float, 0.0), _field(spec, "f0", float))
     if kind == "gaussian-multiharmonic":
-        comps = [(float(c["a"]), float(c["omega"])) for c in spec["components"]]
-        return gaussian_multiharmonic_force(n_dof, int(spec["dof"]),
-                                            float(spec["t0"]), float(spec["s"]),
+        comps = [(_field(c, "a", float), _field(c, "omega", float))
+                 for c in _field(spec, "components", _objects)]
+        return gaussian_multiharmonic_force(n_dof, _field(spec, "dof", int),
+                                            _field(spec, "t0", float), _field(spec, "s", float),
                                             comps)
     raise ConfigError(f"unknown force kind {kind!r}")
 
@@ -223,7 +237,7 @@ def dump_config(config: RunConfig, path: str) -> None:
 def _summary(model, config: RunConfig, traj) -> dict:
     pc = config.per_config()
     rho = (traj.info["rho_beta_b"] if config.method_name() == "per"
-           else per.compute_b_factors(model, pc).rho_beta_b)
+           else analysis.beta_radius_map(model, [config.dt], pc.m_b)[0][1])
     bound = traj.info.get("dt_max_bound")  # a diverged PER run carries it
     if bound is None:
         bound = analysis._dt_max(model, pc.m_b)
@@ -290,7 +304,7 @@ def cmd_sweep_dt(args) -> int:
     rows = bench.sweep_dt(model, config.method_name(), dts, config.t_max,
                           args.dof, per_config=config.per_config(),
                           params=config.integrator_params(),
-                          refine=int(config.reference.get("refine", 500)))
+                          refine=config.refine())
     write_csv(args.out, ["dt", "dt_over_T", "e_disp", "e_vel", "diverged"],
               [[r.dt, r.abscissa, r.e_disp, r.e_vel, r.diverged] for r in rows])
     return 0
@@ -303,7 +317,7 @@ def cmd_sweep_damping(args) -> int:
                                method=config.method_name(),
                                per_config=config.per_config(),
                                params=config.integrator_params(),
-                               refine=int(config.reference.get("refine", 500)))
+                               refine=config.refine())
     write_csv(args.out,
               ["zeta", "damping_level", "e_disp", "e_vel", "rho_beta_b", "diverged"],
               [[r.abscissa, r.extra["damping_level"], r.e_disp, r.e_vel,
@@ -338,7 +352,7 @@ def cmd_compare(args) -> int:
                else list(bench.METHODS))
     rows = bench._sweep(methods, [(model, config.dt, config.dt, {})], config.t_max,
                         args.dof, config.per_config(), config.integrator_params(),
-                        int(config.reference.get("refine", 500)))
+                        config.refine())
     write_csv(args.out, ["method", "e_disp", "e_vel", "diverged"],
               [[m, r.e_disp, r.e_vel, r.diverged] for m, r in zip(methods, rows)])
     return 0

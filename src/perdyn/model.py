@@ -8,7 +8,7 @@ scalar damping-level metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -71,13 +71,10 @@ class SystemModel:
         v0 = np.zeros(n) if self.v0 is None else np.array(self.v0, dtype=float)
         if u0.shape != (n,) or v0.shape != (n,):
             raise ValueError("initial state dimensions disagree with the matrices")
-        for arr in (mass, damping, stiffness, u0, v0):
+        for name, arr in (("mass", mass), ("damping", damping), ("stiffness", stiffness),
+                          ("u0", u0), ("v0", v0)):
             arr.setflags(write=False)
-        object.__setattr__(self, "mass", mass)
-        object.__setattr__(self, "damping", damping)
-        object.__setattr__(self, "stiffness", stiffness)
-        object.__setattr__(self, "u0", u0)
-        object.__setattr__(self, "v0", v0)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_dof(self) -> int:
@@ -90,16 +87,13 @@ class SystemModel:
 
     def with_damping(self, damping) -> "SystemModel":
         """Same system with the damping matrix replaced."""
-        return SystemModel(self.mass, damping, self.stiffness,
-                           force=self.force, u0=self.u0, v0=self.v0)
+        return replace(self, damping=damping)
 
     def with_initial_state(self, u0, v0) -> "SystemModel":
-        return SystemModel(self.mass, self.damping, self.stiffness,
-                           force=self.force, u0=u0, v0=v0)
+        return replace(self, u0=u0, v0=v0)
 
     def with_force(self, force: ForceFunction | None) -> "SystemModel":
-        return SystemModel(self.mass, self.damping, self.stiffness,
-                           force=force, u0=self.u0, v0=self.v0)
+        return replace(self, force=force)
 
 
 @dataclass(frozen=True)
@@ -331,14 +325,22 @@ def modal_analysis(model: SystemModel) -> ModalData:
                      modal_damping=modal_damping)
 
 
+def _spectral_extremes(model: SystemModel) -> tuple[float, float]:
+    """(omega_max, rho(M^-1 C)) from two eigenvalue-only solves of the
+    pencils (K, M) and (C, M).  Never raises: omega_max is 0 for a model
+    without stiffness, and each caller decides what that means."""
+    stiff_vals = eigh(model.stiffness, model.mass, eigvals_only=True)
+    damp_vals = eigh(model.damping, model.mass, eigvals_only=True)
+    return (float(np.sqrt(max(stiff_vals.max(), 0.0))),
+            float(np.abs(damp_vals).max()))
+
+
 def damping_level(model: SystemModel) -> float:
     """Dimensionless damping measure rho(M^-1 C) / rho(sqrt(M^-1 K))."""
-    stiff_vals = eigh(model.stiffness, model.mass, eigvals_only=True)
-    w_max = np.sqrt(max(stiff_vals.max(), 0.0))
+    w_max, rho_c = _spectral_extremes(model)
     if w_max == 0.0:
         raise ValueError("stiffness matrix is identically zero")
-    damp_vals = eigh(model.damping, model.mass, eigvals_only=True)
-    return float(np.abs(damp_vals).max() / w_max)
+    return rho_c / w_max
 
 
 # ---------------------------------------------------------------------------

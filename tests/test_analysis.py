@@ -3,14 +3,20 @@ single-dof stability map."""
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from oracles import sdof_model, tau_limit_scalar_scan
 
+import perdyn.analysis
+import perdyn.bench
+import perdyn.model
 import perdyn.per as per
 from perdyn.analysis import (SIGMA_THRESHOLD, beta_radius_map, dt_bound,
                              sdof_stability_map, sigma_eigenvalues,
                              sigma_matrix, tau_limit)
-from perdyn.model import SystemModel, benchmark_beam, benchmark_chain, build_chain
+from perdyn.bench import reference_solution
+from perdyn.model import (SystemModel, benchmark_beam, benchmark_chain, build_chain,
+                          damping_level, modal_analysis)
 
 
 def mu_closed_form_m2(tau):
@@ -114,6 +120,50 @@ class TestDtBound:
         model = SystemModel(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)))
         with pytest.raises(ValueError, match="stiffness"):
             dt_bound(model, 2)
+
+    @pytest.mark.parametrize("model", [
+        build_chain(12, 1.0, 100.0, [(0, None, 2.0), (1, 2, 2.0)]),
+        benchmark_beam(),
+        benchmark_chain(0.1, 96),
+    ], ids=["readme-chain", "beam", "chain-96"])
+    def test_within_four_ulp_of_the_modal_formula(self, model):
+        # omega_max from an eigenvalue-only solve, against the largest
+        # frequency of the full modal analysis
+        w_max = modal_analysis(model).frequencies[-1]
+        rho_c = np.abs(eigh(model.damping, model.mass, eigvals_only=True)).max()
+        want = min(2.0 * np.sqrt(3.0) / rho_c, tau_limit(8) / w_max)
+        assert abs(dt_bound(model, 8).dt_max - want) <= 4.0 * np.spacing(want)
+
+
+class TestSpectralExtremes:
+    """omega_max and rho(M^-1 C) of dt_bound, damping_level and the RK4
+    reference come from eigenvalue-only solves, never a modal analysis."""
+
+    @pytest.mark.parametrize("caller", [
+        lambda model: dt_bound(model, 8),
+        damping_level,
+        lambda model: reference_solution(model, 0.024, 0.24),
+    ], ids=["dt_bound", "damping_level", "reference_solution"])
+    def test_no_modal_analysis(self, caller, monkeypatch):
+        calls = []
+
+        def counting(model):
+            calls.append(1)
+            return modal_analysis(model)
+
+        for module in (perdyn.model, perdyn.analysis, perdyn.bench):
+            monkeypatch.setattr(module, "modal_analysis", counting, raising=False)
+        caller(benchmark_chain(0.1))
+        assert calls == []
+
+    def test_reference_runs_without_stiffness(self):
+        # omega_max is 0: the reference keeps its refine and never raises
+        model = SystemModel(np.eye(2), 0.3 * np.eye(2), np.zeros((2, 2)),
+                            u0=[1.0, 0.0], v0=[0.0, 1.0])
+        ref = reference_solution(model, 0.1, 1.0, refine=20)
+        assert ref.info["refine"] == 20
+        np.testing.assert_allclose(ref.velocities[-1], np.exp(-0.3) * np.array([0.0, 1.0]),
+                                   rtol=1e-10)
 
 
 class TestStabilityMap:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -135,7 +136,7 @@ class TestSimulate:
     def test_diverged_per_summary_reuses_the_bound(self, tmp_path, capsys,
                                                    monkeypatch):
         # the diverged PER run carries dt_max_bound; the summary prints it
-        # without a second dt_bound (modal analysis and tau_limit scan)
+        # without a second dt_bound (eigenvalue solves and tau_limit scan)
         from perdyn import analysis
         calls = []
         dt_bound = analysis.dt_bound
@@ -186,6 +187,51 @@ class TestSimulate:
         assert code == EXIT_DIVERGENCE
         assert "diverged: True" in capsys.readouterr().out
         assert len(read_csv(out)[1]) == round(doc["t_max"] / doc["dt"]) + 1
+
+    def test_other_method_reports_the_radius_without_warning(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # the README chain with dampers c = 120: PER's rho(beta_b) = 1.66 is
+        # printed for a Newmark run, which has no damping series to warn about
+        calls = []
+        monkeypatch.setattr(per, "compute_b_factors", lambda *args: calls.append(args))
+        cfg = tmp_path / "c120.json"
+        write_config(cfg, {
+            "version": 1,
+            "model": {"kind": "chain", "n_dof": 12, "mass": 1.0, "stiffness": 100.0,
+                      "dampers": [{"i": 0, "j": None, "c": 120.0},
+                                  {"i": 1, "j": 2, "c": 120.0}]},
+            "force": {"kind": "gaussian-multiharmonic", "dof": 2, "t0": 10.0,
+                      "s": 2.5, "components": [{"a": 1.0, "omega": 3.0},
+                                               {"a": 0.5, "omega": 7.1}]},
+            "method": {"name": "newmark", "mb": 8, "rb": 4},
+            "dt": 0.024, "t_max": 0.48,
+        })
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["simulate", "--config", str(cfg),
+                         "--out", str(tmp_path / "c120.csv")])
+        assert code == 0
+        assert "rho_beta_b: 1.6555916168953426\n" in capsys.readouterr().out
+        assert calls == []
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"model": {"kind": "chain"}}, "n_dof"),
+        ({"model": {"kind": "chain", "n_dof": 3},
+          "force": {"kind": "constant-step", "dof": 1}}, "f0"),
+        ({"model": 5}, "model"),
+        ({"model": {"kind": "beam", "length": 3.0, "ei": 437.5e3, "total_mass": 235.5,
+                    "n_elements": 6, "supports": [{"spring": 1e3}]}}, "node"),
+        ({"model": {"kind": "chain", "n_dof": 2}, "u0": {"a": 1.0}}, "u0"),
+    ], ids=["chain-without-size", "step-without-f0", "model-not-object",
+            "support-without-node", "state-not-numbers"])
+    def test_malformed_config_is_a_validation_error(self, doc, key, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        write_config(cfg, {"version": 1, **doc, "dt": 0.01, "t_max": 0.1})
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err.startswith("error: ") and repr(key) in err
+        assert "Traceback" not in err
 
     def test_non_finite_load_exit_codes(self, tmp_path, capsys):
         # rk4 ends a NaN load as a diverged run; PER names the sample

@@ -19,6 +19,10 @@ The matrix:
 - ``simulate`` of the perturbation scheme on two runs with
   rho(beta_b) >= 1: the README chain with dampers c = 120, and the
   unforced ``{"kind": "chain", "zeta": 3.0}`` at dt 1.4, m_b 2, r_b 12;
+- ``simulate`` of Newmark on the c = 120 chain, whose summary still
+  reports the perturbation scheme's rho(beta_b) >= 1;
+- ``simulate`` of a malformed config, a ``{"kind": "chain"}`` model
+  with neither ``n_dof`` nor ``zeta``;
 - ``compare`` on the README chain and on its c = 120 variant, and
   ``sweep-dt`` (the perturbation scheme and Newmark) and ``sweep-damping``
   on the README chain, all at t_max 4;
@@ -74,6 +78,9 @@ CONFIGS = {
     "zeta3.json": {"version": 1, "model": {"kind": "chain", "zeta": 3.0},
                    "method": {"name": "per", "mb": 2, "rb": 12}, "dt": 1.4,
                    "t_max": 14.0, "u0": [0.01] + [0.0] * 11},
+    # a chain without n_dof or zeta: a validation error
+    "missing-key.json": {"version": 1, "model": {"kind": "chain"}, "dt": 0.024,
+                         "t_max": 0.48},
 }
 
 SHORT = ["--t-max", "4"]
@@ -86,6 +93,9 @@ CASES = {
                               "--out", "out.csv"] for m in METHODS},
     "simulate-c120-per": ["simulate", "--config", "c120.json", "--out", "out.csv"],
     "simulate-zeta3-per": ["simulate", "--config", "zeta3.json", "--out", "out.csv"],
+    "simulate-c120-newmark": ["simulate", "--config", "c120.json", "--method", "newmark",
+                              "--out", "out.csv"],
+    "simulate-missing-key": ["simulate", "--config", "missing-key.json", "--out", "out.csv"],
     "compare-chain": ["compare", "--config", "chain.json", *SHORT, "--out", "out.csv"],
     "compare-c120": ["compare", "--config", "c120.json", *SHORT, "--out", "out.csv"],
     "sweep-dt-per": ["sweep-dt", "--config", "chain.json", *SHORT,
