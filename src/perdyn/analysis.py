@@ -18,7 +18,12 @@ from .model import SystemModel, _spectral_extremes
 
 #: Modulus of the sigma eigenvalues at tau = 0: 1/(2*sqrt(3)).
 SIGMA_THRESHOLD = 1.0 / (2.0 * np.sqrt(3.0))
-_SCAN_CHUNK = 128  # scan points of tau_limit per batched eigensolve
+#: The scan of tau_limit: its grid step, its end, the points per batched
+#: eigensolve, and the width to which the crossing is bisected.
+_SCAN_STEP = 0.01
+_TAU_MAX = 100.0
+_SCAN_CHUNK = 128
+_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -90,32 +95,33 @@ def sigma_eigenvalues(m: int, tau: float) -> SigmaEigen:
                       modulus_max=float(np.abs(mu).max()))
 
 
-def tau_limit(m: int, scan_step: float = 0.01, tau_max: float = 100.0,
-              tol: float = 1e-8) -> float:
+def tau_limit(m: int) -> float:
     """Smallest tau > 0 where the spectral radius of sigma_m(tau) climbs
     back to its tau = 0 value 1/(2*sqrt(3)).
 
     The curve starts exactly at the threshold, dips below it, and the
     first upward crossing bounds the admissible nondimensional step
     omega*dt.  Found by a bracketing scan followed by bisection; returns
-    inf when no crossing exists below tau_max.  m = 0 is rejected: the
+    inf when no crossing exists below _TAU_MAX.  m = 0 is rejected: the
     m = 0 eigenvalue moduli are constant so no crossing is defined.
     """
     per._check_order(m)
     if m == 0:
         raise ValueError("tau limit is undefined for m = 0 (constant spectral radius)")
+
+    def radii(taus):
+        return np.abs(np.linalg.eigvals(_sigma_stack(m, taus))).max(axis=1)
+
     prev_tau, prev_f = 0.0, 0.0
-    tau = scan_step
-    while tau <= tau_max:
+    tau = _SCAN_STEP
+    while tau <= _TAU_MAX:
         taus = []  # the scan grid, one chunk per batched eigensolve
-        while tau <= tau_max and len(taus) < _SCAN_CHUNK:
+        while tau <= _TAU_MAX and len(taus) < _SCAN_CHUNK:
             taus.append(tau)
-            tau += scan_step
-        excess = np.abs(np.linalg.eigvals(_sigma_stack(m, taus))).max(axis=1) - SIGMA_THRESHOLD
-        for t, f in zip(taus, excess.tolist()):
+            tau += _SCAN_STEP
+        for t, f in zip(taus, (radii(taus) - SIGMA_THRESHOLD).tolist()):
             if f > 0.0 and prev_f <= 0.0:
-                return _bisect(prev_tau, t, tol,
-                               lambda x: sigma_eigenvalues(m, x).modulus_max > SIGMA_THRESHOLD)
+                return _bisect(prev_tau, t, _TOL, lambda x: radii([x])[0] > SIGMA_THRESHOLD)
             prev_tau, prev_f = t, f
     return float("inf")
 
@@ -223,6 +229,6 @@ def beta_radius_map(model: SystemModel, dt_values, m_b: int) -> list[tuple[float
     for dt in dt_values:
         if dt <= 0.0:
             raise ValueError("time steps must be positive")
-        beta = per._damping_series(a_mat, minv_c, dt, m_b, per.coeff_beta)
+        beta, = per._series(a_mat, minv_c, dt, m_b, per.coeff_beta)
         out.append((float(dt), spectral_radius(beta)))
     return out

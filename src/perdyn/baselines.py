@@ -29,7 +29,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .linalg import double_increment, spd_solver
 from .model import SystemModel
 from .per import (Trajectory, _force_sampler, _load_sampler, _steps,
-                  _trajectory, recurrence)
+                  _trajectory, recurrence, system_operators)
 
 
 @dataclass(frozen=True)
@@ -62,12 +62,8 @@ def _companion(model):
     """(W, solve_mass): W = [[0, I], [-M^-1 K, -M^-1 C]] and the M^-1 of
     the one factorization of M that built it."""
     n = model.n_dof
-    solve_mass = spd_solver(model.mass)
-    w = np.block([
-        [np.zeros((n, n)), np.eye(n)],
-        [-solve_mass(model.stiffness), -solve_mass(model.damping)],
-    ])
-    return w, solve_mass
+    solve_mass, a_mat, minv_c = system_operators(model)
+    return np.block([[np.zeros((n, n)), np.eye(n)], [-a_mat, -minv_c]]), solve_mass
 
 
 def state_space(model: SystemModel) -> StateSpaceSystem:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import analysis, baselines, per
-from .model import SystemModel, _spectral_extremes, damping_level, modal_analysis
+from .model import SystemModel, _spectral_extremes, damping_level
 
 METHODS = ("per", "newmark", "wilson", "bathe", "rk4", "mpim")
 
@@ -266,9 +266,11 @@ def sweep_dt(model: SystemModel, method: str, dt_list, t_max: float, dof: int,
     where rho(beta_b) >= 1 so the underlying series does not converge,
     are recorded with the diverged flag instead of numbers.
     """
-    t_min = modal_analysis(model).min_period
-    return _sweep([method], [(model, dt, dt / t_min, {}) for dt in dt_list], t_max, dof,
-                  per_config, params, refine)
+    w_max = _spectral_extremes(model)[0]
+    if w_max <= 0.0:
+        raise ValueError("model has no positive natural frequency")
+    return _sweep([method], [(model, dt, dt * w_max / (2.0 * np.pi), {}) for dt in dt_list],
+                  t_max, dof, per_config, params, refine)
 
 
 def sweep_damping(model: SystemModel, zeta_list, dt: float, t_max: float,

@@ -57,6 +57,12 @@ def _objects(value) -> list:
     return [_object(v) for v in value]
 
 
+def _path(value) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise TypeError("expected a string")
+    return value
+
+
 def _array(value) -> np.ndarray:
     return np.array(value, dtype=float)
 
@@ -126,7 +132,7 @@ class RunConfig:
         return cls(model_spec=model_spec,
                    force_spec=_field(doc, "force", _object, {"kind": "zero"}),
                    method_spec=_field(doc, "method", _object, {"name": "per"}),
-                   dt=dt, t_max=t_max, out=doc.get("out"),
+                   dt=dt, t_max=t_max, out=_field(doc, "out", _path, None),
                    reference=_field(doc, "reference", _object, {"refine": 500}),
                    u0=doc.get("u0"), v0=doc.get("v0"))
 

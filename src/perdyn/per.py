@@ -201,14 +201,6 @@ def coeff_beta(j: int, dt: float) -> np.ndarray:
     ])
 
 
-_COEFF_FUNCTIONS = {
-    "T": coeff_t,
-    "L": coeff_l,
-    "alpha": coeff_alpha,
-    "beta": coeff_beta,
-}
-
-
 def _check_order(m: int):
     if m < 0 or m % 2 != 0:
         raise ValueError(f"truncation order must be a nonnegative even integer, got {m}")
@@ -227,39 +219,32 @@ def system_operators(model: SystemModel):
     return solve_mass, a_mat, minv_c
 
 
-def _block_sum(coeffs, powers, n):
-    """sum_j coeffs[j] (x) powers[j] assembled blockwise."""
-    rows, cols = coeffs[0].shape
-    out = np.zeros((rows * n, cols * n))
-    for c2, pw in zip(coeffs, powers):
-        for r in range(rows):
-            for c in range(cols):
-                if c2[r, c] != 0.0:
-                    out[r * n:(r + 1) * n, c * n:(c + 1) * n] += c2[r, c] * pw
-    return out
-
-
 def assemble_series(model: SystemModel, dt: float, m: int, which: str) -> np.ndarray:
     """Truncated series sum_{j=0}^{m/2} coeff_j(dt) (x) A^j (for T, L) or
     coeff_j(dt) (x) (A^j M^-1 C) (for alpha, beta)."""
-    if which not in _COEFF_FUNCTIONS:
+    coeff = {"T": coeff_t, "L": coeff_l, "alpha": coeff_alpha, "beta": coeff_beta}.get(which)
+    if coeff is None:
         raise ValueError(f"unknown series {which!r}; expected T, L, alpha or beta")
     _check_order(m)
     _, a_mat, minv_c = system_operators(model)
-    return _series(a_mat, minv_c, dt, m, which)
+    return _series(a_mat, minv_c if which in ("alpha", "beta") else None, dt, m, coeff)[0]
 
 
-def _series(a_mat, minv_c, dt, m, which):
-    """assemble_series on the operators A = M^-1 K and minv_c = M^-1 C."""
-    coeff = _COEFF_FUNCTIONS[which]
-    if which in ("alpha", "beta"):
-        return _damping_series(a_mat, minv_c, dt, m, coeff)
+def _series(a_mat, start, dt, m, *coeffs):
+    """[sum_{j=0}^{m/2} c(j, dt) (x) A^j F for c in coeffs], every family
+    summed off one chain of powers A^j F with F = ``start`` (the identity
+    when None), one power held at a time."""
     n = a_mat.shape[0]
-    j_max = m // 2
-    powers = [np.eye(n)]
-    for _ in range(j_max):
-        powers.append(powers[-1] @ a_mat)
-    return _block_sum([coeff(j, dt) for j in range(j_max + 1)], powers, n)
+    outs = [np.zeros((rows * n, cols * n)) for rows, cols in (c(0, dt).shape for c in coeffs)]
+    power = np.eye(n) if start is None else start
+    for j in range(m // 2 + 1):
+        if j:
+            power = a_mat @ power
+        for out, coeff in zip(outs, coeffs):
+            for (r, c), cj in np.ndenumerate(coeff(j, dt)):
+                if cj != 0.0:
+                    out[r * n:(r + 1) * n, c * n:(c + 1) * n] += cj * power
+    return outs
 
 
 def undamped_step_increment(a_mat: np.ndarray, dt: float, m: int) -> np.ndarray:
@@ -283,28 +268,18 @@ def undamped_step_increment(a_mat: np.ndarray, dt: float, m: int) -> np.ndarray:
     return np.block([[delta_g, h_mat], [-a_mat @ h_mat, delta_g]])
 
 
-def _damping_series(a_mat, minv_c, dt, m, coeff):
-    n = a_mat.shape[0]
-    j_max = m // 2
-    powers = [minv_c.copy()]
-    for _ in range(j_max):
-        powers.append(a_mat @ powers[-1])
-    return _block_sum([coeff(j, dt) for j in range(j_max + 1)], powers, n)
-
-
 def compute_a(model: SystemModel, config: PerConfig) -> np.ndarray:
     """Transition matrix a(dt) by the 2^p doubling algorithm.
 
     The increment da(dt0) is assembled from the truncated series at the
     reduced step and doubled p times: da <- 2 da + da*da.
     """
-    a_mat, minv_c = system_operators(model)[1:]
-    delta_a, _ = _doubled_increment(a_mat, minv_c, config)
-    return np.eye(2 * model.n_dof) + delta_a
+    return _doubled_increment(*system_operators(model)[1:], config)[0]
 
 
 def _doubled_increment(a_mat, minv_c, config):
-    """da(dt) after the p doublings, plus rho(beta_a) as diagnostic."""
+    """a(dt) = I + da(dt), da doubled p times from the reduced step, plus
+    rho(beta_a) as diagnostic."""
     delta_a, rho_beta_a = _increment_at_reduced_step(a_mat, minv_c, config.dt0,
                                                      config.m_a, config.r_a)
     delta_a = double_increment(delta_a, config.p)
@@ -312,18 +287,16 @@ def _doubled_increment(a_mat, minv_c, config):
         raise DivergenceError(
             "non-finite entries while doubling the transition increment "
             f"(rho(beta_a) = {rho_beta_a:.3e})")
-    return delta_a, rho_beta_a
+    return np.eye(len(delta_a)) + delta_a, rho_beta_a
 
 
 def _increment_at_reduced_step(a_mat, minv_c, dt0, m_a, r_a):
     """da(dt0) and rho(beta_a) for the doubling start, at the series order
     m_a and the Neumann order r_a (m_a = 0 is allowed here)."""
-    n = a_mat.shape[0]
     delta_t = undamped_step_increment(a_mat, dt0, m_a)
-    alpha_a = _damping_series(a_mat, minv_c, dt0, m_a, coeff_alpha)
-    beta_a = _damping_series(a_mat, minv_c, dt0, m_a, coeff_beta)
+    alpha_a, beta_a = _series(a_mat, minv_c, dt0, m_a, coeff_alpha, coeff_beta)
     rho_beta_a = spectral_radius(beta_a)
-    delta_beta = neumann_sum(beta_a, r_a) - np.eye(2 * n)
+    delta_beta = neumann_sum(beta_a, r_a) - np.eye(len(beta_a))
     delta_a = (delta_t + alpha_a + delta_beta
                + delta_beta @ delta_t + delta_beta @ alpha_a)
     return delta_a, rho_beta_a
@@ -342,8 +315,8 @@ def compute_b_factors(model: SystemModel, config: PerConfig) -> SchemeMatrices:
 
 def _b_factors(a_mat, minv_c, config):
     """compute_b_factors on the operators A = M^-1 K and minv_c = M^-1 C."""
-    beta_b = _damping_series(a_mat, minv_c, config.dt, config.m_b, coeff_beta)
-    l_b = _series(a_mat, minv_c, config.dt, config.m_b, "L")
+    beta_b, = _series(a_mat, minv_c, config.dt, config.m_b, coeff_beta)
+    l_b, = _series(a_mat, None, config.dt, config.m_b, coeff_l)
     rho = spectral_radius(beta_b)
     if rho >= 1.0:
         warnings.warn(
@@ -356,8 +329,7 @@ def _b_factors(a_mat, minv_c, config):
 def build_scheme(model: SystemModel, config: PerConfig) -> SchemeMatrices:
     """All one-step operators of the scheme; M is factorized once."""
     solve_mass, a_mat, minv_c = system_operators(model)
-    delta_a, rho_beta_a = _doubled_increment(a_mat, minv_c, config)
-    a = np.eye(2 * model.n_dof) + delta_a
+    a, rho_beta_a = _doubled_increment(a_mat, minv_c, config)
     partial = _b_factors(a_mat, minv_c, config)
     return replace(partial, a=a, rho_beta_a=rho_beta_a, solve_mass=solve_mass)
 
@@ -542,8 +514,8 @@ def integrate_asymptotic(model: SystemModel, config: PerConfig, t_max: float,
     m = config.m_b
 
     solve_mass, a_mat, minv_c = system_operators(model)
-    t_mat, l_mat, alpha, beta = (_series(a_mat, minv_c, dt, m, which)
-                                 for which in ("T", "L", "alpha", "beta"))
+    t_mat, l_mat = _series(a_mat, None, dt, m, coeff_t, coeff_l)
+    alpha, beta = _series(a_mat, minv_c, dt, m, coeff_alpha, coeff_beta)
 
     forced = model.force is not None
     g = _per_samples(model, solve_mass, 0, n_steps, dt) if forced else None

@@ -14,7 +14,7 @@ import perdyn.per as per
 from perdyn.analysis import (SIGMA_THRESHOLD, beta_radius_map, dt_bound,
                              sdof_stability_map, sigma_eigenvalues,
                              sigma_matrix, tau_limit)
-from perdyn.bench import reference_solution
+from perdyn.bench import reference_solution, sweep_dt
 from perdyn.model import (SystemModel, benchmark_beam, benchmark_chain, build_chain,
                           damping_level, modal_analysis)
 
@@ -143,7 +143,9 @@ class TestSpectralExtremes:
         lambda model: dt_bound(model, 8),
         damping_level,
         lambda model: reference_solution(model, 0.024, 0.24),
-    ], ids=["dt_bound", "damping_level", "reference_solution"])
+        lambda model: sweep_dt(model.with_initial_state(np.ones(model.n_dof), None),
+                               "per", [0.024], 0.048, 0),
+    ], ids=["dt_bound", "damping_level", "reference_solution", "sweep_dt"])
     def test_no_modal_analysis(self, caller, monkeypatch):
         calls = []
 
@@ -155,6 +157,11 @@ class TestSpectralExtremes:
             monkeypatch.setattr(module, "modal_analysis", counting, raising=False)
         caller(benchmark_chain(0.1))
         assert calls == []
+
+    def test_sweep_dt_rejects_a_model_without_stiffness(self):
+        model = SystemModel(np.eye(2), 0.3 * np.eye(2), np.zeros((2, 2)), u0=[1.0, 0.0])
+        with pytest.raises(ValueError, match="no positive natural frequency"):
+            sweep_dt(model, "per", [0.1], 1.0, 0)
 
     def test_reference_runs_without_stiffness(self):
         # omega_max is 0: the reference keeps its refine and never raises

@@ -222,8 +222,9 @@ class TestSimulate:
         ({"model": {"kind": "beam", "length": 3.0, "ei": 437.5e3, "total_mass": 235.5,
                     "n_elements": 6, "supports": [{"spring": 1e3}]}}, "node"),
         ({"model": {"kind": "chain", "n_dof": 2}, "u0": {"a": 1.0}}, "u0"),
+        ({"model": {"kind": "chain", "n_dof": 2}, "out": 5}, "out"),
     ], ids=["chain-without-size", "step-without-f0", "model-not-object",
-            "support-without-node", "state-not-numbers"])
+            "support-without-node", "state-not-numbers", "out-not-string"])
     def test_malformed_config_is_a_validation_error(self, doc, key, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         write_config(cfg, {"version": 1, **doc, "dt": 0.01, "t_max": 0.1})

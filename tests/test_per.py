@@ -141,6 +141,24 @@ class TestAssembleSeries:
             x[:12] = np.linspace(-1.0, 1.0, 12)
             assert np.abs((alpha + beta) @ x).max() <= 1e-12
 
+    @pytest.mark.parametrize("m", [2, 8])
+    @pytest.mark.parametrize("which, coeff, damped", [
+        ("T", per.coeff_t, False), ("L", per.coeff_l, False),
+        ("alpha", per.coeff_alpha, True), ("beta", per.coeff_beta, True),
+    ])
+    def test_kronecker_sum_oracle(self, which, coeff, damped, m):
+        # consistent mass and non-proportional damping: every block of the
+        # layout carries a distinct matrix
+        model = benchmark_beam(n_elements=6)
+        dt = 3e-4
+        a_mat = np.linalg.solve(model.mass, model.stiffness)
+        start = (np.linalg.solve(model.mass, model.damping) if damped
+                 else np.eye(model.n_dof))
+        want = sum(np.kron(coeff(j, dt), np.linalg.matrix_power(a_mat, j) @ start)
+                   for j in range(m // 2 + 1))
+        got = per.assemble_series(model, dt, m, which)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
 
 # ---------------------------------------------------------------------------
 # Transition matrix

@@ -21,12 +21,14 @@ The matrix:
   unforced ``{"kind": "chain", "zeta": 3.0}`` at dt 1.4, m_b 2, r_b 12;
 - ``simulate`` of Newmark on the c = 120 chain, whose summary still
   reports the perturbation scheme's rho(beta_b) >= 1;
-- ``simulate`` of a malformed config, a ``{"kind": "chain"}`` model
-  with neither ``n_dof`` nor ``zeta``;
+- ``simulate`` of two malformed configs: a ``{"kind": "chain"}`` model
+  with neither ``n_dof`` nor ``zeta``, and an ``out`` that is the number 5
+  (always run with ``--out``, so that no tree opens a file descriptor);
 - ``compare`` on the README chain and on its c = 120 variant, and
   ``sweep-dt`` (the perturbation scheme and Newmark) and ``sweep-damping``
   on the README chain, all at t_max 4;
-- ``tau-limit --curve-out`` and two ``stability-map`` grids.
+- ``tau-limit --curve-out`` and two ``stability-map`` grids;
+- ``cost-model`` of the perturbation scheme, MPIM and RK4 at N 48.
 
 Each command runs through ``perdyn.cli.main`` in its own directory.  A
 warning is written to stderr as "Category: message", without the file and
@@ -81,6 +83,9 @@ CONFIGS = {
     # a chain without n_dof or zeta: a validation error
     "missing-key.json": {"version": 1, "model": {"kind": "chain"}, "dt": 0.024,
                          "t_max": 0.48},
+    # an output path that is not a string: a validation error
+    "out-not-string.json": {"version": 1, "model": {"kind": "chain", "n_dof": 2},
+                            "dt": 0.01, "t_max": 0.1, "out": 5},
 }
 
 SHORT = ["--t-max", "4"]
@@ -96,6 +101,8 @@ CASES = {
     "simulate-c120-newmark": ["simulate", "--config", "c120.json", "--method", "newmark",
                               "--out", "out.csv"],
     "simulate-missing-key": ["simulate", "--config", "missing-key.json", "--out", "out.csv"],
+    "simulate-out-not-string": ["simulate", "--config", "out-not-string.json",
+                                "--out", "out.csv"],
     "compare-chain": ["compare", "--config", "chain.json", *SHORT, "--out", "out.csv"],
     "compare-c120": ["compare", "--config", "c120.json", *SHORT, "--out", "out.csv"],
     "sweep-dt-per": ["sweep-dt", "--config", "chain.json", *SHORT,
@@ -108,6 +115,8 @@ CASES = {
                   "--curve-out", "curve.csv"],
     "stability-map-0.05": ["stability-map", "--zeta", "0.05", "--ma", "2", "--out", "out.csv"],
     "stability-map-0.5": ["stability-map", "--zeta", "0.5", "--ma", "4", "--out", "out.csv"],
+    **{f"cost-model-{m}": ["cost-model", "--method", m, "--n", "48", "--steps", "1000",
+                           "--out", "out.csv"] for m in ("per", "mpim", "rk4")},
 }
 
 #: Outputs of one case besides the files it writes.
