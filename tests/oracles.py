@@ -4,7 +4,7 @@ Everything here is deliberately written against the underlying physics
 or textbook formulas, not against the library's own code paths.
 """
 
-from math import factorial
+from math import factorial, sqrt
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -148,6 +148,22 @@ def doubling_unflushed(delta, p):
     delta <- 2 delta + delta @ delta, keeping every entry however small."""
     for _ in range(p):
         delta = 2.0 * delta + delta @ delta
+    return delta
+
+
+def doubling_dense_flushed(delta, p):
+    """exp(Wt) - I from exp(Wt/2^p) - I by p dense doublings
+    delta <- 2 delta + delta @ delta, each one product over the whole
+    matrix, whatever its zeros.  From order 128 up, every entry below
+    sqrt(tiny) times the largest magnitude is set to zero after each
+    doubling."""
+    flush = delta.shape[0] >= 128
+    for _ in range(p):
+        delta = 2.0 * delta + delta @ delta
+        if flush:
+            # no full-size abs() temporary: it adds to the peak memory of the setup
+            tol = sqrt(np.finfo(float).tiny) * max(delta.max(), -delta.min())
+            delta[(delta > -tol) & (delta < tol)] = 0.0
     return delta
 
 

@@ -7,13 +7,17 @@ import warnings
 import numpy as np
 import pytest
 
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 from oracles import (companion_matrix, damped_free_vibration,
-                     doubling_unflushed, expm_eig, gauss_panel_integral,
-                     lagrange_cubic_basis, l2_norm, rotation_propagator,
-                     sdof_model, step_loop)
+                     doubling_dense_flushed, doubling_unflushed, expm_eig,
+                     gauss_panel_integral, lagrange_cubic_basis, l2_norm,
+                     rotation_propagator, sdof_model, step_loop)
 from scipy.linalg import cho_factor, cho_solve
 
 import perdyn.per as per
+from perdyn import linalg
+from perdyn.analysis import dt_bound
 from perdyn.baselines import expm_2p, state_space
 from perdyn.linalg import (DivergenceError, double_increment, neumann_sum,
                            spd_solver)
@@ -280,6 +284,129 @@ class TestDoublingFlush:
                                 lambda a_mat, minv_c, dt0, m_a, r_a: (seed, 0.5))
             with pytest.raises(DivergenceError, match="non-finite"):
                 per._doubled_increment(None, None, per.PerConfig(dt=0.01))
+
+
+def banded_seed(n, half_band, coupling, scale, p, rng):
+    """Random increment of order n in (u, v) block form, h = ceil(n/2) rows
+    of u first: entry (i, j) is nonzero only when |i mod h - j mod h| <=
+    half_band, and the u-v and v-u blocks are scaled by ``coupling``.  The
+    largest row sum is scale / 2^p, so p doublings stay below e^scale."""
+    h = (n + 1) // 2
+    idx = np.arange(n)
+    band = np.abs(idx[:, None] % h - idx[None, :] % h) <= half_band
+    weight = np.array([[1.0, coupling[0]], [coupling[1], 1.0]])[idx // h][:, idx // h]
+    seed = rng.standard_normal((n, n)) * band * weight
+    return seed * (scale / 2.0 ** p / np.abs(seed).sum(axis=1).max())
+
+
+class TestProfileDoubling:
+    """Above order 128, a seed with a zero entry is squared over its nonzero
+    profile; the dense flushed doubling is the oracle."""
+
+    @staticmethod
+    def dense_a(model, config):
+        a_mat, minv_c = per.system_operators(model)[1:]
+        seed, _ = per._increment_at_reduced_step(a_mat, minv_c, config.dt0,
+                                                 config.m_a, config.r_a)
+        return np.eye(2 * model.n_dof) + doubling_dense_flushed(seed, config.p)
+
+    @staticmethod
+    def dense_expm(w, t, p=20):
+        x = w * (t / 2.0 ** p)
+        x2 = x @ x
+        seed = x + x2 / 2.0 + x2 @ x / 6.0 + x2 @ x2 / 24.0
+        return np.eye(w.shape[0]) + doubling_dense_flushed(seed, p)
+
+    @pytest.fixture(scope="class")
+    def chain240(self):
+        model = benchmark_chain(0.1, 240)
+        config = per.PerConfig(dt=0.8 * dt_bound(model, 8).dt_max, m_b=8)
+        w = state_space(model).w
+        exact = scipy.linalg.expm(w * config.dt)
+        return {"a": (per.build_scheme(model, config).a, self.dense_a(model, config), exact),
+                "expm": (expm_2p(w, config.dt), self.dense_expm(w, config.dt), exact)}
+
+    @pytest.mark.parametrize("which", ["a", "expm"])
+    def test_chain240_near_the_dense_doubling(self, chain240, which):
+        got, dense, _ = chain240[which]
+        assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("which", ["a", "expm"])
+    def test_chain240_no_farther_from_expm(self, chain240, which):
+        got, dense, exact = chain240[which]
+        peak = np.abs(dense).max()
+        assert (np.abs(got - exact).max()
+                <= np.abs(dense - exact).max() + 1e-14 * peak)
+
+    @pytest.mark.parametrize("which", ["a", "expm"])
+    def test_chain240_no_subnormal_entries(self, chain240, which):
+        got = chain240[which][0]
+        assert not ((got != 0.0) & (np.abs(got) < np.finfo(float).tiny)).any()
+
+    def test_dense_seed_bit_for_bit(self):
+        seed = 1e-3 * np.random.default_rng(7).standard_normal((200, 200))
+        assert seed.all()
+        np.testing.assert_array_equal(double_increment(seed, 6),
+                                      doubling_dense_flushed(seed, 6))
+
+    def test_integrate_near_the_dense_doubling(self, monkeypatch):
+        model = benchmark_chain(0.1, 96).with_initial_state(
+            1e-2 * np.sin(np.arange(1.0, 97.0)), np.zeros(96))
+        config = per.PerConfig(dt=0.8 * dt_bound(model, 8).dt_max, m_b=8)
+        got = per.integrate(model, config, 200 * config.dt)
+        monkeypatch.setattr(per, "double_increment", doubling_dense_flushed)
+        want = per.integrate(model, config, 200 * config.dt)
+        assert got.n_steps == want.n_steps == 200 and not got.diverged
+        for x, y in [(got.displacements, want.displacements),
+                     (got.velocities, want.velocities)]:
+            assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("where", [(5, 7), (5, 200)], ids=["in-band", "off-band"])
+    def test_non_finite_entry_ends_non_finite(self, bad, where, monkeypatch):
+        seed = banded_seed(256, 3, (0.5, 0.5), 0.5, 3, np.random.default_rng(1))
+        seed[where] = bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert not np.isfinite(double_increment(seed, 3)).all()
+            monkeypatch.setattr(per, "_increment_at_reduced_step",
+                                lambda a_mat, minv_c, dt0, m_a, r_a: (seed, 0.5))
+            with pytest.raises(DivergenceError, match="non-finite"):
+                per._doubled_increment(None, None, per.PerConfig(dt=0.01))
+
+    def test_zero_row_has_an_empty_span(self):
+        seed = banded_seed(256, 3, (0.5, 0.5), 0.5, 5, np.random.default_rng(2))
+        seed[100] = 0.0
+        first, stop = linalg._spans(seed == 0.0, 0, 256)
+        assert (first[100], stop[100]) == (256, 0)
+        assert (first[:100] < stop[:100]).all()
+        got = double_increment(seed, 5)
+        assert np.isfinite(got).all() and not got[100].any()
+        want = doubling_dense_flushed(seed, 5)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_zero_seed_doubles_to_zero(self, monkeypatch):
+        zero = np.zeros((256, 256))
+        first, stop = linalg._spans(zero == 0.0, 0, 256)
+        assert (first == 256).all() and (stop == 0).all()
+        np.testing.assert_array_equal(double_increment(zero, 5), zero)
+        monkeypatch.setattr(per, "_increment_at_reduced_step",
+                            lambda a_mat, minv_c, dt0, m_a, r_a: (zero, 0.0))
+        a, _ = per._doubled_increment(None, None, per.PerConfig(dt=0.01))
+        np.testing.assert_array_equal(a, np.eye(256))
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(129, 320), half_band=st.integers(1, 40),
+           coupling=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+           scale=st.floats(0.05, 2.0), p=st.integers(1, 8),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_banded_seeds_near_the_dense_doubling(self, n, half_band, coupling,
+                                                  scale, p, seed):
+        delta = banded_seed(n, half_band, coupling, scale, p,
+                            np.random.default_rng(seed))
+        assert not delta.all()
+        got = double_increment(delta, p)
+        want = doubling_dense_flushed(delta, p)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,9 @@ The matrix:
   unforced ``{"kind": "chain", "zeta": 3.0}`` at dt 1.4, m_b 2, r_b 12;
 - ``simulate`` of Newmark on the c = 120 chain, whose summary still
   reports the perturbation scheme's rho(beta_b) >= 1;
+- ``simulate`` of the perturbation scheme and of MPIM on the unforced
+  ``{"kind": "chain", "zeta": 0.1, "n_dof": 96}`` from a nonzero ``u0``
+  (dt 0.2, t_max 4): order 192, so both doublings take the profile product;
 - ``simulate`` of two malformed configs: a ``{"kind": "chain"}`` model
   with neither ``n_dof`` nor ``zeta``, and an ``out`` that is the number 5
   (always run with ``--out``, so that no tree opens a file descriptor);
@@ -80,6 +83,10 @@ CONFIGS = {
     "zeta3.json": {"version": 1, "model": {"kind": "chain", "zeta": 3.0},
                    "method": {"name": "per", "mb": 2, "rb": 12}, "dt": 1.4,
                    "t_max": 14.0, "u0": [0.01] + [0.0] * 11},
+    # the 96-dof benchmark chain, unforced: its increments are of order 192
+    "chain96.json": {"version": 1, "model": {"kind": "chain", "zeta": 0.1, "n_dof": 96},
+                     "dt": 0.2, "t_max": 4.0,
+                     "u0": [1e-2 * math.sin(i + 1.0) for i in range(96)]},
     # a chain without n_dof or zeta: a validation error
     "missing-key.json": {"version": 1, "model": {"kind": "chain"}, "dt": 0.024,
                          "t_max": 0.48},
@@ -100,6 +107,8 @@ CASES = {
     "simulate-zeta3-per": ["simulate", "--config", "zeta3.json", "--out", "out.csv"],
     "simulate-c120-newmark": ["simulate", "--config", "c120.json", "--method", "newmark",
                               "--out", "out.csv"],
+    **{f"simulate-chain96-{m}": ["simulate", "--config", "chain96.json", "--method", m,
+                                 "--out", "out.csv"] for m in ("per", "mpim")},
     "simulate-missing-key": ["simulate", "--config", "missing-key.json", "--out", "out.csv"],
     "simulate-out-not-string": ["simulate", "--config", "out-not-string.json",
                                 "--out", "out.csv"],
