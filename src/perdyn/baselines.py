@@ -5,7 +5,7 @@ two-sub-step composite scheme (trapezoidal rule + 3-point backward
 Euler).  Explicit: classical RK4 on the state-space form, collapsed
 into its one-step map, and the modified precise integration method
 (MPIM) whose matrix exponential is built by the same 2^p doubling idea
-with a 4th-order Taylor seed and whose forcing integral uses
+from RK4's step increment and whose forcing integral uses
 Gauss-Legendre quadrature.
 
 Every method is a step map U_{k+1} = Phi U_k + W g(t_k + o_i) stepped
@@ -236,19 +236,19 @@ def _bathe_map(model, dt, gamma):
 # RK4
 
 def rk4_operators(w: np.ndarray, dt: float):
-    """(R, P0, Pm) of one RK4 step of size dt on dU/dt = W U + h(t).
+    """(D, P0, Pm) of one RK4 step of size dt on dU/dt = W U + h(t).
 
     On a linear system the four stages collapse into the step map
-    U_{k+1} = R U_k + dt/6 (P0 h(t_k) + Pm h(t_k + dt/2) + I h(t_k + dt))
-    with X = W dt, R = I + X + X^2/2 + X^3/6 + X^4/24,
-    P0 = I + X + X^2/2 + X^3/4 and Pm = 4I + 2X + X^2/2.
+    U_{k+1} = (I + D) U_k + dt/6 (P0 h(t_k) + Pm h(t_k + dt/2) + I h(t_k + dt))
+    with X = W dt, P0 = I + X + X^2/2 + X^3/4, Pm = 4I + 2X + X^2/2 and the
+    increment D = X + X^2/2 + X^3/6 + X^4/24, never rounded through I + D.
     """
     eye = np.eye(w.shape[0])
     x = w * dt
     x2 = x @ x
     x3 = x2 @ x
-    r = eye + x + x2 / 2.0 + x3 / 6.0 + x2 @ x2 / 24.0
-    return r, eye + x + x2 / 2.0 + x3 / 4.0, 4.0 * eye + 2.0 * x + x2 / 2.0
+    d = x + x2 / 2.0 + x3 / 6.0 + x2 @ x2 / 24.0
+    return d, eye + x + x2 / 2.0 + x3 / 4.0, 4.0 * eye + 2.0 * x + x2 / 2.0
 
 
 def rk4(system: StateSpaceSystem, u0: np.ndarray, dt: float,
@@ -260,10 +260,10 @@ def rk4(system: StateSpaceSystem, u0: np.ndarray, dt: float,
     unbounded growth) truncates the run and sets the flag.
     """
     n_steps = _steps(t_max, dt)
-    n2 = system.w.shape[0]
-    r, p0, pm = rk4_operators(system.w, dt)
-    weights = dt / 6.0 * np.hstack([p0, pm, np.eye(n2)])
-    return _trajectory(*recurrence(r, u0, dt, n_steps, system.h, (0.0, dt / 2.0, dt),
+    d, p0, pm = rk4_operators(system.w, dt)
+    eye = np.eye(len(d))
+    weights = dt / 6.0 * np.hstack([p0, pm, eye])
+    return _trajectory(*recurrence(eye + d, u0, dt, n_steps, system.h, (0.0, dt / 2.0, dt),
                                    weights, dt), dt, system.n_dof)
 
 
@@ -275,14 +275,9 @@ GAUSS_NODES = {g: tuple(map(tuple, leggauss(g))) for g in range(2, 7)}
 
 
 def expm_2p(w: np.ndarray, t: float, p: int = 20) -> np.ndarray:
-    """exp(W t) via a 4th-order Taylor increment at t/2^p doubled p times."""
-    n2 = w.shape[0]
-    if t == 0.0:
-        return np.eye(n2)
-    x = w * (t / 2.0 ** p)
-    x2 = x @ x
-    delta = x + x2 / 2.0 + x2 @ x / 6.0 + x2 @ x2 / 24.0
-    return np.eye(n2) + double_increment(delta, p)
+    """exp(W t) from RK4's increment at t/2^p, the 4th-order Taylor
+    increment of exp(W t/2^p), doubled p times."""
+    return np.eye(w.shape[0]) + double_increment(rk4_operators(w, t / 2.0 ** p)[0], p)
 
 
 def mpim_operators(system: StateSpaceSystem, dt: float, g: int = 4, p: int = 20):

@@ -57,6 +57,13 @@ def _objects(value) -> list:
     return [_object(v) for v in value]
 
 
+def _finite(value) -> float:
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError("expected a finite number")
+    return value
+
+
 def _path(value) -> str | None:
     if value is not None and not isinstance(value, str):
         raise TypeError("expected a string")
@@ -102,6 +109,11 @@ def write_csv(path: str, header, rows) -> None:
 #: method-spec key -> PerConfig field
 _PER_KEYS = {"p": "p", "ma": "m_a", "ra": "r_a", "mb": "m_b", "rb": "r_b"}
 
+#: method-spec key -> (kind, the IntegratorParams fields it sets)
+_BASELINE_KEYS = {"gamma": (float, "newmark_gamma", "bathe_gamma"),
+                  "beta": (float, "newmark_beta"), "theta": (float, "wilson_theta"),
+                  "g": (int, "mpim_g"), "p": (int, "mpim_p")}
+
 
 @dataclass
 class RunConfig:
@@ -124,7 +136,7 @@ class RunConfig:
         if doc.get("version", CONFIG_VERSION) != CONFIG_VERSION:
             raise ConfigError(f"unsupported config version {doc.get('version')}")
         model_spec = _field(doc, "model", _object)
-        dt, t_max = _field(doc, "dt", float), _field(doc, "t_max", float)
+        dt, t_max = _field(doc, "dt", _finite), _field(doc, "t_max", _finite)
         if dt <= 0.0:
             raise ConfigError("dt must be positive")
         for key in ("u0", "v0"):  # kept as given, read by build_model
@@ -164,15 +176,12 @@ class RunConfig:
                                             if key in ms})
 
     def integrator_params(self) -> baselines.IntegratorParams:
+        """IntegratorParams from the method keys; omitted keys keep its defaults."""
         ms = self.method_spec
         return baselines.IntegratorParams(
-            method=self.method_name(),
-            newmark_gamma=_field(ms, "gamma", float, 0.5),
-            newmark_beta=_field(ms, "beta", float, 0.25),
-            wilson_theta=_field(ms, "theta", float, 1.4),
-            bathe_gamma=_field(ms, "gamma", float, 0.5),
-            mpim_g=_field(ms, "g", int, 4),
-            mpim_p=_field(ms, "p", int, 20))
+            method=self.method_name(), **{name: _field(ms, key, kind)
+                                          for key, (kind, *names) in _BASELINE_KEYS.items()
+                                          if key in ms for name in names})
 
 
 def _build_bare_model(spec: dict) -> SystemModel:

@@ -62,19 +62,22 @@ def spectral_radius(mat):
 
 
 def neumann_sum(mat, order):
-    """Truncated Neumann sum I + B + B^2 + ... + B^order for even ``order``.
+    """Truncated Neumann sum I + B + B^2 + ... + B^order for even ``order``:
+    I plus _neumann_increment."""
+    mat = np.asarray(mat, dtype=float)
+    return np.eye(len(mat)) + _neumann_increment(mat, order)
 
-    Uses the nested evaluation
-    I + B + B^2 (I + B + B^2 (...)), which costs order/2 matrix products.
-    """
+
+def _neumann_increment(mat, order):
+    """B + B^2 + ... + B^order, nested as B + B^2 + B^2 (B + B^2 + B^2 (...))
+    in order/2 matrix products.  Callers take the increment over I from here,
+    never as the sum minus I, which rounds away the low bits of a small B."""
     if order < 2 or order % 2 != 0:
         raise ValueError(f"Neumann truncation order must be even and >= 2, got {order}")
-    mat = np.asarray(mat, dtype=float)
-    eye = np.eye(mat.shape[0])
     sq = mat @ mat
-    total = eye + mat + sq
+    total = first = mat + sq
     for _ in range(order // 2 - 1):
-        total = eye + mat + sq @ total
+        total = first + sq @ total
     return total
 
 

@@ -19,8 +19,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .linalg import (DivergenceError, double_increment, neumann_sum, spd_solver,
-                     spectral_radius)
+from .linalg import (DivergenceError, _neumann_increment, double_increment,
+                     neumann_sum, spd_solver, spectral_radius)
 from .model import StateVector, SystemModel, _force_rows
 
 MAX_SERIES_ORDER = 60  # higher truncations are numerically unreliable
@@ -44,7 +44,7 @@ class PerConfig:
           the first dropped term beta_a^(r_a+1) is O(dt0^2) at r_a = 2,
           and the p doublings multiply it by 2^p (about 1e-6 in a(dt) at
           damping ratio 0.5); at r_a = 4 a(dt) sits at the roundoff floor
-          of the doubling (3.3e-10 at p = 20)
+          of the doubling (7.8e-10 at p = 20)
     m_b   series truncation for beta_b and L_b (full step)
     r_b   Neumann truncation for (I - beta_b)^-1
     """
@@ -57,6 +57,8 @@ class PerConfig:
     r_b: int = 2
 
     def __post_init__(self):
+        if not np.isfinite(self.dt):
+            raise ValueError(f"dt must be finite, got {self.dt}")
         if self.dt < 0.0:
             raise ValueError("dt must be >= 0")
         if self.p < 1:
@@ -291,12 +293,13 @@ def _doubled_increment(a_mat, minv_c, config):
 
 
 def _increment_at_reduced_step(a_mat, minv_c, dt0, m_a, r_a):
-    """da(dt0) and rho(beta_a) for the doubling start, at the series order
-    m_a and the Neumann order r_a (m_a = 0 is allowed here)."""
+    """da(dt0) = (I + dbeta)(I + dT + alpha_a) - I, dbeta the Neumann increment,
+    and rho(beta_a) for the doubling start, at the series order m_a and the
+    Neumann order r_a (m_a = 0 is allowed here)."""
     delta_t = undamped_step_increment(a_mat, dt0, m_a)
     alpha_a, beta_a = _series(a_mat, minv_c, dt0, m_a, coeff_alpha, coeff_beta)
     rho_beta_a = spectral_radius(beta_a)
-    delta_beta = neumann_sum(beta_a, r_a) - np.eye(len(beta_a))
+    delta_beta = _neumann_increment(beta_a, r_a)
     delta_a = (delta_t + alpha_a + delta_beta
                + delta_beta @ delta_t + delta_beta @ alpha_a)
     return delta_a, rho_beta_a
@@ -384,6 +387,9 @@ def _divergence_info(model, config, rho_beta_b, reason):
 
 def _steps(t_max, dt):
     """round(t_max/dt), the step count of every integrator, at least 1."""
+    for name, value in (("dt", dt), ("t_max", t_max)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if dt <= 0.0:
         raise ValueError("integration requires dt > 0")
     if t_max < dt:

@@ -119,6 +119,47 @@ def rk4_stage_loop(w, h, u0, dt, n_steps):
     return states
 
 
+def rk4_longdouble_loop(w, samples, u0, dt, n_steps, every):
+    """Classical RK4 on dU/dt = W U + h(t) in long double (np.longdouble),
+    stage by stage, one step of size dt at a time.  ``samples`` holds h at
+    the 2 n_steps + 1 half-step nodes t_k + i dt/2, one row per node, in
+    double.  Returns every ``every``-th state, rounded to double."""
+    ld = np.longdouble
+    w = np.asarray(w, dtype=ld)
+    g = np.asarray(samples, dtype=ld)
+    step = ld(dt)
+    half, sixth = step / 2, step / 6
+    y = np.asarray(u0, dtype=ld)
+    states = [y.astype(float)]
+    for k in range(n_steps):
+        k1 = w @ y + g[2 * k]
+        k2 = w @ (y + half * k1) + g[2 * k + 1]
+        k3 = w @ (y + half * k2) + g[2 * k + 1]
+        k4 = w @ (y + step * k3) + g[2 * k + 2]
+        y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+        if (k + 1) % every == 0:
+            states.append(y.astype(float))
+    return np.array(states)
+
+
+def increment_at_reduced_step_i_rounded(a_mat, minv_c, dt0, m_a, r_a):
+    """The PER doubling seed da(dt0) with the Neumann factor taken as
+    (I + B + ... + B^r_a) - I, the sum rounded through I first; B = beta_a.
+    The series come from the library, the Neumann sum is evaluated here."""
+    from perdyn import per
+    delta_t = per.undamped_step_increment(a_mat, dt0, m_a)
+    alpha_a, beta_a = per._series(a_mat, minv_c, dt0, m_a, per.coeff_alpha,
+                                  per.coeff_beta)
+    eye = np.eye(len(beta_a))
+    sq = beta_a @ beta_a
+    total = eye + beta_a + sq
+    for _ in range(r_a // 2 - 1):
+        total = eye + beta_a + sq @ total
+    delta_beta = total - eye
+    return (delta_t + alpha_a + delta_beta
+            + delta_beta @ delta_t + delta_beta @ alpha_a)
+
+
 def step_loop(phi, x0, dt, n_steps, sample, offsets, weights, ref_scale):
     """U_{k+1} = phi U_k + weights @ [s(t_k + o_1); ...] one step at a time.
 

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from oracles import (damped_free_vibration, l2_norm, reference_fine_rk4,
-                     sdof_model, step_loop)
+                     rk4_longdouble_loop, sdof_model, step_loop)
 
 import perdyn.bench as bench
 import perdyn.per as per
-from perdyn.baselines import IntegratorParams
+from perdyn.baselines import IntegratorParams, newmark, state_space
 from perdyn.bench import (cost_mpim, cost_per, cost_rk4, fit_order,
                           global_error, per_mpim_setup_ratio,
                           reference_solution, run_method, sweep_damping,
@@ -174,6 +174,28 @@ class TestFoldedReference:
         self.assert_matches_fine_loop(model.with_initial_state(
             np.linspace(0.0, 1e-3, 12), np.zeros(12)), 0.024, 0.6)
 
+    def test_near_the_long_double_loop(self):
+        # the chain-compare chain; folded from a rounded R = I + D, the
+        # reference was 1.1e-12 of the peak from exact RK4 arithmetic
+        rng = np.random.default_rng(0)
+        force = gaussian_multiharmonic_force(12, 2, t0=0.3, s=2.5,
+                                             components=[(1.0, 3.0), (0.5, 7.1)])
+        model = build_chain(12, 1.0, 100.0, [(0, None, 2.0), (1, 2, 2.0)]).with_force(
+            force).with_initial_state(1e-3 * rng.standard_normal(12),
+                                      1e-3 * rng.standard_normal(12))
+        dt, refine, n_fine = 0.024, 500, 50 * 500
+        ref = reference_solution(model, dt, 50 * dt, refine=refine)
+        assert ref.info["refine"] == refine
+        system = state_space(model)
+        k, odd = np.divmod(np.arange(2 * n_fine + 1), 2)
+        h = dt / refine
+        exact = rk4_longdouble_loop(system.w, system.h(k * h + odd * (h / 2.0)),
+                                    np.concatenate([model.u0, model.v0]), h,
+                                    n_fine, refine)
+        for got, want in ((ref.displacements, exact[:, :12]),
+                          (ref.velocities, exact[:, 12:])):
+            assert np.abs(got - want).max() <= 2e-14 * np.abs(want).max()
+
     def test_fold_size_divides_refine(self):
         for refine in (1, 7, 500, 1000, 8000):
             for n in (1, 4, 12, 48, 200):
@@ -181,6 +203,17 @@ class TestFoldedReference:
                 assert refine % s == 0
                 assert s == 1 or 2 * n * n * (2 * s + 1) <= per._BLOCK_FLOATS
         assert bench._fold_size(8000, 48) == 10
+
+
+@pytest.mark.parametrize("run", [
+    lambda model: integrate(model, PerConfig(dt=0.01), np.inf),
+    lambda model: newmark(model, 0.01, np.inf),
+    lambda model: reference_solution(model, 0.01, np.inf),
+], ids=["per", "newmark", "reference"])
+def test_infinite_t_max_rejected(run):
+    # the one step-count rule names it, rather than overflowing int()
+    with pytest.raises(ValueError, match="t_max must be finite"):
+        run(sdof_model(omega=OMEGA, zeta=0.1))
 
 
 class TestSweeps:

@@ -223,11 +223,14 @@ class TestSimulate:
                     "n_elements": 6, "supports": [{"spring": 1e3}]}}, "node"),
         ({"model": {"kind": "chain", "n_dof": 2}, "u0": {"a": 1.0}}, "u0"),
         ({"model": {"kind": "chain", "n_dof": 2}, "out": 5}, "out"),
+        ({"model": {"kind": "chain", "n_dof": 2}, "t_max": float("inf")}, "t_max"),
+        ({"model": {"kind": "chain", "n_dof": 2}, "dt": float("nan")}, "dt"),
     ], ids=["chain-without-size", "step-without-f0", "model-not-object",
-            "support-without-node", "state-not-numbers", "out-not-string"])
+            "support-without-node", "state-not-numbers", "out-not-string",
+            "t_max-infinite", "dt-nan"])
     def test_malformed_config_is_a_validation_error(self, doc, key, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
-        write_config(cfg, {"version": 1, **doc, "dt": 0.01, "t_max": 0.1})
+        write_config(cfg, {"version": 1, "dt": 0.01, "t_max": 0.1, **doc})
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
         err = capsys.readouterr().err
         assert code == EXIT_VALIDATION
@@ -442,6 +445,12 @@ class TestSweepCommands:
         assert main(command + ["--config", str(sdof_config), "--t-max", "0.01",
                                "--out", str(out)]) == EXIT_VALIDATION
         assert capsys.readouterr().err == "error: t_max must be at least one time step\n"
+
+    def test_infinite_t_max_flag_rejected(self, sdof_config, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(["simulate", "--config", str(sdof_config), "--t-max", "inf",
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: t_max must be finite, got inf\n"
 
     def test_compare_csv(self, sdof_config, tmp_path):
         out = tmp_path / "cmp.csv"

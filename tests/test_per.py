@@ -11,8 +11,9 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from oracles import (companion_matrix, damped_free_vibration,
                      doubling_dense_flushed, doubling_unflushed, expm_eig,
-                     gauss_panel_integral, lagrange_cubic_basis, l2_norm,
-                     rotation_propagator, sdof_model, step_loop)
+                     gauss_panel_integral, increment_at_reduced_step_i_rounded,
+                     lagrange_cubic_basis, l2_norm, rotation_propagator,
+                     sdof_model, step_loop)
 from scipy.linalg import cho_factor, cho_solve
 
 import perdyn.per as per
@@ -409,6 +410,49 @@ class TestProfileDoubling:
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+class TestIncrementRule:
+    """The Neumann factor of the doubling seed is summed as its increment,
+    never as the sum minus I; the oracle is the seed rounded through I."""
+
+    @staticmethod
+    def distances(model, frac):
+        """(default, I-rounded) max distance of a(dt) from scipy's expm at
+        dt = frac dt_max, m_b = 8."""
+        config = per.PerConfig(dt=frac * dt_bound(model, 8).dt_max, m_b=8)
+        exact = scipy.linalg.expm(state_space(model).w * config.dt)
+        a_mat, minv_c = per.system_operators(model)[1:]
+        seed = increment_at_reduced_step_i_rounded(a_mat, minv_c, config.dt0,
+                                                   config.m_a, config.r_a)
+        rounded = np.eye(len(seed)) + doubling_dense_flushed(seed, config.p)
+        return (np.abs(per.compute_a(model, config) - exact).max(),
+                np.abs(rounded - exact).max())
+
+    def test_beam_a_near_expm(self):
+        # 1.07e-11 of the peak with the I-rounded seed
+        model = benchmark_beam()
+        config = per.PerConfig(dt=2e-5, m_b=8)
+        exact = scipy.linalg.expm(state_space(model).w * config.dt)
+        a = per.build_scheme(model, config).a
+        assert np.abs(a - exact).max() <= 5e-13 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("zeta", [0.05, 0.5, 2.0])
+    @pytest.mark.parametrize("n_elements", [6, 12, 24])
+    def test_beam_no_farther_than_the_rounded_seed(self, n_elements, zeta):
+        model = benchmark_beam(zeta_a=zeta, zeta_b=zeta, n_elements=n_elements)
+        for frac in (0.1, 0.4, 0.8):
+            new, rounded = self.distances(model, frac)
+            assert new <= rounded, frac
+
+    @pytest.mark.parametrize("zeta", [0.02, 0.1, 0.5])
+    @pytest.mark.parametrize("n_dof", [4, 12, 24])
+    def test_chain_within_twice_the_rounded_seed(self, n_dof, zeta):
+        # at the doubling's rounding floor either seed may be the nearer
+        model = benchmark_chain(zeta, n_dof)
+        for frac in (0.1, 0.4, 0.8):
+            new, rounded = self.distances(model, frac)
+            assert new <= 2.0 * rounded, frac
+
+
 # ---------------------------------------------------------------------------
 # Forcing factors
 
@@ -770,6 +814,11 @@ class TestPerConfigValidation:
     def test_negative_dt_rejected(self):
         with pytest.raises(ValueError, match="dt"):
             per.PerConfig(dt=-0.1)
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_non_finite_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="dt must be finite"):
+            per.PerConfig(dt=dt)
 
     def test_zero_order_transfer_assembly(self):
         # m = 0 keeps only the leading block [[1, dt],[0, 1]] (x) I

@@ -27,6 +27,8 @@ The matrix:
 - ``simulate`` of two malformed configs: a ``{"kind": "chain"}`` model
   with neither ``n_dof`` nor ``zeta``, and an ``out`` that is the number 5
   (always run with ``--out``, so that no tree opens a file descriptor);
+- ``simulate`` of two non-finite inputs: the README chain with
+  ``--t-max inf``, and a config whose ``dt`` is NaN;
 - ``compare`` on the README chain and on its c = 120 variant, and
   ``sweep-dt`` (the perturbation scheme and Newmark) and ``sweep-damping``
   on the README chain, all at t_max 4;
@@ -93,6 +95,9 @@ CONFIGS = {
     # an output path that is not a string: a validation error
     "out-not-string.json": {"version": 1, "model": {"kind": "chain", "n_dof": 2},
                             "dt": 0.01, "t_max": 0.1, "out": 5},
+    # a time step that is not a number: a validation error
+    "dt-nan.json": {"version": 1, "model": {"kind": "chain", "n_dof": 2},
+                    "dt": math.nan, "t_max": 0.1},
 }
 
 SHORT = ["--t-max", "4"]
@@ -112,6 +117,9 @@ CASES = {
     "simulate-missing-key": ["simulate", "--config", "missing-key.json", "--out", "out.csv"],
     "simulate-out-not-string": ["simulate", "--config", "out-not-string.json",
                                 "--out", "out.csv"],
+    "simulate-t-max-infinite": ["simulate", "--config", "chain.json", "--t-max", "inf",
+                                "--out", "out.csv"],
+    "simulate-dt-nan": ["simulate", "--config", "dt-nan.json", "--out", "out.csv"],
     "compare-chain": ["compare", "--config", "chain.json", *SHORT, "--out", "out.csv"],
     "compare-c120": ["compare", "--config", "c120.json", *SHORT, "--out", "out.csv"],
     "sweep-dt-per": ["sweep-dt", "--config", "chain.json", *SHORT,
