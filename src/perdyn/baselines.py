@@ -8,8 +8,8 @@ into its one-step map, and the modified precise integration method
 from RK4's step increment and whose forcing integral uses
 Gauss-Legendre quadrature.
 
-Every method is a step map U_{k+1} = Phi U_k + W g(t_k + o_i) stepped
-through ``per.recurrence``, the loop of the perturbation scheme: the
+Every method is a step map U_{k+1} = Phi U_k + W g(t_k + o_i) run by
+``per._run``, the runner of the perturbation scheme: the
 explicit ones on U = [u; v] with g = M^-1 f, the implicit ones with
 g = f on U = [u; v] (Newmark, the composite scheme) or U = [u; v; a]
 (Wilson, whose a is not in equilibrium), their maps built once by
@@ -28,8 +28,8 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .linalg import double_increment, spd_solver
 from .model import SystemModel
-from .per import (Trajectory, _force_sampler, _load_sampler, _steps,
-                  _trajectory, recurrence, system_operators)
+from .per import (Trajectory, _force_sampler, _load_sampler, _run, _steps,
+                  system_operators)
 
 
 @dataclass(frozen=True)
@@ -100,21 +100,18 @@ def _step_map(model, offsets, step):
 
 
 def _run_map(model, dt, t_max, build, *params):
-    """The map ``build(model, dt, *params)`` stepped through ``recurrence``
-    from [u0, v0], extended by the equilibrium acceleration at t = 0 for
-    Wilson's (u, v, a).  The guard scale is the 2-norm of W, the raw forcing
+    """The map ``build(model, dt, *params)`` run by ``_run`` from [u0, v0],
+    extended by the equilibrium acceleration at t = 0 for Wilson's
+    (u, v, a).  The guard scale is the 2-norm of W, the raw forcing
     operator, as for the perturbation scheme."""
     n_steps = _steps(t_max, dt)
     phi, offsets, weights = build(model, dt, *params)
     x0 = np.concatenate([model.u0, model.v0])
     if len(phi) > len(x0):
         x0 = np.concatenate([x0, _acceleration(model)(model.u0, model.v0, model.force_at(0.0))])
-    if model.force is None:
-        run = recurrence(phi, x0, dt, n_steps, None, (), None, 0.0)
-    else:
-        run = recurrence(phi, x0, dt, n_steps, _load_sampler(model), offsets,
-                         weights, np.linalg.norm(weights, 2))
-    return _trajectory(*run, dt, model.n_dof)
+    forcing = () if model.force is None else (
+        _load_sampler(model), offsets, weights, np.linalg.norm(weights, 2))
+    return _run(dt, n_steps, model.n_dof, phi, x0, *forcing)
 
 
 def _acceleration(model):
@@ -263,8 +260,8 @@ def rk4(system: StateSpaceSystem, u0: np.ndarray, dt: float,
     d, p0, pm = rk4_operators(system.w, dt)
     eye = np.eye(len(d))
     weights = dt / 6.0 * np.hstack([p0, pm, eye])
-    return _trajectory(*recurrence(eye + d, u0, dt, n_steps, system.h, (0.0, dt / 2.0, dt),
-                                   weights, dt), dt, system.n_dof)
+    return _run(dt, n_steps, system.n_dof, eye + d, u0, system.h, (0.0, dt / 2.0, dt),
+                weights, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -303,5 +300,5 @@ def mpim(system: StateSpaceSystem, u0: np.ndarray, dt: float, t_max: float,
     propagation plus Gauss quadrature of the forcing convolution."""
     n_steps = _steps(t_max, dt)
     big_h, exps, offsets = mpim_operators(system, dt, g, p)
-    return _trajectory(*recurrence(big_h, u0, dt, n_steps, system.h, offsets,
-                                   np.hstack(exps), dt), dt, system.n_dof)
+    return _run(dt, n_steps, system.n_dof, big_h, u0, system.h, offsets,
+                np.hstack(exps), dt)

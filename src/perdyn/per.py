@@ -379,12 +379,6 @@ def force_samples(model: SystemModel, k: int, dt: float) -> np.ndarray:
     return _per_samples(model, spd_solver(model.mass), k, k + 1, dt)[0]
 
 
-def _divergence_info(model, config, rho_beta_b, reason):
-    from .analysis import _dt_max  # deferred: analysis imports this module
-    return {"reason": reason, "rho_beta_b": rho_beta_b,
-            "dt_max_bound": _dt_max(model, config.m_b)}
-
-
 def _steps(t_max, dt):
     """round(t_max/dt), the step count of every integrator, at least 1."""
     for name, value in (("dt", dt), ("t_max", t_max)):
@@ -401,36 +395,49 @@ def integrate(model: SystemModel, config: PerConfig, t_max: float) -> Trajectory
     """Run the explicit scheme from the model's initial state to t_max.
 
     The step count is round(t_max/dt), so the final sample may overshoot
-    t_max by less than one step.  A run the guard stops returns the
-    computed prefix with ``diverged=True``; a run with rho(beta_b) >= 1,
-    whose truncated Neumann sum does not approximate (I - beta_b)^-1,
-    returns its full trajectory with ``diverged=True``.  Either carries
-    ``info["reason"]`` ("norm guard" or "rho(beta_b) >= 1"), and a guard
+    t_max by less than one step.  ``info`` carries rho(beta_b) and
+    rho(beta_a).  A run the guard stops returns the computed prefix with
+    ``diverged=True``; a run with rho(beta_b) >= 1, whose truncated Neumann
+    sum does not approximate (I - beta_b)^-1, returns its full trajectory
+    with ``diverged=True``.  Either carries ``info["reason"]`` ("norm
+    guard" or "rho(beta_b) >= 1") and ``info["dt_max_bound"]``, and a guard
     stop its ``info["diverged_at_step"]``.
     """
     n_steps = _steps(t_max, config.dt)
     scheme = build_scheme(model, config)
-    x0 = np.concatenate([model.u0, model.v0])
-    if model.force is None:
-        run = recurrence(scheme.a, x0, config.dt, n_steps, None, (), None, 0.0)
-    else:
-        # the guard scale is the raw forcing operator, deliberately without
-        # the Neumann factor so that its blow-up is detected
-        run = recurrence(scheme.a, x0, config.dt, n_steps,
-                         _force_sampler(model, scheme.solve_mass),
-                         _per_offsets(config.dt), scheme.neumann_b @ scheme.l_b,
-                         np.linalg.norm(scheme.l_b, 2))
-    traj = _trajectory(*run, config.dt, model.n_dof)
-    if traj.diverged:
-        if model.force is not None:  # raises if a non-finite sample stopped the run
-            _per_samples(model, scheme.solve_mass, traj.n_steps - 1, traj.n_steps, config.dt)
-        reason = "norm guard"
-    elif scheme.rho_beta_b >= 1.0:
-        reason = "rho(beta_b) >= 1"
-    else:
-        return replace(traj, info={"rho_beta_b": scheme.rho_beta_b})
-    return replace(traj, diverged=True, info={
-        **traj.info, **_divergence_info(model, config, scheme.rho_beta_b, reason)})
+    info = {"rho_beta_b": scheme.rho_beta_b, "rho_beta_a": scheme.rho_beta_a}
+    if scheme.rho_beta_b >= 1.0:
+        info["reason"] = "rho(beta_b) >= 1"
+    # the guard scale is the raw forcing operator, deliberately without
+    # the Neumann factor so that its blow-up is detected
+    forcing = () if model.force is None else (
+        _force_sampler(model, scheme.solve_mass), _per_offsets(config.dt),
+        scheme.neumann_b @ scheme.l_b, np.linalg.norm(scheme.l_b, 2))
+    traj = _run(config.dt, n_steps, model.n_dof, scheme.a,
+                np.concatenate([model.u0, model.v0]), *forcing, info=info)
+    if forcing and "diverged_at_step" in traj.info:
+        # raises if a non-finite sample stopped the run
+        _per_samples(model, scheme.solve_mass, traj.n_steps - 1, traj.n_steps, config.dt)
+    if not traj.diverged:
+        return traj
+    from .analysis import _dt_max  # deferred: analysis imports this module
+    return replace(traj, info={**traj.info, "dt_max_bound": _dt_max(model, config.m_b)})
+
+
+def _run(dt, n_steps, n, phi, x0, sample=None, offsets=(), weights=None, ref_scale=0.0,
+         info=None):
+    """The run of every method: ``recurrence`` from x0 (see there for the
+    arguments; an unforced run has ``sample=None``), as the Trajectory of
+    the (u, v) part, the first 2n entries, of its states.  It carries a
+    copy of the caller's ``info``; a guard stop adds its step as
+    ``diverged_at_step`` and the reason "norm guard".  A run whose info
+    holds a ``reason`` is diverged."""
+    states, stop = recurrence(phi, x0, dt, n_steps, sample, offsets, weights, ref_scale)
+    info = dict(info or {})
+    if stop is not None:
+        info.update(diverged_at_step=stop, reason="norm guard")
+    return Trajectory(times=np.arange(len(states)) * dt, displacements=states[:, :n],
+                      velocities=states[:, n:2 * n], diverged="reason" in info, info=info)
 
 
 def recurrence(phi, x0, dt, n_steps, sample, offsets, weights, ref_scale):
@@ -491,14 +498,6 @@ def recurrence(phi, x0, dt, n_steps, sample, offsets, weights, ref_scale):
 def _row_norms(rows):
     """sqrt(r @ r) of each row r, by the same dot product as a single row."""
     return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
-
-
-def _trajectory(states, stop, dt, n):
-    """Trajectory of the (u, v) part, the first 2n entries, of the states
-    of ``recurrence``; a guard stop marks it diverged."""
-    return Trajectory(times=np.arange(len(states)) * dt, displacements=states[:, :n],
-                      velocities=states[:, n:2 * n], diverged=stop is not None,
-                      info={} if stop is None else {"diverged_at_step": stop})
 
 
 def integrate_asymptotic(model: SystemModel, config: PerConfig, t_max: float,

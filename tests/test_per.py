@@ -689,6 +689,14 @@ class TestIntegrate:
         assert traj.n_steps == 1
         assert traj.times[-1] == pytest.approx(0.1)
 
+    def test_info_carries_rho_beta_a(self):
+        # the radius of the doubling start's beta_a, at the reduced step dt0
+        model = benchmark_chain(0.5)
+        config = per.PerConfig(dt=0.02, m_b=8)
+        beta_a = per.assemble_series(model, config.dt0, config.m_a, "beta")
+        info = per.integrate(model, config, 0.1).info
+        assert info["rho_beta_a"] == linalg.spectral_radius(beta_a) > 0.0
+
 
 class TestBlockedForcing:
     """The step loop samples the forcing a block of steps at a time; the
