@@ -22,7 +22,7 @@ from perdyn.analysis import dt_bound
 from perdyn.baselines import expm_2p, state_space
 from perdyn.linalg import (DivergenceError, double_increment, neumann_sum,
                            spd_solver)
-from perdyn.model import (benchmark_beam, benchmark_chain, build_chain,
+from perdyn.model import (SystemModel, benchmark_beam, benchmark_chain, build_chain,
                           constant_step_force, damping_level)
 
 
@@ -410,6 +410,16 @@ class TestProfileDoubling:
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def random_model(rng):
+    """SPD M = X X^T + 1e-3 I and K alike, PSD C = Y Y^T of a random rank,
+    X standard normal n x n and Y n x r, each matrix scaled by 10^U(-2, 2),
+    of 1 to 6 dof."""
+    n = int(rng.integers(1, 7))
+    m, k = (x @ x.T + 1e-3 * np.eye(n) for x in rng.standard_normal((2, n, n)))
+    y = rng.standard_normal((n, int(rng.integers(0, n + 1))))
+    return SystemModel(*(mat * 10.0 ** rng.uniform(-2.0, 2.0) for mat in (m, y @ y.T, k)))
+
+
 class TestIncrementRule:
     """The Neumann factor of the doubling seed is summed as its increment,
     never as the sum minus I; the oracle is the seed rounded through I."""
@@ -442,6 +452,17 @@ class TestIncrementRule:
         for frac in (0.1, 0.4, 0.8):
             new, rounded = self.distances(model, frac)
             assert new <= rounded, frac
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), frac=st.floats(0.01, 1.0))
+    def test_random_models_near_expm(self, seed, frac):
+        # a seed summed as dT + alpha_a + dbeta + ... cancels the O(1) blocks
+        # +-M^-1 C, and the 2^20 doublings multiply the rounding: up to 5e-4
+        # of the peak on these models
+        model = random_model(np.random.default_rng(seed))
+        config = per.PerConfig(dt=frac * dt_bound(model, 4).dt_max)
+        exact = scipy.linalg.expm(state_space(model).w * config.dt)
+        assert np.abs(per.compute_a(model, config) - exact).max() <= 1e-11 * np.abs(exact).max()
 
     @pytest.mark.parametrize("zeta", [0.02, 0.1, 0.5])
     @pytest.mark.parametrize("n_dof", [4, 12, 24])
