@@ -64,6 +64,18 @@ def _finite(value) -> float:
     return value
 
 
+def _integer(value) -> int:
+    """An int, or a finite float of integral value; not a boolean."""
+    if isinstance(value, bool):
+        raise TypeError("expected an integer, not a boolean")
+    if isinstance(value, int):
+        return value
+    number = _finite(value)
+    if not number.is_integer():
+        raise ValueError("expected an integer")
+    return int(number)
+
+
 def _path(value) -> str | None:
     if value is not None and not isinstance(value, str):
         raise TypeError("expected a string")
@@ -71,7 +83,10 @@ def _path(value) -> str | None:
 
 
 def _array(value) -> np.ndarray:
-    return np.array(value, dtype=float)
+    array = np.array(value, dtype=float)
+    if not np.isfinite(array).all():
+        raise ValueError("expected finite numbers")
+    return array
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +125,9 @@ def write_csv(path: str, header, rows) -> None:
 _PER_KEYS = {"p": "p", "ma": "m_a", "ra": "r_a", "mb": "m_b", "rb": "r_b"}
 
 #: method-spec key -> (kind, the IntegratorParams fields it sets)
-_BASELINE_KEYS = {"gamma": (float, "newmark_gamma", "bathe_gamma"),
-                  "beta": (float, "newmark_beta"), "theta": (float, "wilson_theta"),
-                  "g": (int, "mpim_g"), "p": (int, "mpim_p")}
+_BASELINE_KEYS = {"gamma": (_finite, "newmark_gamma", "bathe_gamma"),
+                  "beta": (_finite, "newmark_beta"), "theta": (_finite, "wilson_theta"),
+                  "g": (_integer, "mpim_g"), "p": (_integer, "mpim_p")}
 
 
 @dataclass
@@ -140,7 +155,8 @@ class RunConfig:
         if dt <= 0.0:
             raise ConfigError("dt must be positive")
         for key in ("u0", "v0"):  # kept as given, read by build_model
-            _field(doc, key, _array, None)
+            if doc.get(key) is not None:
+                _field(doc, key, _array)
         return cls(model_spec=model_spec,
                    force_spec=_field(doc, "force", _object, {"kind": "zero"}),
                    method_spec=_field(doc, "method", _object, {"name": "per"}),
@@ -166,12 +182,12 @@ class RunConfig:
         return self.method_spec.get("name", "per")
 
     def refine(self) -> int:
-        return _field(self.reference, "refine", int, 500)
+        return _field(self.reference, "refine", _integer, 500)
 
     def per_config(self) -> per.PerConfig:
         """PerConfig from the method keys; omitted keys keep its defaults."""
         ms = self.method_spec
-        return per.PerConfig(dt=self.dt, **{name: _field(ms, key, int)
+        return per.PerConfig(dt=self.dt, **{name: _field(ms, key, _integer)
                                             for key, name in _PER_KEYS.items()
                                             if key in ms})
 
@@ -188,31 +204,33 @@ def _build_bare_model(spec: dict) -> SystemModel:
     kind = spec.get("kind")
     if kind == "chain":
         if "zeta" in spec:
-            return benchmark_chain(_field(spec, "zeta", float),
-                                   n_dof=_field(spec, "n_dof", int, 12),
-                                   mass_coeff=_field(spec, "mass", float, 1.0),
-                                   stiffness_coeff=_field(spec, "stiffness", float, 100.0))
-        dampers = [(_field(d, "i", int), None if d.get("j") is None else _field(d, "j", int),
-                    _field(d, "c", float)) for d in _field(spec, "dampers", _objects, [])]
-        return build_chain(_field(spec, "n_dof", int), _field(spec, "mass", float, 1.0),
-                           _field(spec, "stiffness", float, 100.0), dampers)
+            return benchmark_chain(_field(spec, "zeta", _finite),
+                                   n_dof=_field(spec, "n_dof", _integer, 12),
+                                   mass_coeff=_field(spec, "mass", _finite, 1.0),
+                                   stiffness_coeff=_field(spec, "stiffness", _finite, 100.0))
+        dampers = [(_field(d, "i", _integer),
+                    None if d.get("j") is None else _field(d, "j", _integer),
+                    _field(d, "c", _finite)) for d in _field(spec, "dampers", _objects, [])]
+        return build_chain(_field(spec, "n_dof", _integer), _field(spec, "mass", _finite, 1.0),
+                           _field(spec, "stiffness", _finite, 100.0), dampers)
     if kind == "beam":
         if "supports" in spec:
-            supports = [(_field(s, "node", int), _field(s, "spring", float, 0.0),
-                         _field(s, "damper", float, 0.0))
+            supports = [(_field(s, "node", _integer), _field(s, "spring", _finite, 0.0),
+                         _field(s, "damper", _finite, 0.0))
                         for s in _field(spec, "supports", _objects)]
-            loads = [(_field(ld, "node", int), _field(ld, "direction", float, 1.0),
+            loads = [(_field(ld, "node", _integer), _field(ld, "direction", float, 1.0),
                       step_function(_field(ld, "t_c", float, 0.0), _field(ld, "f0", float, 0.0)))
                      for ld in _field(spec, "point_loads", _objects, [])]
-            return build_beam(_field(spec, "length", float), _field(spec, "ei", float),
-                              _field(spec, "total_mass", float), _field(spec, "n_elements", int),
+            return build_beam(_field(spec, "length", _finite), _field(spec, "ei", _finite),
+                              _field(spec, "total_mass", _finite),
+                              _field(spec, "n_elements", _integer),
                               supports=supports, point_loads=loads)
-        return benchmark_beam(zeta_a=_field(spec, "zeta_a", float, 0.5),
-                              zeta_b=_field(spec, "zeta_b", float, 0.5),
-                              n_elements=_field(spec, "n_elements", int, 24),
-                              length=_field(spec, "length", float, 3.0),
-                              bending_stiffness=_field(spec, "ei", float, 437.5e3),
-                              total_mass=_field(spec, "total_mass", float, 235.5))
+        return benchmark_beam(zeta_a=_field(spec, "zeta_a", _finite, 0.5),
+                              zeta_b=_field(spec, "zeta_b", _finite, 0.5),
+                              n_elements=_field(spec, "n_elements", _integer, 24),
+                              length=_field(spec, "length", _finite, 3.0),
+                              bending_stiffness=_field(spec, "ei", _finite, 437.5e3),
+                              total_mass=_field(spec, "total_mass", _finite, 235.5))
     if kind == "matrices":
         return SystemModel(*(_field(spec, key, _array)
                              for key in ("mass", "damping", "stiffness")))
@@ -220,16 +238,18 @@ def _build_bare_model(spec: dict) -> SystemModel:
 
 
 def _build_force(spec: dict, n_dof: int):
+    """The load of a force spec.  Its values, as those of a beam's point
+    loads, may be non-finite: the run reports such a sample."""
     kind = spec.get("kind", "zero")
     if kind == "zero":
         return None
     if kind == "constant-step":
-        return constant_step_force(n_dof, _field(spec, "dof", int),
+        return constant_step_force(n_dof, _field(spec, "dof", _integer),
                                    _field(spec, "t_c", float, 0.0), _field(spec, "f0", float))
     if kind == "gaussian-multiharmonic":
         comps = [(_field(c, "a", float), _field(c, "omega", float))
                  for c in _field(spec, "components", _objects)]
-        return gaussian_multiharmonic_force(n_dof, _field(spec, "dof", int),
+        return gaussian_multiharmonic_force(n_dof, _field(spec, "dof", _integer),
                                             _field(spec, "t0", float), _field(spec, "s", float),
                                             comps)
     raise ConfigError(f"unknown force kind {kind!r}")

@@ -427,6 +427,20 @@ class TestTiming:
         setup_s, loop_s = timing_run(model, "per", 0.01, 0.0, repeats=1)
         assert loop_s < setup_s
 
+    def test_loop_phase(self, monkeypatch):
+        # each repeat times a one-step run, then the full run
+        calls = []
+        run_method = bench.run_method
+
+        def counted(model, method, dt, t_max, *args):
+            calls.append(t_max)
+            return run_method(model, method, dt, t_max, *args)
+
+        monkeypatch.setattr(bench, "run_method", counted)
+        setup_s, loop_s = timing_run(benchmark_chain(0.1), "per", 0.01, 0.5, repeats=2)
+        assert calls == [0.01, 0.5, 0.01, 0.5]
+        assert np.isfinite(loop_s) and loop_s >= 0.0 and setup_s > 0.0
+
     def test_setup_grows_with_size(self):
         setups = []
         for n in (16, 32, 64):

@@ -10,7 +10,7 @@ from perdyn import baselines, per
 from perdyn.cli import (EXIT_DIVERGENCE, EXIT_VALIDATION, RunConfig,
                         dump_config, load_config, main, write_csv)
 from perdyn.linalg import DivergenceError
-from perdyn.model import benchmark_chain
+from perdyn.model import benchmark_chain, build_beam, step_function
 from perdyn.per import PerConfig, integrate
 
 
@@ -225,9 +225,25 @@ class TestSimulate:
         ({"model": {"kind": "chain", "n_dof": 2}, "out": 5}, "out"),
         ({"model": {"kind": "chain", "n_dof": 2}, "t_max": float("inf")}, "t_max"),
         ({"model": {"kind": "chain", "n_dof": 2}, "dt": float("nan")}, "dt"),
+        ({"model": {"kind": "chain", "n_dof": 2}, "method": {"name": "per", "mb": 8.5}}, "mb"),
+        ({"model": {"kind": "chain", "n_dof": 2}, "method": {"name": "mpim", "g": 4.7}}, "g"),
+        ({"model": {"kind": "chain", "n_dof": 2.9}}, "n_dof"),
+        ({"model": {"kind": "chain", "n_dof": True}}, "n_dof"),
+        ({"model": {"kind": "chain", "n_dof": 1e400}}, "n_dof"),
+        ({"model": {"kind": "chain", "n_dof": 2}, "method": {"name": "per", "mb": 1e400}}, "mb"),
+        ({"model": {"kind": "chain", "n_dof": 2,
+                    "dampers": [{"i": 0, "j": None, "c": 1e400}]}}, "c"),
+        ({"model": {"kind": "matrices", "mass": [[1.0]], "damping": [[0.0]],
+                    "stiffness": [[1e400]]}}, "stiffness"),
+        ({"model": {"kind": "chain", "n_dof": 2}, "u0": [1e400, 0.0]}, "u0"),
+        ({"model": {"kind": "chain", "n_dof": 2, "mass": 1e400}}, "mass"),
+        ({"model": {"kind": "chain", "zeta": float("nan")}}, "zeta"),
     ], ids=["chain-without-size", "step-without-f0", "model-not-object",
             "support-without-node", "state-not-numbers", "out-not-string",
-            "t_max-infinite", "dt-nan"])
+            "t_max-infinite", "dt-nan", "mb-non-integral", "g-non-integral",
+            "n_dof-non-integral", "n_dof-boolean", "n_dof-infinite", "mb-infinite",
+            "damper-infinite", "stiffness-infinite", "state-infinite", "mass-infinite",
+            "zeta-nan"])
     def test_malformed_config_is_a_validation_error(self, doc, key, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         write_config(cfg, {"version": 1, "dt": 0.01, "t_max": 0.1, **doc})
@@ -253,6 +269,48 @@ class TestSimulate:
         capsys.readouterr()
         assert main(["simulate", "--config", str(cfg), "--out", out]) == EXIT_VALIDATION
         assert "non-finite force sample at t = 0.05" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("method, flags, keys", [
+        ("per", ["--mb", "6", "--rb", "2", "--ma", "4", "--ra", "2", "--p", "16"],
+         {"mb": 6, "rb": 2, "ma": 4, "ra": 2, "p": 16}),
+        ("mpim", ["--g", "3", "--p", "12"], {"g": 3, "p": 12}),
+    ], ids=["per", "mpim"])
+    def test_override_flags_equal_config_keys(self, method, flags, keys, tmp_path, capsys):
+        doc = {"version": 1,
+               "model": {"kind": "chain", "n_dof": 4, "dampers": [{"i": 0, "j": None, "c": 2.0}]},
+               "force": {"kind": "constant-step", "dof": 1, "t_c": 0.05, "f0": 1.0},
+               "method": {"name": method}, "dt": 0.01, "t_max": 0.4}
+        write_config(tmp_path / "flags.json", doc)
+        write_config(tmp_path / "keys.json", {**doc, "dt": 0.02,
+                                              "method": {"name": method, **keys}})
+        outputs = []
+        for name, extra in (("flags", ["--dt", "0.02", *flags]), ("keys", [])):
+            out = tmp_path / f"{name}.csv"
+            assert main(["simulate", "--config", str(tmp_path / f"{name}.json"),
+                         "--out", str(out), *extra]) == 0
+            outputs.append((out.read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0].count(b"\n") == 22  # the header and 21 samples, dt 0.02
+
+    def test_beam_supports_and_point_loads(self):
+        doc = {"version": 1, "dt": 1e-4, "t_max": 1e-3,
+               "model": {"kind": "beam", "length": 2.0, "ei": 3e5, "total_mass": 120.0,
+                         "n_elements": 6,
+                         "supports": [{"node": 3, "spring": 1e4, "damper": 50.0},
+                                      {"node": 6, "damper": 20.0}],
+                         "point_loads": [{"node": 6, "direction": -1.0, "t_c": 4e-4,
+                                          "f0": 300.0},
+                                         {"node": 2, "f0": 40.0}]}}
+        got = RunConfig.from_dict(doc).build_model()
+        want = build_beam(2.0, 3e5, 120.0, 6, supports=[(3, 1e4, 50.0), (6, 0.0, 20.0)],
+                          point_loads=[(6, -1.0, step_function(4e-4, 300.0)),
+                                       (2, 1.0, step_function(0.0, 40.0))])
+        for name in ("mass", "damping", "stiffness"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        for t in np.linspace(0.0, 1e-3, 11):
+            np.testing.assert_array_equal(got.force_at(t), want.force_at(t))
+        assert got.force_at(1e-3)[10] == -300.0 and got.force_at(0.0)[2] == 40.0
 
 
 class TestConfigRoundTrip:

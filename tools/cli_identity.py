@@ -29,6 +29,13 @@ The matrix:
   (always run with ``--out``, so that no tree opens a file descriptor);
 - ``simulate`` of two non-finite inputs: the README chain with
   ``--t-max inf``, and a config whose ``dt`` is NaN;
+- ``simulate`` of the README chain with the override flags: the
+  perturbation scheme at ``--dt 0.02 --mb 6 --rb 2 --ma 4 --ra 2 --p 16``,
+  and MPIM at ``--dt 0.02 --g 3 --p 12``;
+- ``simulate`` of a custom-support beam (6 elements, a sprung and damped
+  support at node 3, a damper at node 6) with a step point load at its tip;
+- ``simulate`` of two configs that the input checks reject: the README
+  chain with ``"mb": 8.5``, and a chain whose damper ``c`` is infinite;
 - ``compare`` on the README chain and on its c = 120 variant, and
   ``sweep-dt`` (the perturbation scheme and Newmark) and ``sweep-damping``
   on the README chain, all at t_max 4;
@@ -98,6 +105,21 @@ CONFIGS = {
     # a time step that is not a number: a validation error
     "dt-nan.json": {"version": 1, "model": {"kind": "chain", "n_dof": 2},
                     "dt": math.nan, "t_max": 0.1},
+    # a beam built from supports and point loads, at 0.57 dt_max
+    "beam-supports.json": {
+        "version": 1, "method": {"name": "per", "mb": 8}, "dt": 1e-4, "t_max": 0.02,
+        "model": {"kind": "beam", "length": 2.0, "ei": 3e5, "total_mass": 120.0,
+                  "n_elements": 6,
+                  "supports": [{"node": 3, "spring": 1e4, "damper": 50.0},
+                               {"node": 6, "damper": 20.0}],
+                  "point_loads": [{"node": 6, "direction": -1.0, "t_c": 2e-3, "f0": 300.0}]}},
+    # a truncation order that is not an integer
+    "mb-non-integral.json": {**CHAIN, "method": {"name": "per", "mb": 8.5, "rb": 4},
+                             "t_max": 0.48},
+    # an infinite damper
+    "damper-infinite.json": {"version": 1, "dt": 0.01, "t_max": 0.1,
+                             "model": {"kind": "chain", "n_dof": 2,
+                                       "dampers": [{"i": 0, "j": None, "c": math.inf}]}},
 }
 
 SHORT = ["--t-max", "4"]
@@ -120,6 +142,16 @@ CASES = {
     "simulate-t-max-infinite": ["simulate", "--config", "chain.json", "--t-max", "inf",
                                 "--out", "out.csv"],
     "simulate-dt-nan": ["simulate", "--config", "dt-nan.json", "--out", "out.csv"],
+    "simulate-chain-per-flags": ["simulate", "--config", "chain.json", "--dt", "0.02",
+                                 "--mb", "6", "--rb", "2", "--ma", "4", "--ra", "2",
+                                 "--p", "16", "--out", "out.csv"],
+    "simulate-chain-mpim-flags": ["simulate", "--config", "chain.json", "--method", "mpim",
+                                  "--dt", "0.02", "--g", "3", "--p", "12", "--out", "out.csv"],
+    "simulate-beam-supports": ["simulate", "--config", "beam-supports.json", "--out", "out.csv"],
+    "simulate-mb-non-integral": ["simulate", "--config", "mb-non-integral.json",
+                                 "--out", "out.csv"],
+    "simulate-damper-infinite": ["simulate", "--config", "damper-infinite.json",
+                                 "--out", "out.csv"],
     "compare-chain": ["compare", "--config", "chain.json", *SHORT, "--out", "out.csv"],
     "compare-c120": ["compare", "--config", "c120.json", *SHORT, "--out", "out.csv"],
     "sweep-dt-per": ["sweep-dt", "--config", "chain.json", *SHORT,
