@@ -300,14 +300,13 @@ def _increment_at_reduced_step(a_mat, minv_c, dt0, m_a, r_a):
     Delta = alpha_a + beta_a from the coefficient sums (its j = 0 term is
     zero).  beta_a is zero outside the u and v columns S of the damped dofs,
     so the last term is beta_a[:, S] beta_a[S, S]^r_a, in those columns."""
-    delta_t = undamped_step_increment(a_mat, dt0, m_a)
     beta_a, delta = _series(a_mat, minv_c, dt0, m_a, coeff_beta,
                             lambda j, dt: coeff_alpha(j, dt) + coeff_beta(j, dt))
-    delta += delta_t
-    delta_a = delta + _neumann_increment(beta_a, r_a) @ delta
+    delta += undamped_step_increment(a_mat, dt0, m_a)
+    delta += _neumann_increment(beta_a, r_a) @ delta
     cols = np.flatnonzero((beta_a != 0.0).any(axis=0))
-    delta_a[:, cols] -= beta_a[:, cols] @ np.linalg.matrix_power(beta_a[np.ix_(cols, cols)], r_a)
-    return delta_a, spectral_radius(beta_a)
+    delta[:, cols] -= beta_a[:, cols] @ np.linalg.matrix_power(beta_a[np.ix_(cols, cols)], r_a)
+    return delta, spectral_radius(beta_a)
 
 
 def compute_b_factors(model: SystemModel, config: PerConfig) -> SchemeMatrices:
@@ -401,11 +400,12 @@ def integrate(model: SystemModel, config: PerConfig, t_max: float) -> Trajectory
 
     The step count is round(t_max/dt), so the final sample may overshoot
     t_max by less than one step.  ``info`` carries rho(beta_b) and
-    rho(beta_a).  A run the guard stops returns the computed prefix, a run
-    with rho(beta_b) >= 1, whose truncated Neumann sum does not approximate
-    (I - beta_b)^-1, its full trajectory, either with ``diverged=True``,
+    rho(beta_a).  Two runs end with ``diverged=True``: one the guard stops,
+    as its computed prefix with ``info["diverged_at_step"]``, and one with
+    rho(beta_b) >= 1, whose truncated Neumann sum does not approximate
+    (I - beta_b)^-1, as its full trajectory.  Either carries
     ``info["reason"]`` ("norm guard" or "rho(beta_b) >= 1") and
-    ``info["dt_max_bound"]``, and a guard stop its ``info["diverged_at_step"]``.
+    ``info["dt_max_bound"]``.
     """
     n_steps = _steps(t_max, config.dt)
     scheme = build_scheme(model, config)
