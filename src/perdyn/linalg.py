@@ -122,7 +122,9 @@ def _profile_doubling(delta, p):
     delta[K, J], where J spans the rows in K and R; the rest of R is zero.
     The flush threshold is taken from the largest magnitude of the whole
     square, ignoring NaN.  NaN and inf count as nonzero.  Besides the
-    caller's seed, at most two full-size arrays are alive at once.
+    caller's seed, two full-size buffers are alive, swapped at each
+    doubling: each block of the one written to is zeroed only in the
+    columns of its last window there that its new window leaves.
     """
     n = delta.shape[0]
     perm = np.argsort(np.arange(n) % ((n + 1) // 2), kind="stable")
@@ -130,14 +132,21 @@ def _profile_doubling(delta, p):
     first, stop = _spans(delta == 0.0, 0, n)
     blocks = [slice(r0, min(r0 + _FLUSH_MIN_ORDER, n))
               for r0 in range(0, n, _FLUSH_MIN_ORDER)]
+    # the window of each block in each buffer, slice(n, 0) for none; the
+    # seed's rows may be nonzero in every column
+    new = np.zeros_like(delta)
+    held, held_new = [slice(0, n)] * len(blocks), [slice(n, 0)] * len(blocks)
     for _ in range(p):
-        new = np.zeros_like(delta)
         windows, peak = [], 0.0
-        for rows in blocks:
+        for rows, old in zip(blocks, held_new):
             k0, k1 = first[rows].min(), stop[rows].max()
             if k0 >= k1:  # the rows of R are zero, and so are they in the square
+                new[rows, old] = 0.0
+                windows.append((rows, slice(n, 0)))
                 continue
             cols = slice(min(k0, first[k0:k1].min()), max(k1, stop[k0:k1].max()))
+            new[rows, old.start:cols.start] = 0.0
+            new[rows, cols.stop:old.stop] = 0.0
             window = new[rows, cols]
             np.matmul(delta[rows, k0:k1], delta[k0:k1, cols], out=window)
             window += 2.0 * delta[rows, cols]
@@ -146,11 +155,14 @@ def _profile_doubling(delta, p):
             windows.append((rows, cols))
         tol = _FLUSH_REL * peak
         for rows, cols in windows:
+            if cols.start >= cols.stop:
+                continue
             window = new[rows, cols]
             small = np.abs(window) < tol
             window[small] = 0.0
             first[rows], stop[rows] = _spans(small, cols.start, n)
-        delta = new
+        delta, new = new, delta
+        held, held_new = [cols for _, cols in windows], held
     back = np.argsort(perm)
     return delta[np.ix_(back, back)]
 

@@ -208,6 +208,42 @@ def doubling_dense_flushed(delta, p):
     return delta
 
 
+def profile_doubling_fresh_buffer(delta, p):
+    """The profile doubling of ``linalg._profile_doubling`` as it was first
+    written: a fresh zero array at every doubling, each block's window of
+    rows R and columns J written as 2 delta[R, J] + delta[R, K] delta[K, J],
+    then flushed below sqrt(tiny) times the peak of all windows."""
+    from perdyn.linalg import _spans
+    n, height = delta.shape[0], 128
+    perm = np.argsort(np.arange(n) % ((n + 1) // 2), kind="stable")
+    delta = delta[np.ix_(perm, perm)]
+    first, stop = _spans(delta == 0.0, 0, n)
+    blocks = [slice(r0, min(r0 + height, n)) for r0 in range(0, n, height)]
+    for _ in range(p):
+        new = np.zeros_like(delta)
+        windows, peak = [], 0.0
+        for rows in blocks:
+            k0, k1 = first[rows].min(), stop[rows].max()
+            if k0 >= k1:
+                continue
+            cols = slice(min(k0, first[k0:k1].min()), max(k1, stop[k0:k1].max()))
+            window = new[rows, cols]
+            np.matmul(delta[rows, k0:k1], delta[k0:k1, cols], out=window)
+            window += 2.0 * delta[rows, cols]
+            peak = max(peak, np.fmax.reduce(window, axis=None),
+                       -np.fmin.reduce(window, axis=None))
+            windows.append((rows, cols))
+        tol = sqrt(np.finfo(float).tiny) * peak
+        for rows, cols in windows:
+            window = new[rows, cols]
+            small = np.abs(window) < tol
+            window[small] = 0.0
+            first[rows], stop[rows] = _spans(small, cols.start, n)
+        delta = new
+    back = np.argsort(perm)
+    return delta[np.ix_(back, back)]
+
+
 def tau_limit_scalar_scan(m, scan_step=0.01, tau_max=100.0, tol=1e-8):
     """First upward crossing of rho(sigma_m(tau)) through 1/(2 sqrt(3)).
 

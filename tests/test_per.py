@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from oracles import (companion_matrix, damped_free_vibration,
                      doubling_dense_flushed, doubling_unflushed, expm_eig,
                      gauss_panel_integral, increment_at_reduced_step_i_rounded,
-                     lagrange_cubic_basis, l2_norm, rotation_propagator,
-                     sdof_model, step_loop)
+                     lagrange_cubic_basis, l2_norm, profile_doubling_fresh_buffer,
+                     rotation_propagator, sdof_model, step_loop)
 from scipy.linalg import cho_factor, cho_solve
 
 import perdyn.per as per
@@ -343,6 +343,27 @@ class TestProfileDoubling:
     def test_chain240_no_subnormal_entries(self, chain240, which):
         got = chain240[which][0]
         assert not ((got != 0.0) & (np.abs(got) < np.finfo(float).tiny)).any()
+
+    @pytest.mark.parametrize("n_dof", [96, 240, 480])
+    def test_two_buffers_bit_for_bit(self, n_dof):
+        model = benchmark_chain(0.1, n_dof)
+        config = per.PerConfig(dt=0.8 * dt_bound(model, 8).dt_max, m_b=8)
+        seed, _ = per._increment_at_reduced_step(*per.system_operators(model)[1:],
+                                                 config.dt0, config.m_a, config.r_a)
+        assert np.array_equal(double_increment(seed, config.p),
+                              profile_doubling_fresh_buffer(seed, config.p))
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_two_buffers_clear_what_the_flush_drops(self, p):
+        # two off-band entries, right of row block 0 and left of block 2, and
+        # block 1 (u rows 64-127, v rows 256-319) fall below the flush
+        # threshold at the first doubling: no buffer may keep them
+        seed = banded_seed(384, 3, (0.5, 0.5), 0.5, 4, np.random.default_rng(3))
+        seed[5, 300] = seed[150, 0] = 1e-300
+        seed[np.r_[64:128, 256:320]] *= 1e-290
+        got = double_increment(seed, p)
+        assert np.array_equal(got, profile_doubling_fresh_buffer(seed, p))
+        assert got[5, 300] == got[150, 0] == 0.0 and not got[64:128].any()
 
     def test_dense_seed_bit_for_bit(self):
         seed = 1e-3 * np.random.default_rng(7).standard_normal((200, 200))
