@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import per
-from .linalg import spectral_radius
 from .model import SystemModel, _spectral_extremes
 
 #: Modulus of the sigma eigenvalues at tau = 0: 1/(2*sqrt(3)).
@@ -229,6 +228,5 @@ def beta_radius_map(model: SystemModel, dt_values, m_b: int) -> list[tuple[float
     for dt in dt_values:
         if dt <= 0.0:
             raise ValueError("time steps must be positive")
-        beta, = per._series(a_mat, minv_c, dt, m_b, per.coeff_beta)
-        out.append((float(dt), spectral_radius(beta)))
+        out.append((float(dt), per._damped_series(a_mat, minv_c, dt, m_b, per.coeff_beta)[1]))
     return out

@@ -63,21 +63,24 @@ def spectral_radius(mat):
 
 def neumann_sum(mat, order):
     """Truncated Neumann sum I + B + B^2 + ... + B^order for even ``order``:
-    I plus _neumann_increment."""
+    I plus _neumann_columns over every column of B."""
     mat = np.asarray(mat, dtype=float)
-    return np.eye(len(mat)) + _neumann_increment(mat, order)
+    return np.eye(len(mat)) + _neumann_columns(mat, np.arange(len(mat)), order)
 
 
-def _neumann_increment(mat, order):
-    """B + B^2 + ... + B^order, nested as B + B^2 + B^2 (B + B^2 + B^2 (...))
-    in order/2 matrix products.  Callers take the increment over I from here,
-    never as the sum minus I, which rounds away the low bits of a small B."""
+def _neumann_columns(mat_cols, cols, order):
+    """Columns ``cols`` of B + B^2 + ... + B^order, even ``order``, for a B that
+    is zero outside them, from mat_cols = B[:, cols]: nested as B + B^2 +
+    B^2 (B + B^2 + B^2 (...)) in order/2 products, each X @ Y with X zero
+    outside the columns cols taken as X[:, cols] @ Y[cols].  Callers take the
+    increment over I from here, never as the sum minus I, which rounds away
+    the low bits of a small B."""
     if order < 2 or order % 2 != 0:
         raise ValueError(f"Neumann truncation order must be even and >= 2, got {order}")
-    sq = mat @ mat
-    total = first = mat + sq
+    sq = mat_cols @ mat_cols[cols]
+    total = first = mat_cols + sq
     for _ in range(order // 2 - 1):
-        total = first + sq @ total
+        total = first + sq @ total[cols]
     return total
 
 
@@ -122,9 +125,8 @@ def _profile_doubling(delta, p):
     delta[K, J], where J spans the rows in K and R; the rest of R is zero.
     The flush threshold is taken from the largest magnitude of the whole
     square, ignoring NaN.  NaN and inf count as nonzero.  Besides the
-    caller's seed, two full-size buffers are alive, swapped at each
-    doubling: each block of the one written to is zeroed only in the
-    columns of its last window there that its new window leaves.
+    caller's seed, two full-size buffers are alive, swapped at each doubling;
+    a block is zeroed only where its old window there leaves its new one.
     """
     n = delta.shape[0]
     perm = np.argsort(np.arange(n) % ((n + 1) // 2), kind="stable")
@@ -132,8 +134,7 @@ def _profile_doubling(delta, p):
     first, stop = _spans(delta == 0.0, 0, n)
     blocks = [slice(r0, min(r0 + _FLUSH_MIN_ORDER, n))
               for r0 in range(0, n, _FLUSH_MIN_ORDER)]
-    # the window of each block in each buffer, slice(n, 0) for none; the
-    # seed's rows may be nonzero in every column
+    # each block's window in each buffer: slice(n, 0) is none, the seed's is all
     new = np.zeros_like(delta)
     held, held_new = [slice(0, n)] * len(blocks), [slice(n, 0)] * len(blocks)
     for _ in range(p):
@@ -161,8 +162,7 @@ def _profile_doubling(delta, p):
             small = np.abs(window) < tol
             window[small] = 0.0
             first[rows], stop[rows] = _spans(small, cols.start, n)
-        delta, new = new, delta
-        held, held_new = [cols for _, cols in windows], held
+        delta, new, held, held_new = new, delta, [cols for _, cols in windows], held
     back = np.argsort(perm)
     return delta[np.ix_(back, back)]
 

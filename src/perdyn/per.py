@@ -19,8 +19,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .linalg import (DivergenceError, _neumann_increment, double_increment,
-                     neumann_sum, spd_solver, spectral_radius)
+from .linalg import (DivergenceError, _neumann_columns, double_increment, spd_solver,
+                     spectral_radius)
 from .model import StateVector, SystemModel, _force_rows
 
 MAX_SERIES_ORDER = 60  # higher truncations are numerically unreliable
@@ -235,18 +235,32 @@ def assemble_series(model: SystemModel, dt: float, m: int, which: str) -> np.nda
 def _series(a_mat, start, dt, m, *coeffs):
     """[sum_{j=0}^{m/2} c(j, dt) (x) A^j F for c in coeffs], every family
     summed off one chain of powers A^j F with F = ``start`` (the identity
-    when None), one power held at a time."""
+    when None, else n x k), one power held at a time."""
     n = a_mat.shape[0]
-    outs = [np.zeros((rows * n, cols * n)) for rows, cols in (c(0, dt).shape for c in coeffs)]
     power = np.eye(n) if start is None else start
+    k = power.shape[1]
+    outs = [np.zeros((rows * n, cols * k)) for rows, cols in (c(0, dt).shape for c in coeffs)]
     for j in range(m // 2 + 1):
         if j:
             power = a_mat @ power
         for out, coeff in zip(outs, coeffs):
             for (r, c), cj in np.ndenumerate(coeff(j, dt)):
                 if cj != 0.0:
-                    out[r * n:(r + 1) * n, c * n:(c + 1) * n] += cj * power
+                    out[r * n:(r + 1) * n, c * k:(c + 1) * k] += cj * power
     return outs
+
+
+def _damped_series(a_mat, minv_c, dt, m, *coeffs):
+    """(cols, rho, series): the damping series of _series on their nonzero
+    columns cols = (s, n + s), s the damped dofs (the nonzero columns of
+    minv_c), summed from minv_c[:, s]; rho of the first, by an eigensolve of
+    the whole square, whose bits one of its block [cols, cols] does not keep."""
+    s = np.flatnonzero((minv_c != 0.0).any(axis=0))
+    series = _series(a_mat, minv_c[:, s], dt, m, *coeffs)
+    cols = np.concatenate([s, len(minv_c) + s])
+    square = np.zeros((len(series[0]),) * 2)
+    square[:, cols] = series[0]
+    return cols, spectral_radius(square), series
 
 
 def undamped_step_increment(a_mat: np.ndarray, dt: float, m: int) -> np.ndarray:
@@ -258,11 +272,8 @@ def undamped_step_increment(a_mat: np.ndarray, dt: float, m: int) -> np.ndarray:
     _check_order(m)
     n = a_mat.shape[0]
     b_mat = (dt * dt) * a_mat
-    j_max = m // 2
-    delta_g = np.zeros((n, n))
-    h_mat = np.eye(n)
-    b_pow = np.eye(n)
-    for j in range(1, j_max + 1):
+    delta_g, h_mat, b_pow = np.zeros((n, n)), np.eye(n), np.eye(n)
+    for j in range(1, m // 2 + 1):
         b_pow = b_pow @ b_mat
         delta_g += (-1.0) ** j / factorial(2 * j) * b_pow
         h_mat += (-1.0) ** j / factorial(2 * j + 1) * b_pow
@@ -298,15 +309,17 @@ def _increment_at_reduced_step(a_mat, minv_c, dt0, m_a, r_a):
     order r_a.  alpha_a and beta_a carry +-M^-1 C at any dt0, so the same
     truncation is summed as (I + dbeta)(dT + Delta) - beta_a^(r_a + 1), with
     Delta = alpha_a + beta_a from the coefficient sums (its j = 0 term is
-    zero).  beta_a is zero outside the u and v columns S of the damped dofs,
-    so the last term is beta_a[:, S] beta_a[S, S]^r_a, in those columns."""
-    beta_a, delta = _series(a_mat, minv_c, dt0, m_a, coeff_beta,
-                            lambda j, dt: coeff_alpha(j, dt) + coeff_beta(j, dt))
-    delta += undamped_step_increment(a_mat, dt0, m_a)
-    delta += _neumann_increment(beta_a, r_a) @ delta
-    cols = np.flatnonzero((beta_a != 0.0).any(axis=0))
-    delta[:, cols] -= beta_a[:, cols] @ np.linalg.matrix_power(beta_a[np.ix_(cols, cols)], r_a)
-    return delta, spectral_radius(beta_a)
+    zero).  All but dT live on the columns S of _damped_series: dbeta (dT +
+    Delta) is dbeta[:, S] (dT + Delta)[S], and the last term beta_a[:, S]
+    beta_a[S, S]^r_a."""
+    cols, rho, (beta_a, delta_cols) = _damped_series(
+        a_mat, minv_c, dt0, m_a, coeff_beta,
+        lambda j, dt: coeff_alpha(j, dt) + coeff_beta(j, dt))
+    delta = undamped_step_increment(a_mat, dt0, m_a)
+    delta[:, cols] += delta_cols
+    delta += _neumann_columns(beta_a, cols, r_a) @ delta[cols]
+    delta[:, cols] -= beta_a @ np.linalg.matrix_power(beta_a[cols], r_a)
+    return delta, rho
 
 
 def compute_b_factors(model: SystemModel, config: PerConfig) -> SchemeMatrices:
@@ -322,15 +335,15 @@ def compute_b_factors(model: SystemModel, config: PerConfig) -> SchemeMatrices:
 
 def _b_factors(a_mat, minv_c, config):
     """compute_b_factors on the operators A = M^-1 K and minv_c = M^-1 C."""
-    beta_b, = _series(a_mat, minv_c, config.dt, config.m_b, coeff_beta)
+    cols, rho, (beta_b,) = _damped_series(a_mat, minv_c, config.dt, config.m_b, coeff_beta)
     l_b, = _series(a_mat, None, config.dt, config.m_b, coeff_l)
-    rho = spectral_radius(beta_b)
     if rho >= 1.0:
         warnings.warn(
             f"rho(beta_b) = {rho:.4f} >= 1: the damping series does not "
             "converge at this time step", RuntimeWarning, stacklevel=3)
-    return SchemeMatrices(a=None, neumann_b=neumann_sum(beta_b, config.r_b),
-                          l_b=l_b, rho_beta_b=rho)
+    neumann_b = np.eye(len(l_b))  # I plus the Neumann increment, on the columns cols
+    neumann_b[:, cols] += _neumann_columns(beta_b, cols, config.r_b)
+    return SchemeMatrices(a=None, neumann_b=neumann_b, l_b=l_b, rho_beta_b=rho)
 
 
 def build_scheme(model: SystemModel, config: PerConfig) -> SchemeMatrices:

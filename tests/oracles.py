@@ -160,6 +160,55 @@ def increment_at_reduced_step_i_rounded(a_mat, minv_c, dt0, m_a, r_a):
             + delta_beta @ delta_t + delta_beta @ alpha_a)
 
 
+def dense_series(a_mat, start, dt, m, *coeffs):
+    """[sum_{j=0}^{m/2} c(j, dt) (x) A^j F for c in coeffs] over every column:
+    F = ``start`` (the identity when None) is n x n, and so is each block."""
+    n = a_mat.shape[0]
+    outs = [np.zeros((rows * n, cols * n)) for rows, cols in (c(0, dt).shape for c in coeffs)]
+    power = np.eye(n) if start is None else start
+    for j in range(m // 2 + 1):
+        if j:
+            power = a_mat @ power
+        for out, coeff in zip(outs, coeffs):
+            for (r, c), cj in np.ndenumerate(coeff(j, dt)):
+                if cj != 0.0:
+                    out[r * n:(r + 1) * n, c * n:(c + 1) * n] += cj * power
+    return outs
+
+
+def dense_neumann_increment(mat, order):
+    """B + B^2 + ... + B^order, nested as B + B^2 + B^2 (B + B^2 + ...), every
+    product over the whole matrix."""
+    sq = mat @ mat
+    total = first = mat + sq
+    for _ in range(order // 2 - 1):
+        total = first + sq @ total
+    return total
+
+
+def dense_scheme(model, config):
+    """(beta_b, a, neumann_b, rho_beta_a, rho_beta_b) of the PER scheme with
+    every damping operator dense, 2N x 2N: the series summed from all of
+    M^-1 C, the Neumann increments over every column, and the seed's
+    product dbeta @ (dT + Delta) over every row.  The doubling is the
+    library's; the radii are dense eigensolves."""
+    from perdyn import per
+    from perdyn.linalg import double_increment, spectral_radius
+    _, a_mat, minv_c = per.system_operators(model)
+    beta_a, delta = dense_series(a_mat, minv_c, config.dt0, config.m_a, per.coeff_beta,
+                                 lambda j, dt: per.coeff_alpha(j, dt) + per.coeff_beta(j, dt))
+    delta += per.undamped_step_increment(a_mat, config.dt0, config.m_a)
+    delta += dense_neumann_increment(beta_a, config.r_a) @ delta
+    cols = np.flatnonzero((beta_a != 0.0).any(axis=0))
+    delta[:, cols] -= beta_a[:, cols] @ np.linalg.matrix_power(beta_a[np.ix_(cols, cols)],
+                                                               config.r_a)
+    beta_b, = dense_series(a_mat, minv_c, config.dt, config.m_b, per.coeff_beta)
+    eye = np.eye(len(beta_b))
+    return (beta_b, eye + double_increment(delta, config.p),
+            eye + dense_neumann_increment(beta_b, config.r_b),
+            spectral_radius(beta_a), spectral_radius(beta_b))
+
+
 def step_loop(phi, x0, dt, n_steps, sample, offsets, weights, ref_scale):
     """U_{k+1} = phi U_k + weights @ [s(t_k + o_1); ...] one step at a time.
 

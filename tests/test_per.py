@@ -9,7 +9,7 @@ import pytest
 
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
-from oracles import (companion_matrix, damped_free_vibration,
+from oracles import (companion_matrix, damped_free_vibration, dense_scheme,
                      doubling_dense_flushed, doubling_unflushed, expm_eig,
                      gauss_panel_integral, increment_at_reduced_step_i_rounded,
                      lagrange_cubic_basis, l2_norm, profile_doubling_fresh_buffer,
@@ -18,7 +18,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 import perdyn.per as per
 from perdyn import linalg
-from perdyn.analysis import dt_bound
+from perdyn.analysis import beta_radius_map, dt_bound
 from perdyn.baselines import expm_2p, state_space
 from perdyn.linalg import (DivergenceError, double_increment, neumann_sum,
                            spd_solver)
@@ -493,6 +493,81 @@ class TestIncrementRule:
         for frac in (0.1, 0.4, 0.8):
             new, rounded = self.distances(model, frac)
             assert new <= 2.0 * rounded, frac
+
+
+#: A 3-dof model whose damping matrix has full rank: every dof is damped.
+FULL_DAMPING = SystemModel(
+    np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.5]]),
+    np.array([[3.0, -1.0, 0.5], [-1.0, 2.0, -0.5], [0.5, -0.5, 1.0]]),
+    np.array([[200.0, -100.0, 0.0], [-100.0, 200.0, -100.0], [0.0, -100.0, 100.0]]))
+
+
+class TestDampedColumns:
+    """Every damping operator is built on the u and v columns of the damped
+    dofs only; the oracle builds each one dense, over all 2N columns."""
+
+    MODELS = {
+        "readme-chain": (lambda: build_chain(12, 1.0, 100.0, [(0, None, 2.0), (1, 2, 2.0)]),
+                         per.PerConfig(dt=0.024, m_b=8, r_b=4)),
+        "beam": (benchmark_beam, per.PerConfig(dt=2e-5, m_b=8)),
+        "undamped-chain": (lambda: build_chain(12, 1.0, 100.0, []),
+                           per.PerConfig(dt=0.024, m_b=8, r_b=4)),
+        "full-damping": (lambda: FULL_DAMPING, per.PerConfig(dt=0.1)),
+    }
+
+    @staticmethod
+    def check(model, config, bits=True):
+        """Compare the library with the dense oracle; ``bits`` asks the series
+        and the radii to agree bit for bit, else to roundoff."""
+        beta_b, a, neumann_b, rho_a, rho_b = dense_scheme(model, config)
+        _, a_mat, minv_c = per.system_operators(model)
+        cols, rho, (beta,) = per._damped_series(a_mat, minv_c, config.dt, config.m_b,
+                                                per.coeff_beta)
+        got = np.zeros_like(beta_b)
+        got[:, cols] = beta
+        scheme = per.build_scheme(model, config)
+        radii = (rho, scheme.rho_beta_b, beta_radius_map(model, [config.dt], config.m_b)[0][1])
+        tol = 1e-15 if bits else 5e-14
+        if bits:
+            assert np.array_equal(got, beta_b)
+            assert radii == (rho_b,) * 3 and scheme.rho_beta_a == rho_a
+        else:
+            assert np.abs(got - beta_b).max() <= tol * np.abs(beta_b).max()
+            np.testing.assert_allclose([*radii, scheme.rho_beta_a], [rho_b] * 3 + [rho_a],
+                                       rtol=tol)
+        assert np.abs(scheme.neumann_b - neumann_b).max() <= tol * np.abs(neumann_b).max()
+        exact = scipy.linalg.expm(state_space(model).w * config.dt)
+        assert np.abs(scheme.a - exact).max() <= np.abs(a - exact).max()
+        return cols
+
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_equals_the_dense_operators(self, name):
+        make, config = self.MODELS[name]
+        model = make()
+        cols = self.check(model, config)
+        damped = np.flatnonzero(model.damping.any(axis=0))
+        np.testing.assert_array_equal(cols, np.concatenate([damped, model.n_dof + damped]))
+
+    def test_undamped_support_is_empty(self):
+        make, config = self.MODELS["undamped-chain"]
+        scheme = per.build_scheme(make(), config)
+        assert scheme.rho_beta_a == scheme.rho_beta_b == 0.0
+        np.testing.assert_array_equal(scheme.neumann_b, np.eye(24))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), frac=st.floats(0.05, 1.0))
+    def test_random_models(self, seed, frac):
+        # C = Y Y^T of a random rank, with a random set of dofs undamped
+        rng = np.random.default_rng(seed)
+        model = random_model(rng)
+        n = model.n_dof
+        undamped = rng.random(n) < rng.random()
+        damping = np.where(undamped[:, None] | undamped[None, :], 0.0, model.damping)
+        model = SystemModel(model.mass, damping, model.stiffness)
+        config = per.PerConfig(dt=frac * dt_bound(model, 4).dt_max)
+        # with one damped dof of several, numpy sums A^j M^-1 C[:, s] by a
+        # matrix-vector product, in another order than the dense product
+        self.check(model, config, bits=n == 1 or (~undamped).sum() != 1 or not damping.any())
 
 
 # ---------------------------------------------------------------------------
