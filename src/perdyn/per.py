@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from math import factorial
+from math import factorial, ldexp
 from typing import Callable, Iterator
 
 import numpy as np
@@ -63,6 +63,8 @@ class PerConfig:
             raise ValueError("dt must be >= 0")
         if self.p < 1:
             raise ValueError("p must be >= 1")
+        if self.dt > 0.0 and not self.dt0 >= np.finfo(float).tiny:
+            raise ValueError(f"'p' = {self.p} is too large: dt/2^p is not a normal float")
         for name in ("m_a", "r_a", "m_b", "r_b"):
             val = getattr(self, name)
             if val < 2 or val % 2 != 0:
@@ -73,7 +75,7 @@ class PerConfig:
 
     @property
     def dt0(self) -> float:
-        return self.dt / 2.0 ** self.p
+        return ldexp(self.dt, -self.p)  # dt/2^p, without overflowing 2^p
 
 
 @dataclass(frozen=True)

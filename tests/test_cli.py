@@ -238,12 +238,13 @@ class TestSimulate:
         ({"model": {"kind": "chain", "n_dof": 2}, "u0": [1e400, 0.0]}, "u0"),
         ({"model": {"kind": "chain", "n_dof": 2, "mass": 1e400}}, "mass"),
         ({"model": {"kind": "chain", "zeta": float("nan")}}, "zeta"),
+        ({"model": {"kind": "chain", "n_dof": 2}, "method": {"name": "per", "p": 2000}}, "p"),
     ], ids=["chain-without-size", "step-without-f0", "model-not-object",
             "support-without-node", "state-not-numbers", "out-not-string",
             "t_max-infinite", "dt-nan", "mb-non-integral", "g-non-integral",
             "n_dof-non-integral", "n_dof-boolean", "n_dof-infinite", "mb-infinite",
             "damper-infinite", "stiffness-infinite", "state-infinite", "mass-infinite",
-            "zeta-nan"])
+            "zeta-nan", "p-overflow"])
     def test_malformed_config_is_a_validation_error(self, doc, key, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         write_config(cfg, {"version": 1, "dt": 0.01, "t_max": 0.1, **doc})

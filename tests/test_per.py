@@ -936,6 +936,16 @@ class TestPerConfigValidation:
         config = per.PerConfig(dt=1.0, p=3)
         assert config.dt0 == 0.125
 
+    @pytest.mark.parametrize("p", [1023, 1024, 2000, 10 ** 30])
+    def test_reduced_step_out_of_range_rejected(self, p):
+        # 2.0 ** p overflows from p = 1024; below, dt/2^p leaves the normal range
+        with pytest.raises(ValueError, match="'p' = "):
+            per.PerConfig(dt=0.01, p=p)
+
+    def test_reduced_step_at_the_normal_range(self):
+        assert per.PerConfig(dt=1.0, p=1022).dt0 == np.finfo(float).tiny
+        assert per.PerConfig(dt=0.0, p=2000).dt0 == 0.0
+
     def test_negative_dt_rejected(self):
         with pytest.raises(ValueError, match="dt"):
             per.PerConfig(dt=-0.1)
