@@ -36,6 +36,11 @@ The matrix:
   support at node 3, a damper at node 6) with a step point load at its tip;
 - ``simulate`` of two configs that the input checks reject: the README
   chain with ``"mb": 8.5``, and a chain whose damper ``c`` is infinite;
+- ``simulate`` of the perturbation scheme on a 3-dof ``matrices`` model
+  whose damping matrix has full rank, so that every dof is damped (dt 0.1,
+  a step load at t = 0.3);
+- ``simulate`` of a 2-dof chain with ``"p": 2000``, whose reduced step
+  dt/2^p is no float;
 - ``compare`` on the README chain and on its c = 120 variant, and
   ``sweep-dt`` (the perturbation scheme and Newmark) and ``sweep-damping``
   on the README chain, all at t_max 4;
@@ -120,6 +125,18 @@ CONFIGS = {
     "damper-infinite.json": {"version": 1, "dt": 0.01, "t_max": 0.1,
                              "model": {"kind": "chain", "n_dof": 2,
                                        "dampers": [{"i": 0, "j": None, "c": math.inf}]}},
+    # every dof damped: C has full rank
+    "matrices.json": {"version": 1, "dt": 0.1, "t_max": 4.0, "u0": [0.01, 0.0, -0.01],
+                      "model": {"kind": "matrices",
+                                "mass": [[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.5]],
+                                "damping": [[3.0, -1.0, 0.5], [-1.0, 2.0, -0.5],
+                                            [0.5, -0.5, 1.0]],
+                                "stiffness": [[200.0, -100.0, 0.0], [-100.0, 200.0, -100.0],
+                                              [0.0, -100.0, 100.0]]},
+                      "force": {"kind": "constant-step", "dof": 1, "t_c": 0.3, "f0": 5.0}},
+    # a reduced step dt/2^p beyond the float range
+    "p-overflow.json": {"version": 1, "model": {"kind": "chain", "n_dof": 2},
+                        "method": {"name": "per", "p": 2000}, "dt": 0.01, "t_max": 0.1},
 }
 
 SHORT = ["--t-max", "4"]
@@ -152,6 +169,9 @@ CASES = {
                                  "--out", "out.csv"],
     "simulate-damper-infinite": ["simulate", "--config", "damper-infinite.json",
                                  "--out", "out.csv"],
+    "simulate-matrices-full-damping": ["simulate", "--config", "matrices.json",
+                                       "--out", "out.csv"],
+    "simulate-p-overflow": ["simulate", "--config", "p-overflow.json", "--out", "out.csv"],
     "compare-chain": ["compare", "--config", "chain.json", *SHORT, "--out", "out.csv"],
     "compare-c120": ["compare", "--config", "c120.json", *SHORT, "--out", "out.csv"],
     "sweep-dt-per": ["sweep-dt", "--config", "chain.json", *SHORT,
