@@ -138,14 +138,13 @@ def _profile_doubling(delta, p):
     new = np.zeros_like(delta)
     held, held_new = [slice(0, n)] * len(blocks), [slice(n, 0)] * len(blocks)
     for _ in range(p):
-        windows, peak = [], 0.0
-        for rows, old in zip(blocks, held_new):
+        windows, peak = [slice(n, 0)] * len(blocks), 0.0
+        for i, (rows, old) in enumerate(zip(blocks, held_new)):
             k0, k1 = first[rows].min(), stop[rows].max()
             if k0 >= k1:  # the rows of R are zero, and so are they in the square
                 new[rows, old] = 0.0
-                windows.append((rows, slice(n, 0)))
                 continue
-            cols = slice(min(k0, first[k0:k1].min()), max(k1, stop[k0:k1].max()))
+            cols = windows[i] = slice(min(k0, first[k0:k1].min()), max(k1, stop[k0:k1].max()))
             new[rows, old.start:cols.start] = 0.0
             new[rows, cols.stop:old.stop] = 0.0
             window = new[rows, cols]
@@ -153,16 +152,14 @@ def _profile_doubling(delta, p):
             window += 2.0 * delta[rows, cols]
             peak = max(peak, np.fmax.reduce(window, axis=None),
                        -np.fmin.reduce(window, axis=None))
-            windows.append((rows, cols))
         tol = _FLUSH_REL * peak
-        for rows, cols in windows:
-            if cols.start >= cols.stop:
-                continue
-            window = new[rows, cols]
-            small = np.abs(window) < tol
-            window[small] = 0.0
-            first[rows], stop[rows] = _spans(small, cols.start, n)
-        delta, new, held, held_new = new, delta, [cols for _, cols in windows], held
+        for rows, cols in zip(blocks, windows):
+            if cols.start < cols.stop:
+                window = new[rows, cols]
+                small = np.abs(window) < tol
+                window[small] = 0.0
+                first[rows], stop[rows] = _spans(small, cols.start, n)
+        delta, new, held, held_new = new, delta, windows, held
     back = np.argsort(perm)
     return delta[np.ix_(back, back)]
 

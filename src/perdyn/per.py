@@ -274,8 +274,11 @@ def undamped_step_increment(a_mat: np.ndarray, dt: float, m: int) -> np.ndarray:
     _check_order(m)
     n = a_mat.shape[0]
     b_mat = (dt * dt) * a_mat
-    delta_g, h_mat, b_pow = np.zeros((n, n)), np.eye(n), np.eye(n)
-    for j in range(1, m // 2 + 1):
+    j_max = m // 2
+    delta_g = np.zeros((n, n))
+    h_mat = np.eye(n)
+    b_pow = np.eye(n)
+    for j in range(1, j_max + 1):
         b_pow = b_pow @ b_mat
         delta_g += (-1.0) ** j / factorial(2 * j) * b_pow
         h_mat += (-1.0) ** j / factorial(2 * j + 1) * b_pow
