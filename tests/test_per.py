@@ -548,12 +548,6 @@ class TestDampedColumns:
         damped = np.flatnonzero(model.damping.any(axis=0))
         np.testing.assert_array_equal(cols, np.concatenate([damped, model.n_dof + damped]))
 
-    def test_undamped_support_is_empty(self):
-        make, config = self.MODELS["undamped-chain"]
-        scheme = per.build_scheme(make(), config)
-        assert scheme.rho_beta_a == scheme.rho_beta_b == 0.0
-        np.testing.assert_array_equal(scheme.neumann_b, np.eye(24))
-
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), frac=st.floats(0.05, 1.0))
     def test_random_models(self, seed, frac):
