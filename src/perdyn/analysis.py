@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import per
+from .linalg import _check_order
 from .model import SystemModel, _spectral_extremes
 
 #: Modulus of the sigma eigenvalues at tau = 0: 1/(2*sqrt(3)).
@@ -70,7 +71,7 @@ def sigma_matrix(m: int, tau: float, dt: float = 1.0) -> np.ndarray:
     The dt factors on the off-diagonal cancel from the eigenvalue moduli
     (diagonal similarity), so dt = 1 is used unless stated otherwise.
     """
-    per._check_order(m)
+    _check_order(m)
     return _sigma_stack(m, [tau], dt)[0]
 
 
@@ -104,7 +105,7 @@ def tau_limit(m: int) -> float:
     inf when no crossing exists below _TAU_MAX.  m = 0 is rejected: the
     m = 0 eigenvalue moduli are constant so no crossing is defined.
     """
-    per._check_order(m)
+    _check_order(m)
     if m == 0:
         raise ValueError("tau limit is undefined for m = 0 (constant spectral radius)")
 
@@ -222,7 +223,7 @@ def sdof_stability_map(zeta: float, m_a: int, r_a: int = 2, p: int = 20,
 def beta_radius_map(model: SystemModel, dt_values, m_b: int) -> list[tuple[float, float]]:
     """rho(beta_b(dt)) for each time step in dt_values: the radius a PER run
     at that step reports, bit for bit, without the run's other operators."""
-    per._check_order(m_b)
+    _check_order(m_b)
     _, a_mat, minv_c = per.system_operators(model)
     out = []
     for dt in dt_values:

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import cho_factor, cho_solve
 
-from .linalg import double_increment, spd_solver
+from .linalg import _reduced_step, double_increment, spd_solver
 from .model import SystemModel
 from .per import (Trajectory, _force_sampler, _load_sampler, _run, _steps,
                   system_operators)
@@ -274,7 +274,7 @@ GAUSS_NODES = {g: tuple(map(tuple, leggauss(g))) for g in range(2, 7)}
 def expm_2p(w: np.ndarray, t: float, p: int = 20) -> np.ndarray:
     """exp(W t) from RK4's increment at t/2^p, the 4th-order Taylor
     increment of exp(W t/2^p), doubled p times."""
-    return np.eye(w.shape[0]) + double_increment(rk4_operators(w, t / 2.0 ** p)[0], p)
+    return np.eye(w.shape[0]) + double_increment(rk4_operators(w, _reduced_step(t, p))[0], p)
 
 
 def mpim_operators(system: StateSpaceSystem, dt: float, g: int = 4, p: int = 20):

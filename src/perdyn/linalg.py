@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from math import sqrt
+from math import ldexp, sqrt
+from operator import index
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -26,6 +27,8 @@ _FLUSH_MIN_ORDER = 128
 #: Flush threshold relative to the largest entry: the product of two kept
 #: entries stays above the smallest normal number.
 _FLUSH_REL = sqrt(np.finfo(float).tiny)
+
+MAX_SERIES_ORDER = 60  # higher truncations are numerically unreliable
 
 
 class DivergenceError(RuntimeError):
@@ -75,13 +78,31 @@ def _neumann_columns(mat_cols, cols, order):
     outside the columns cols taken as X[:, cols] @ Y[cols].  Callers take the
     increment over I from here, never as the sum minus I, which rounds away
     the low bits of a small B."""
-    if order < 2 or order % 2 != 0:
-        raise ValueError(f"Neumann truncation order must be even and >= 2, got {order}")
+    _check_order(order, "Neumann truncation order", 2, None)
     sq = mat_cols @ mat_cols[cols]
     total = first = mat_cols + sq
     for _ in range(order // 2 - 1):
         total = first + sq @ total[cols]
     return total
+
+
+def _check_order(m, name="truncation order", low=0, cap=MAX_SERIES_ORDER):
+    """Truncation orders are even (the validity bounds assume it), >= low and <= cap."""
+    if m < low or m % 2 != 0:
+        raise ValueError(f"{name} must be an even integer >= {low}, got {m}")
+    if cap is not None and m > cap:
+        raise ValueError(f"{name} exceeds the series cap {cap}")
+
+
+def _reduced_step(t, p):
+    """t/2^p, the step p doublings start from, by ldexp, which cannot overflow.
+    p < 1, or a positive t whose t/2^p is not a normal float, is rejected."""
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    t0 = ldexp(t, -index(p))  # a numpy integer p is accepted, a float p is not
+    if t > 0.0 and not t0 >= np.finfo(float).tiny:
+        raise ValueError(f"'p' = {p} is too large: dt/2^p is not a normal float")
+    return t0
 
 
 def double_increment(delta, p):

@@ -14,16 +14,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from math import factorial, ldexp
+from math import factorial
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .linalg import (DivergenceError, _neumann_columns, double_increment, spd_solver,
-                     spectral_radius)
+from .linalg import (MAX_SERIES_ORDER, DivergenceError, _check_order, _neumann_columns,
+                     _reduced_step, double_increment, spd_solver, spectral_radius)
 from .model import StateVector, SystemModel, _force_rows
-
-MAX_SERIES_ORDER = 60  # higher truncations are numerically unreliable
 
 _DIVERGENCE_FACTOR = 1e12
 
@@ -61,21 +59,13 @@ class PerConfig:
             raise ValueError(f"dt must be finite, got {self.dt}")
         if self.dt < 0.0:
             raise ValueError("dt must be >= 0")
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
-        if self.dt > 0.0 and not self.dt0 >= np.finfo(float).tiny:
-            raise ValueError(f"'p' = {self.p} is too large: dt/2^p is not a normal float")
-        for name in ("m_a", "r_a", "m_b", "r_b"):
-            val = getattr(self, name)
-            if val < 2 or val % 2 != 0:
-                raise ValueError(f"{name} must be an even integer >= 2, got {val}")
-        for name in ("m_a", "m_b"):
-            if getattr(self, name) > MAX_SERIES_ORDER:
-                raise ValueError(f"{name} exceeds the series cap {MAX_SERIES_ORDER}")
+        _reduced_step(self.dt, self.p)
+        for name, cap in zip(("m_a", "r_a", "m_b", "r_b"), (MAX_SERIES_ORDER, None) * 2):
+            _check_order(getattr(self, name), name, 2, cap)
 
     @property
     def dt0(self) -> float:
-        return ldexp(self.dt, -self.p)  # dt/2^p, without overflowing 2^p
+        return _reduced_step(self.dt, self.p)
 
 
 @dataclass(frozen=True)
@@ -203,13 +193,6 @@ def coeff_beta(j: int, dt: float) -> np.ndarray:
         [-12 * (j + 1) * dt, 2 * (2 * j + 1) * dt * dt],
         [-12 * (2 * j + 1) * (j + 2), 8 * j * (j + 2) * dt],
     ])
-
-
-def _check_order(m: int):
-    if m < 0 or m % 2 != 0:
-        raise ValueError(f"truncation order must be a nonnegative even integer, got {m}")
-    if m > MAX_SERIES_ORDER:
-        raise ValueError(f"truncation order {m} exceeds the cap {MAX_SERIES_ORDER}")
 
 
 def system_operators(model: SystemModel):
