@@ -10,9 +10,11 @@ from oracles import (bathe_loop, companion_matrix, damped_free_vibration,
                      sdof_model, wilson_loop)
 
 import perdyn.baselines as baselines
-from perdyn.baselines import (GAUSS_NODES, bathe, expm_2p, mpim,
-                              mpim_operators, newmark, rk4, state_space,
-                              wilson)
+from perdyn.baselines import (GAUSS_NODES, IntegratorParams, bathe, expm_2p, mpim,
+                              mpim_operators, newmark, rk4, rk4_operators,
+                              state_space, wilson)
+from perdyn.bench import run_method
+from perdyn.linalg import double_increment
 from perdyn.model import (SystemModel, benchmark_beam, benchmark_chain, build_chain,
                           constant_step_force, gaussian_multiharmonic_force)
 from perdyn.per import PerConfig, integrate
@@ -293,6 +295,26 @@ class TestMpim:
         system = state_space(sdof_model())
         with pytest.raises(ValueError, match="g must be"):
             mpim(system, np.zeros(2), 0.01, 0.1, g=9)
+
+    @pytest.mark.parametrize("p", [0, -1, 1024, 2000])
+    def test_invalid_halving_count_rejected(self, p):
+        # below p = 1 the doubling returned a wrong exp(W dt), and the run
+        # was marked converged (e_disp 0.48 at p = -1); from p = 1024 up,
+        # 2^p overflowed.  Each raises the error that PerConfig raises.
+        model = benchmark_chain(0.1).with_initial_state(np.full(12, 0.01), None)
+        system = state_space(model)
+        x0 = np.concatenate([model.u0, model.v0])
+        params = IntegratorParams(method="mpim", mpim_p=p)
+        for call in (lambda: expm_2p(system.w, 0.024, p),
+                     lambda: mpim(system, x0, 0.024, 0.48, p=p),
+                     lambda: run_method(model, "mpim", 0.024, 0.48, params=params)):
+            with pytest.raises(ValueError, match=r"^p must be >= 1$|^'p' = "):
+                call()
+
+    def test_halving_by_ldexp_keeps_the_bits(self):
+        w = state_space(benchmark_chain(0.1)).w
+        old = np.eye(len(w)) + double_increment(rk4_operators(w, 0.024 / 2.0 ** 20)[0], 20)
+        assert np.array_equal(expm_2p(w, 0.024, 20), old)
 
 
 @pytest.mark.parametrize("method", [rk4, mpim])

@@ -940,6 +940,18 @@ class TestPerConfigValidation:
         assert per.PerConfig(dt=1.0, p=1022).dt0 == np.finfo(float).tiny
         assert per.PerConfig(dt=0.0, p=2000).dt0 == 0.0
 
+    @settings(max_examples=500, deadline=None)
+    @given(t=st.floats(0.0, exclude_min=True, allow_infinity=False), p=st.integers(1, 1022))
+    def test_reduced_step_is_the_quotient(self, t, p):
+        # ldexp(t, -p) is t/2^p wherever 2.0 ** p does not overflow; a
+        # quotient below the normal range is rejected, not returned
+        quotient = t / 2.0 ** p
+        if quotient >= np.finfo(float).tiny:
+            assert linalg._reduced_step(t, p) == quotient
+        else:
+            with pytest.raises(ValueError, match=f"'p' = {p} is too large"):
+                linalg._reduced_step(t, p)
+
     def test_negative_dt_rejected(self):
         with pytest.raises(ValueError, match="dt"):
             per.PerConfig(dt=-0.1)
