@@ -277,6 +277,13 @@ def expm_2p(w: np.ndarray, t: float, p: int = 20) -> np.ndarray:
     return np.eye(w.shape[0]) + double_increment(rk4_operators(w, _reduced_step(t, p))[0], p)
 
 
+def _gauss_rule(g):
+    """(nodes, weights) of the g-point Gauss rule; g must be in GAUSS_NODES."""
+    if g not in GAUSS_NODES:
+        raise ValueError(f"g must be one of {sorted(GAUSS_NODES)}, got {g}")
+    return GAUSS_NODES[g]
+
+
 def mpim_operators(system: StateSpaceSystem, dt: float, g: int = 4, p: int = 20):
     """(full-step exponential, per-node weighted exponentials, node times).
 
@@ -284,10 +291,8 @@ def mpim_operators(system: StateSpaceSystem, dt: float, g: int = 4, p: int = 20)
     sampled at t_k + dt(1 + eta_i)/2 so that the exponential acts over
     the remainder of the step.
     """
-    if g not in GAUSS_NODES:
-        raise ValueError(f"g must be one of {sorted(GAUSS_NODES)}, got {g}")
+    nodes, weights = _gauss_rule(g)
     big_h = expm_2p(system.w, dt, p)
-    nodes, weights = GAUSS_NODES[g]
     exps = [dt / 2.0 * wt * expm_2p(system.w, dt / 2.0 * (1.0 - eta), p)
             for eta, wt in zip(nodes, weights)]
     offsets = [dt / 2.0 * (1.0 + eta) for eta in nodes]

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import analysis, baselines, per
+from .linalg import _reduced_step
 from .model import SystemModel, _spectral_extremes, damping_level
 
 METHODS = ("per", "newmark", "wilson", "bathe", "rk4", "mpim")
@@ -317,6 +318,9 @@ def fit_order(dts, errors, floor_factor: float = 10.0) -> float:
 # Operation-count cost models.
 
 def _cost(method, params, n3, n2, n1, n):
+    if n < 1 or params["steps"] < 0:
+        raise ValueError(f"a cost model needs N >= 1 and steps >= 0, got N = {n}, "
+                         f"steps = {params['steps']}")
     total = n3 * n**3 + n2 * n**2 + n1 * n
     return CostModel(method=method, params=params, n3_coeff=n3,
                      n2_coeff=n2, n1_coeff=n1, total_ops=total)
@@ -325,6 +329,7 @@ def _cost(method, params, n3, n2, n1, n):
 def cost_per(n_dof: int, p: int = 20, m_a: int = 2, m_b: int = 4,
              r_a: int = 2, r_b: int = 2, steps: int = 0) -> CostModel:
     """Operation count of the perturbation scheme."""
+    per.PerConfig(0.0, p, m_a=m_a, r_a=r_a, m_b=m_b, r_b=r_b)  # checks p and the orders
     n3 = 33 + 4 * (r_a + r_b) + 8 * p + m_b
     n2 = 11 * m_a // 2 + 8 * m_b + 24 + 4 * steps
     n1 = 8 * steps
@@ -334,6 +339,8 @@ def cost_per(n_dof: int, p: int = 20, m_a: int = 2, m_b: int = 4,
 
 def cost_mpim(n_dof: int, p: int = 20, g: int = 4, steps: int = 0) -> CostModel:
     """Operation count of the modified precise integration method."""
+    _reduced_step(0.0, p)  # p >= 1: the halving rule, with no step to halve
+    baselines._gauss_rule(g)
     n3 = 18 + 8 * p * (1 + g)
     n2 = 4 * g + 4 * steps
     return _cost("mpim", dict(N=n_dof, p=p, g=g, steps=steps), n3, n2, 0, n_dof)

@@ -254,6 +254,15 @@ class TestSimulate:
         assert err.startswith("error: ") and repr(key) in err
         assert "Traceback" not in err
 
+    def test_oversized_model_is_a_validation_error(self, tmp_path, capsys):
+        # numpy refuses the 7 EiB matrices of a 10^9-dof chain before allocating
+        cfg = tmp_path / "huge.json"
+        write_config(cfg, {"version": 1, "model": {"kind": "chain", "n_dof": 10 ** 9},
+                           "dt": 0.01, "t_max": 0.1})
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+
     def test_non_finite_load_exit_codes(self, tmp_path, capsys):
         # rk4 ends a NaN load as a diverged run; PER names the sample
         cfg = tmp_path / "nan.json"
@@ -382,6 +391,24 @@ class TestAnalysisCommands:
         assert "n3=213" in printed
         header, rows = read_csv(out)
         assert float(rows[0][2]) == 213.0
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--method", "per", "--n", "-5"], "N >= 1"),
+        (["--method", "per", "--p", "-30"], "p must be >= 1"),
+        (["--method", "per", "--ma", "3"], "m_a must be an even integer >= 2, got 3"),
+        (["--method", "per", "--mb", "62"], "m_b exceeds the series cap 60"),
+        (["--method", "per", "--rb", "0"], "r_b must be an even integer >= 2, got 0"),
+        (["--method", "mpim", "--g", "0"], "g must be one of [2, 3, 4, 5, 6], got 0"),
+        (["--method", "mpim", "--p", "0"], "p must be >= 1"),
+        (["--method", "rk4", "--steps", "-10"], "steps >= 0"),
+    ], ids=["n", "p", "ma-odd", "mb-cap", "rb-zero", "g", "mpim-p", "steps"])
+    def test_cost_model_rejects_invalid_counts(self, flags, message, tmp_path, capsys):
+        # each printed a count, such as total=-24950 for --n -5, and exited 0
+        out = tmp_path / "cost.csv"
+        assert main(["cost-model", *flags, "--out", str(out)]) == EXIT_VALIDATION
+        printed = capsys.readouterr()
+        assert printed.out == "" and not out.exists()
+        assert printed.err.startswith("error: ") and message in printed.err
 
 
 class TestSweepCommands:
