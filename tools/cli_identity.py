@@ -41,11 +41,14 @@ The matrix:
   a step load at t = 0.3);
 - ``simulate`` of a 2-dof chain with ``"p": 2000``, whose reduced step
   dt/2^p is no float;
+- ``simulate`` of a chain with ``"n_dof": 1000000000``, whose matrices
+  numpy refuses to allocate;
 - ``compare`` on the README chain and on its c = 120 variant, and
   ``sweep-dt`` (the perturbation scheme and Newmark) and ``sweep-damping``
   on the README chain, all at t_max 4;
 - ``tau-limit --curve-out`` and two ``stability-map`` grids;
-- ``cost-model`` of the perturbation scheme, MPIM and RK4 at N 48.
+- ``cost-model`` of the perturbation scheme, MPIM and RK4 at N 48, and of
+  the perturbation scheme at N -5.
 
 Each command runs through ``perdyn.cli.main`` in its own directory.  A
 warning is written to stderr as "Category: message", without the file and
@@ -137,6 +140,9 @@ CONFIGS = {
     # a reduced step dt/2^p beyond the float range
     "p-overflow.json": {"version": 1, "model": {"kind": "chain", "n_dof": 2},
                         "method": {"name": "per", "p": 2000}, "dt": 0.01, "t_max": 0.1},
+    # 7 EiB per matrix: numpy refuses before allocating
+    "chain-huge.json": {"version": 1, "model": {"kind": "chain", "n_dof": 1000000000},
+                        "dt": 0.01, "t_max": 0.1},
 }
 
 SHORT = ["--t-max", "4"]
@@ -172,6 +178,7 @@ CASES = {
     "simulate-matrices-full-damping": ["simulate", "--config", "matrices.json",
                                        "--out", "out.csv"],
     "simulate-p-overflow": ["simulate", "--config", "p-overflow.json", "--out", "out.csv"],
+    "simulate-chain-huge": ["simulate", "--config", "chain-huge.json", "--out", "out.csv"],
     "compare-chain": ["compare", "--config", "chain.json", *SHORT, "--out", "out.csv"],
     "compare-c120": ["compare", "--config", "c120.json", *SHORT, "--out", "out.csv"],
     "sweep-dt-per": ["sweep-dt", "--config", "chain.json", *SHORT,
@@ -186,6 +193,7 @@ CASES = {
     "stability-map-0.5": ["stability-map", "--zeta", "0.5", "--ma", "4", "--out", "out.csv"],
     **{f"cost-model-{m}": ["cost-model", "--method", m, "--n", "48", "--steps", "1000",
                            "--out", "out.csv"] for m in ("per", "mpim", "rk4")},
+    "cost-model-invalid": ["cost-model", "--method", "per", "--n", "-5", "--out", "out.csv"],
 }
 
 #: Outputs of one case besides the files it writes.
