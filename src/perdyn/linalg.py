@@ -19,9 +19,9 @@ from scipy.linalg import cho_factor, cho_solve
 #: nonzero profile, one block of this many rows at a time (see
 #: _profile_doubling); an increment of one block, or a seed without a zero
 #: entry, keeps the dense product and its bits.  The 20 doublings of the
-#: benchmark chain at 0.8 dt_max, m_b = 8, dense -> profile: N = 96 (order
-#: 192) 10.3 -> 12.4 ms, N = 240 132 -> 56 ms, N = 480 796 -> 142 ms, median
-#: of 11 alternating runs (one OpenBLAS thread, Xeon 2.1 GHz).
+#: benchmark chain at 0.8 dt_max, m_b = 8, dense -> profile, medians of 11
+#: alternating runs, twice: N = 96 (order 192) 6.7-10.1 -> 8.1-12.3 ms, N = 240
+#: 110-129 -> 46-55 ms, N = 480 787-824 -> 130-135 ms (one OpenBLAS thread).
 _FLUSH_MIN_ORDER = 128
 
 #: Flush threshold relative to the largest entry: the product of two kept
