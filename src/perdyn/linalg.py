@@ -52,7 +52,7 @@ def spd_solver(mat):
 
 
 def spectral_radius(mat):
-    """Spectral radius of a square matrix by a dense eigensolve.
+    """Spectral radius of a square matrix by a dense eigensolve, 0.0 if 0 x 0.
 
     Exact to roundoff at every size: the stability gates compare it
     with 1, so an estimate that can miss a complex or clustered
@@ -61,7 +61,7 @@ def spectral_radius(mat):
     mat = np.asarray(mat, dtype=float)
     if not np.isfinite(mat).all():
         return float("inf")
-    return float(np.abs(np.linalg.eigvals(mat)).max())
+    return float(np.abs(np.linalg.eigvals(mat)).max(initial=0.0))
 
 
 def neumann_sum(mat, order):

@@ -238,14 +238,12 @@ def _series(a_mat, start, dt, m, *coeffs):
 def _damped_series(a_mat, minv_c, dt, m, *coeffs):
     """(cols, rho, series): the damping series of _series on their nonzero
     columns cols = (s, n + s), s the damped dofs (the nonzero columns of
-    minv_c), summed from minv_c[:, s]; rho of the first, by an eigensolve of
-    the whole square, whose bits one of its block [cols, cols] does not keep."""
+    minv_c), summed from minv_c[:, s]; rho of the first, that of its block
+    [cols, cols], as the square is zero outside cols (0.0 when undamped)."""
     s = np.flatnonzero((minv_c != 0.0).any(axis=0))
     series = _series(a_mat, minv_c[:, s], dt, m, *coeffs)
     cols = np.concatenate([s, len(minv_c) + s])
-    square = np.zeros((len(series[0]),) * 2)
-    square[:, cols] = series[0]
-    return cols, spectral_radius(square), series
+    return cols, spectral_radius(series[0][cols]), series
 
 
 def undamped_step_increment(a_mat: np.ndarray, dt: float, m: int) -> np.ndarray:

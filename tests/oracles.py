@@ -191,10 +191,13 @@ def dense_scheme(model, config):
     every damping operator dense, 2N x 2N: the series summed from all of
     M^-1 C, the Neumann increments over every column, and the seed's
     product dbeta @ (dT + Delta) over every row.  The doubling is the
-    library's; the radii are dense eigensolves."""
+    library's; each radius is that of the dense series' block [S, S], S the
+    u and v columns of the damped dofs, outside which the series is zero."""
     from perdyn import per
     from perdyn.linalg import double_increment, spectral_radius
     _, a_mat, minv_c = per.system_operators(model)
+    damped = np.flatnonzero(minv_c.any(axis=0))
+    block = np.ix_(*[np.concatenate([damped, len(minv_c) + damped])] * 2)
     beta_a, delta = dense_series(a_mat, minv_c, config.dt0, config.m_a, per.coeff_beta,
                                  lambda j, dt: per.coeff_alpha(j, dt) + per.coeff_beta(j, dt))
     delta += per.undamped_step_increment(a_mat, config.dt0, config.m_a)
@@ -206,7 +209,7 @@ def dense_scheme(model, config):
     eye = np.eye(len(beta_b))
     return (beta_b, eye + double_increment(delta, config.p),
             eye + dense_neumann_increment(beta_b, config.r_b),
-            spectral_radius(beta_a), spectral_radius(beta_b))
+            spectral_radius(beta_a[block]), spectral_radius(beta_b[block]))
 
 
 def step_loop(phi, x0, dt, n_steps, sample, offsets, weights, ref_scale):

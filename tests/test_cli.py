@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from perdyn import baselines, per
+from perdyn.analysis import beta_radius_map
 from perdyn.cli import (EXIT_DIVERGENCE, EXIT_VALIDATION, RunConfig,
                         dump_config, load_config, main, write_csv)
 from perdyn.linalg import DivergenceError
-from perdyn.model import benchmark_chain, build_beam, step_function
+from perdyn.model import benchmark_chain, build_beam, build_chain, step_function
 from perdyn.per import PerConfig, integrate
 
 
@@ -211,7 +212,14 @@ class TestSimulate:
             code = main(["simulate", "--config", str(cfg),
                          "--out", str(tmp_path / "c120.csv")])
         assert code == 0
-        assert "rho_beta_b: 1.6555916168953426\n" in capsys.readouterr().out
+        printed = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+        rho = float(printed["rho_beta_b"])
+        model = build_chain(12, 1.0, 100.0, [(0, None, 120.0), (1, 2, 120.0)])
+        assert rho == beta_radius_map(model, [0.024], 8)[0][1]
+        # the 50-digit radius of the same float block (mpmath); the printed
+        # value is 4 ulp from it
+        exact = 1.655591616895341979
+        assert abs(rho - exact) <= 5 * np.spacing(exact)
         assert calls == []
 
     @pytest.mark.parametrize("doc, key", [

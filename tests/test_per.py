@@ -548,6 +548,20 @@ class TestDampedColumns:
         damped = np.flatnonzero(model.damping.any(axis=0))
         np.testing.assert_array_equal(cols, np.concatenate([damped, model.n_dof + damped]))
 
+    def test_beam_radius_is_exact_to_roundoff(self):
+        # rho(beta_a) of the benchmark beam against the 50-digit radius of the
+        # same float block; the eigensolve of the 2N x 2N square was 7.1e-12 off
+        mpmath = pytest.importorskip("mpmath")
+        model = benchmark_beam()
+        config = per.PerConfig(dt=2e-5, m_b=8)
+        _, a_mat, minv_c = per.system_operators(model)
+        cols, _, (beta_a,) = per._damped_series(a_mat, minv_c, config.dt0, config.m_a,
+                                                per.coeff_beta)
+        with mpmath.workdps(50):
+            eigs = mpmath.eig(mpmath.matrix(beta_a[cols].tolist()), left=False, right=False)
+            exact = float(max(abs(e) for e in eigs))
+        assert abs(per.build_scheme(model, config).rho_beta_a - exact) <= 1e-14 * exact
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), frac=st.floats(0.05, 1.0))
     def test_random_models(self, seed, frac):
@@ -801,12 +815,15 @@ class TestIntegrate:
         assert traj.times[-1] == pytest.approx(0.1)
 
     def test_info_carries_rho_beta_a(self):
-        # the radius of the doubling start's beta_a, at the reduced step dt0
+        # the radius of the doubling start's beta_a, at the reduced step dt0:
+        # that of its block on the u and v columns of the damped dofs
         model = benchmark_chain(0.5)
         config = per.PerConfig(dt=0.02, m_b=8)
         beta_a = per.assemble_series(model, config.dt0, config.m_a, "beta")
+        damped = np.flatnonzero(model.damping.any(axis=0))
+        cols = np.concatenate([damped, model.n_dof + damped])
         info = per.integrate(model, config, 0.1).info
-        assert info["rho_beta_a"] == linalg.spectral_radius(beta_a) > 0.0
+        assert info["rho_beta_a"] == linalg.spectral_radius(beta_a[np.ix_(cols, cols)]) > 0.0
 
 
 class TestBlockedForcing:
