@@ -157,6 +157,14 @@ def _dt_max(model, m):
         return float("nan")
 
 
+def _grid(start, stop, step):
+    """start, start + step, ... through stop: the scans of the stability map
+    and of the sigma curves.  stop and step must be positive."""
+    if stop <= 0.0 or step <= 0.0:
+        raise ValueError("grid parameters must be positive")
+    return np.arange(start, stop + 0.5 * step, step)
+
+
 def _sdof_amplification(x: float, zeta: float, m_a: int, r_a: int) -> np.ndarray:
     """a(dt0) of the unit-period single-dof oscillator, x = dt0/T."""
     omega = 2.0 * np.pi
@@ -187,11 +195,9 @@ def sdof_stability_map(zeta: float, m_a: int, r_a: int = 2, p: int = 20,
     sub-resolution noise.  ``p`` is carried as metadata (the map lives at
     the reduced step; multiply by 2^p for full-step values).
     """
-    if grid_max <= 0.0 or grid_step <= 0.0:
-        raise ValueError("grid parameters must be positive")
+    xs = _grid(grid_step, grid_max, grid_step)
     if zeta < 0.0:
         raise ValueError("zeta must be >= 0")
-    xs = np.arange(grid_step, grid_max + 0.5 * grid_step, grid_step)
     lams = np.array([_max_abs_eig(x, zeta, m_a, r_a) for x in xs])
     grid = np.column_stack([xs, lams])
 

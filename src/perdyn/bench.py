@@ -68,6 +68,7 @@ def trajectory_norm(values: np.ndarray) -> float:
 def global_error(test: per.Trajectory, reference: per.Trajectory,
                  dof: int) -> ErrorReport:
     """Relative global error of one dof's displacement and velocity."""
+    _check_dof(dof, test.displacements.shape[1])
     if len(test.times) != len(reference.times):
         raise ValueError("trajectories have different lengths")
     if np.abs(test.times - reference.times).max() > 1e-12 * max(test.times[-1], 1e-300):
@@ -88,6 +89,11 @@ def global_error(test: per.Trajectory, reference: per.Trajectory,
         step_errors_disp=np.abs(u_t - u_r) / peak_u,
         step_errors_vel=np.abs(v_t - v_r) / peak_v,
     )
+
+
+def _check_dof(dof, n_dof):
+    if not 0 <= dof < n_dof:
+        raise ValueError(f"dof must be in [0, {n_dof}), got {dof}")
 
 
 def mechanical_energy(model: SystemModel, traj: per.Trajectory) -> np.ndarray:
@@ -235,7 +241,10 @@ def _sweep(methods, points, t_max, dof, per_config, params, refine):
     diverged when the run raises DivergenceError, is flagged diverged (as
     a PER run with rho(beta_b) >= 1 is) or stops short of the reference.
     The one scoring loop of compare and the sweeps; every run goes through
-    run_method with RuntimeWarnings silenced (divergence is sweep data)."""
+    run_method with RuntimeWarnings silenced (divergence is sweep data).
+    The dof is checked on every point before the first reference is built."""
+    for model, *_ in points:
+        _check_dof(dof, model.n_dof)
     rows = []
     for model, dt, abscissa, extra in points:
         ref = reference_solution(model, dt, t_max, refine=refine)

@@ -303,8 +303,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_stability_map(args) -> int:
     record = analysis.sdof_stability_map(args.zeta, args.ma, r_a=args.ra,
-                                         p=args.p, grid_max=args.grid_max,
-                                         grid_step=args.grid_step)
+                                         grid_max=args.grid_max, grid_step=args.grid_step)
     write_csv(args.out, ["dt0_over_T", "max_abs_lambda"],
               [list(row) for row in record.grid])
     for lo, hi in record.boundaries:
@@ -323,8 +322,7 @@ def cmd_tau_limit(args) -> int:
         write_csv(args.out, ["m", "tau_limit", "tau_limit_over_2pi"], rows)
     if args.curve_out:
         curve = []
-        taus = np.arange(0.0, args.curve_max + 0.5 * args.curve_step,
-                         args.curve_step)
+        taus = analysis._grid(0.0, args.curve_max, args.curve_step)
         for m in orders:
             for tau in taus:
                 res = analysis.sigma_eigenvalues(m, float(tau))
@@ -443,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     smap.add_argument("--zeta", type=float, required=True)
     smap.add_argument("--ma", type=int, required=True)
     smap.add_argument("--ra", type=int, default=2)
-    smap.add_argument("--p", type=int, default=20)
     smap.add_argument("--grid-max", dest="grid_max", type=float, default=0.9)
     smap.add_argument("--grid-step", dest="grid_step", type=float, default=2e-3)
     smap.add_argument("--out", required=True)

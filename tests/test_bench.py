@@ -64,6 +64,14 @@ class TestGlobalError:
         with pytest.raises(ValueError, match="zero norm"):
             global_error(test, ref, 0)
 
+    @pytest.mark.parametrize("dof", [-1, 1])
+    def test_dof_out_of_range_rejected(self, dof):
+        # -1 scored the last dof, 1 raised IndexError
+        times = np.linspace(0.0, 1.0, 5)
+        traj = make_traj(times, np.ones(5), np.ones(5))
+        with pytest.raises(ValueError, match=rf"dof must be in \[0, 1\), got {dof}"):
+            global_error(traj, traj, dof)
+
     def test_norm_is_a_norm(self, rng):
         for _ in range(20):
             a = rng.standard_normal(40)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from perdyn import baselines, per
+from perdyn import baselines, bench, per
 from perdyn.analysis import beta_radius_map
 from perdyn.cli import (EXIT_DIVERGENCE, EXIT_VALIDATION, RunConfig,
                         dump_config, load_config, main, write_csv)
@@ -262,6 +262,43 @@ class TestSimulate:
         assert err.startswith("error: ") and repr(key) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("doc, flags, message", [
+        ([1, 2], [], "a config must be a JSON object"),
+        ({"dt": 0.0}, [], "dt must be positive"),
+        ({"force": {"kind": "impulse"}}, [], "unknown force kind 'impulse'"),
+        ({}, ["--method", "euler"], "unknown method 'euler'; expected one of"),
+        ({"method": {"name": "newmark", "beta": 0.0}}, [], "newmark beta must be positive"),
+        ({}, None, "no output path: pass --out or set 'out' in the config"),
+    ], ids=["not-an-object", "dt-zero", "force-kind", "method", "newmark-beta", "no-out"])
+    def test_rejected_config_names_the_fault(self, doc, flags, message, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        if isinstance(doc, dict):
+            doc = {"version": 1, "model": {"kind": "chain", "n_dof": 2}, "dt": 0.01,
+                   "t_max": 0.1, **doc}
+        write_config(cfg, doc)
+        out = ["--out", str(tmp_path / "x.csv")] if flags is not None else []
+        assert main(["simulate", "--config", str(cfg), *out, *(flags or [])]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_raised_divergence_exit_code(self, tmp_path, capsys):
+        # the doubling of a(dt) overflows: DivergenceError, not a diverged run
+        cfg = tmp_path / "div.json"
+        omega = 2.0 * np.pi
+        write_config(cfg, {
+            "version": 1,
+            "model": {"kind": "matrices", "mass": [[1.0]], "damping": [[omega]],
+                      "stiffness": [[omega * omega]]},
+            "method": {"name": "per", "p": 2},
+            "u0": [1.0],
+            "dt": 1e80, "t_max": 1e80,
+        })
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "d.csv")])
+        assert code == EXIT_DIVERGENCE
+        assert capsys.readouterr().err.startswith(
+            "divergence: non-finite entries while doubling the transition increment")
+
     def test_oversized_model_is_a_validation_error(self, tmp_path, capsys):
         # numpy refuses the 7 EiB matrices of a 10^9-dof chain before allocating
         cfg = tmp_path / "huge.json"
@@ -293,7 +330,8 @@ class TestSimulate:
         ("per", ["--mb", "6", "--rb", "2", "--ma", "4", "--ra", "2", "--p", "16"],
          {"mb": 6, "rb": 2, "ma": 4, "ra": 2, "p": 16}),
         ("mpim", ["--g", "3", "--p", "12"], {"g": 3, "p": 12}),
-    ], ids=["per", "mpim"])
+        ("per", ["--mb", "8"], {"mb": 8.0}),
+    ], ids=["per", "mpim", "integral-float"])
     def test_override_flags_equal_config_keys(self, method, flags, keys, tmp_path, capsys):
         doc = {"version": 1,
                "model": {"kind": "chain", "n_dof": 4, "dampers": [{"i": 0, "j": None, "c": 2.0}]},
@@ -372,6 +410,31 @@ class TestAnalysisCommands:
         assert len(rows) == 7
         # both moduli start at the common threshold 1/(2 sqrt(3))
         assert float(rows[0][2]) == pytest.approx(0.2886751345948129, abs=1e-12)
+
+    @pytest.mark.parametrize("command", [
+        ["tau-limit", "--m", "2", "--curve-step", "0"],
+        ["tau-limit", "--m", "2", "--curve-step", "-1"],
+        ["tau-limit", "--m", "2", "--curve-max", "-1"],
+        ["stability-map", "--zeta", "0.05", "--ma", "2", "--grid-step", "0"],
+        ["stability-map", "--zeta", "0.05", "--ma", "2", "--grid-max", "-1"],
+    ], ids=["curve-step-zero", "curve-step-negative", "curve-max-negative",
+            "grid-step-zero", "grid-max-negative"])
+    def test_scan_grid_must_be_positive(self, command, tmp_path, capsys):
+        # one rule for both grids: the curve's zero step raised
+        # ZeroDivisionError, its negative step or end wrote a header-only curve
+        out = tmp_path / "grid.csv"
+        flag = "--curve-out" if command[0] == "tau-limit" else "--out"
+        assert main(command + [flag, str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: grid parameters must be positive\n"
+        assert not out.exists()
+
+    def test_stability_map_has_no_p(self, tmp_path, capsys):
+        # the map lives at the reduced step: --p was parsed and shown nowhere
+        with pytest.raises(SystemExit) as exc:
+            main(["stability-map", "--zeta", "0.05", "--ma", "2", "--p", "20",
+                  "--out", str(tmp_path / "map.csv")])
+        assert exc.value.code == EXIT_VALIDATION
+        assert "unrecognized arguments: --p 20" in capsys.readouterr().err
 
     def test_stability_map_order_zero(self, tmp_path, capsys):
         out = tmp_path / "map.csv"
@@ -517,6 +580,23 @@ class TestSweepCommands:
                      "--out", str(out)]) == 0
         [row] = read_csv(out)[1]
         assert row[2:4] == ["nan", "nan"] and float(row[4]) > 1.6 and row[5] == "true"
+
+    @pytest.mark.parametrize("dof", ["1", "-1"])
+    @pytest.mark.parametrize("command", [
+        ["compare"], ["sweep-dt", "--dts", "0.02"], ["sweep-damping", "--zetas", "1"]],
+        ids=["compare", "sweep-dt", "sweep-damping"])
+    def test_dof_out_of_range_rejected_before_any_run(self, sdof_config, tmp_path,
+                                                      capsys, monkeypatch, command, dof):
+        # 1 raised IndexError after every run, -1 scored the last dof
+        def no_reference(*args, **kwargs):
+            raise AssertionError("a reference was built")
+
+        monkeypatch.setattr(bench, "reference_solution", no_reference)
+        out = tmp_path / "out.csv"
+        assert main(command + ["--config", str(sdof_config), "--dof", dof,
+                               "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: dof must be in [0, 1), got {dof}\n"
+        assert not out.exists()
 
     def test_sweep_dt_ignores_the_config_step(self, sdof_config, tmp_path):
         # sweep-dt steps only with --dts: a config dt beyond t_max is no error

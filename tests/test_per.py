@@ -596,6 +596,12 @@ class TestComputeBFactors:
         rhs = np.eye(24) - np.linalg.matrix_power(beta, config.r_b + 1)
         assert np.abs(lhs - rhs).max() <= 1e-12
 
+    @pytest.mark.parametrize("order", [2, 4, 6])
+    def test_neumann_sum_is_the_power_sum(self, rng, order):
+        mat = 0.4 * rng.standard_normal((7, 7)) / np.sqrt(7.0)
+        want = sum(np.linalg.matrix_power(mat, k) for k in range(order + 1))
+        assert np.abs(neumann_sum(mat, order) - want).max() <= 1e-15 * np.abs(want).max()
+
     def test_rho_matches_dense_eigensolve(self):
         # chain scaled so the damping level ratio reaches 0.815
         zeta = 0.1 * 0.815 / damping_level(benchmark_chain(0.1))
