@@ -46,7 +46,9 @@ The matrix:
 - ``compare`` on the README chain and on its c = 120 variant, and
   ``sweep-dt`` (the perturbation scheme and Newmark) and ``sweep-damping``
   on the README chain, all at t_max 4;
-- ``tau-limit --curve-out`` and two ``stability-map`` grids;
+- ``compare`` on the README chain with ``--dof 12``, one past its last dof;
+- ``tau-limit --curve-out``, the same with ``--curve-step 0``, and two
+  ``stability-map`` grids;
 - ``cost-model`` of the perturbation scheme, MPIM and RK4 at N 48, and of
   the perturbation scheme at N -5.
 
@@ -187,8 +189,12 @@ CASES = {
                          "--dts", "0.024,0.5", "--out", "out.csv"],
     "sweep-damping": ["sweep-damping", "--config", "chain.json", *SHORT,
                       "--zetas", "0,0.5,1,5,20,60", "--out", "out.csv"],
+    "compare-dof-out-of-range": ["compare", "--config", "chain.json", *SHORT, "--dof", "12",
+                                 "--out", "out.csv"],
     "tau-limit": ["tau-limit", "--m", "2,4,6,8,10,20", "--out", "out.csv",
                   "--curve-out", "curve.csv"],
+    "tau-limit-curve-step-zero": ["tau-limit", "--m", "2,4", "--out", "out.csv",
+                                  "--curve-out", "curve.csv", "--curve-step", "0"],
     "stability-map-0.05": ["stability-map", "--zeta", "0.05", "--ma", "2", "--out", "out.csv"],
     "stability-map-0.5": ["stability-map", "--zeta", "0.5", "--ma", "4", "--out", "out.csv"],
     **{f"cost-model-{m}": ["cost-model", "--method", m, "--n", "48", "--steps", "1000",
