@@ -197,7 +197,8 @@ def dense_scheme(model, config):
     from perdyn.linalg import double_increment, spectral_radius
     _, a_mat, minv_c = per.system_operators(model)
     damped = np.flatnonzero(minv_c.any(axis=0))
-    block = np.ix_(*[np.concatenate([damped, len(minv_c) + damped])] * 2)
+    support = np.concatenate([damped, len(minv_c) + damped])
+    block = np.ix_(support, support)
     beta_a, delta = dense_series(a_mat, minv_c, config.dt0, config.m_a, per.coeff_beta,
                                  lambda j, dt: per.coeff_alpha(j, dt) + per.coeff_beta(j, dt))
     delta += per.undamped_step_increment(a_mat, config.dt0, config.m_a)
