@@ -115,10 +115,12 @@ def reference_solution(model: SystemModel, dt: float, t_max: float,
     The system is linear, so s fine steps fold into one step map
     U <- R^s U + W g (a blocked linear scan: the same RK4 in exact
     arithmetic), and only every s-th fine state is computed.  ``g`` holds
-    M^-1 f at the 2s+1 half-step nodes of the s steps, sampled through the
-    array form of a built-in load.  s is refine unless W would hold more
-    than per._BLOCK_FLOATS numbers; then it is the largest divisor of
-    refine whose W fits.
+    the load at the 2s+1 half-step nodes of the s steps.  A built-in load
+    is zero off its support S, so W folds in M^-1 E_S and ``g`` holds only
+    f_S: q = |S| numbers per node, with no mass solve.  Any other callable
+    gives M^-1 f at every dof.  s is refine unless a W over all N dofs
+    would hold more than per._BLOCK_FLOATS numbers; then it is the largest
+    divisor of refine whose W fits.
     """
     if refine < 1:
         raise ValueError("refine must be >= 1")
@@ -134,19 +136,21 @@ def reference_solution(model: SystemModel, dt: float, t_max: float,
     w, solve_mass = baselines._companion(model)
     h = dt / used
     fold = _fold_size(used, model.n_dof)
-    phi, weights = _folded_rk4(w, h, fold)
+    # a load without a support gives M^-1 f at every dof
+    dofs, force = getattr(model.force, "_support", (None, per._force_sampler(model, solve_mass)))
+    proj = None if dofs is None else solve_mass(np.eye(model.n_dof)[:, dofs])  # M^-1 E_S
+    phi, weights = _folded_rk4(w, h, fold, proj)
     x0 = np.concatenate([model.u0, model.v0])
     n_steps = n_coarse * (used // fold)
-
-    force = per._force_sampler(model, solve_mass)
 
     def sample(times):
         return force(_on_fine_grid(times, h))
 
-    # guard scale: the folded step, as RK4's is its step
+    # guard scale: the folded step, as RK4's is its step, times ||M^-1 E_S|| >= |M^-1 f|/|f_S|
+    scale = fold * h * (1.0 if proj is None else np.linalg.norm(proj, 2))
     states, stop = per.recurrence(phi, x0, fold * h, n_steps,
                                   None if model.force is None else sample,
-                                  np.arange(2 * fold + 1) * (h / 2.0), weights, fold * h)
+                                  np.arange(2 * fold + 1) * (h / 2.0), weights, scale)
     if stop is not None:
         raise ValueError("reference RK4 run diverged")
     coarse = states[::used // fold]
@@ -165,13 +169,14 @@ def _fold_size(refine, n_dof):
     return next(s for s in range(min(refine, s_max), 0, -1) if refine % s == 0)
 
 
-def _folded_rk4(w, h, s):
+def _folded_rk4(w, h, s, proj=None):
     """(R^s, W): s RK4 steps of size h on dU/dt = W U + h(t) as one step.
 
     Step j of the s contributes R^(s-1-j) h/6 (P0, Pm, I) at the nodes
     2j, 2j+1, 2j+2 of the half-step grid, so node 2j (0 < j < s) weighs
     R^(s-1-j) (P0 + R).  The upper half of h(t) is zero, so W keeps only
-    the velocity columns: N per node.  The powers are doubled as increments
+    the velocity columns: N per node, or q when h(t) = [0; proj g(t)] with
+    proj N x q, which is folded in before the powers.  The powers are doubled as increments
     R^j - I (R^(a+b) - I = D_a + D_b + D_a D_b, one batched product per
     doubling) from RK4's own increment D, never from a rounded R = I + D:
     that rounding put a forced 12-dof chain's reference 1.1e-12 of its peak
@@ -180,6 +185,9 @@ def _folded_rk4(w, h, s):
     d_one, p0, pm = baselines.rk4_operators(w, h)
     n2 = w.shape[0]
     n = n2 // 2
+
+    def onto(mat):  # the velocity columns, times proj
+        return mat[:, n:] if proj is None else mat[:, n:] @ proj
     eye = np.eye(n2)
     inc = np.zeros((1, n2, n2))  # inc[j] = R^j - I
     d_len = d_one  # R^len(inc) - I
@@ -189,13 +197,13 @@ def _folded_rk4(w, h, s):
             inc = np.concatenate([inc, inc + d_len + inc @ d_len])
             d_len = 2.0 * d_len + d_len @ d_len
         q = inc[s - 1::-1]  # q[j] = R^(s-1-j) - I
-        head = h / 6.0 * np.hstack([(p0 + eye + d_one)[:, n:], pm[:, n:]])
+        head = h / 6.0 * np.hstack([onto(p0 + eye + d_one), onto(pm)])
         blocks = head + q @ head
-        first = h / 6.0 * p0[:, n:]
-        blocks[0, :, :n] = first + q[0] @ first
+        first = h / 6.0 * onto(p0)
+        blocks[0, :, :first.shape[1]] = first + q[0] @ first
         phi = eye + (q[0] + d_one + q[0] @ d_one)
-    weights = np.hstack([blocks.transpose(1, 0, 2).reshape(n2, 2 * s * n),
-                         h / 6.0 * eye[:, n:]])
+    weights = np.hstack([blocks.transpose(1, 0, 2).reshape(n2, -1),
+                         h / 6.0 * onto(eye)])
     return phi, weights
 
 

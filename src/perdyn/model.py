@@ -279,12 +279,15 @@ def build_beam(length: float, bending_stiffness: float, total_mass: float,
              for node, direction, fn in point_loads]
     force = None
     if loads:
-        def rows(times, _loads=tuple(loads), _n=n):
-            out = np.zeros((len(times), _n))
-            for dof, sign, fn in _loads:
-                out[:, dof] += sign * _force_rows(fn, times)
+        dofs = sorted({dof for dof, _, _ in loads})
+        terms = [(dofs.index(dof), sign, fn) for dof, sign, fn in loads]
+
+        def cols(times):
+            out = np.zeros((len(times), len(dofs)))
+            for col, sign, fn in terms:
+                out[:, col] += sign * _force_rows(fn, times)
             return out
-        force = _from_rows(rows)
+        force = _from_support(n, dofs, cols)
 
     return SystemModel(mass, damp, stiff, force=force)
 
@@ -347,9 +350,11 @@ def damping_level(model: SystemModel) -> float:
 # Force builders shared by the library, the tests and the CLI config loader.
 #
 # Each built-in load is written once, as its private array form ``_rows``: an
-# array of times to one value (or row) per time.  Every integrator and the RK4
-# reference sample the load through it, and its public scalar call is the
-# same form at one time, so the two agree bit for bit.
+# array of times to one value (or row) per time.  Every integrator samples the
+# load through it, and its public scalar call is the same form at one time, so
+# the two agree bit for bit.  A load of a model carries ``_support`` too: the
+# sorted dofs S it touches and the form times -> f_S(t), which its ``_rows``
+# scatters into zeros; the RK4 reference samples only f_S.
 
 def _force_rows(fn: Callable, times: np.ndarray) -> np.ndarray:
     """``fn`` at each time of the 1-D array ``times``, one row (or value) per
@@ -369,6 +374,18 @@ def _from_rows(rows: Callable[[np.ndarray], np.ndarray]) -> Callable:
     return load
 
 
+def _from_support(n_dof: int, dofs: Sequence[int], cols: Callable) -> Callable:
+    """The load of ``n_dof`` dofs that is ``cols(times)`` on the sorted dofs
+    ``dofs`` and zero elsewhere; it carries (dofs, cols) as ``_support``."""
+    def rows(times):
+        out = np.zeros((len(times), n_dof))
+        out[:, dofs] = cols(times)
+        return out
+    load = _from_rows(rows)
+    load._support = (dofs, cols)
+    return load
+
+
 def step_function(t_c: float, f0: float) -> Callable[[float], float]:
     """Scalar step: 0 for t < t_c, f0 for t >= t_c."""
     return _from_rows(lambda times: np.where(times >= t_c, f0, 0.0))
@@ -378,12 +395,7 @@ def constant_step_force(n_dof: int, dof: int, t_c: float, f0: float) -> ForceFun
     """Step force f0 applied at a single dof from time t_c on."""
     if not 0 <= dof < n_dof:
         raise ValueError(f"force dof {dof} out of range")
-
-    def rows(times):
-        out = np.zeros((len(times), n_dof))
-        out[times >= t_c, dof] = f0
-        return out
-    return _from_rows(rows)
+    return _from_support(n_dof, [dof], lambda times: np.where(times >= t_c, f0, 0.0)[:, None])
 
 
 def gaussian_multiharmonic_force(n_dof: int, dof: int, t0: float, s: float,
@@ -398,11 +410,9 @@ def gaussian_multiharmonic_force(n_dof: int, dof: int, t0: float, s: float,
         raise ValueError("Gaussian width s must be positive")
     comps = tuple((float(a), float(w)) for a, w in components)
 
-    def rows(times):
+    def cols(times):
         # float_power is libm pow per element; the array ``** 2`` is a
         # multiply, which moves some samples by an ulp and every output with them
-        out = np.zeros((len(times), n_dof))
         env = np.exp(-np.float_power(times - t0, np.full(len(times), 2.0)) / (2.0 * s * s))
-        out[:, dof] = env * sum(a * np.sin(w * times) for a, w in comps)
-        return out
-    return _from_rows(rows)
+        return (env * sum(a * np.sin(w * times) for a, w in comps))[:, None]
+    return _from_support(n_dof, [dof], cols)

@@ -123,7 +123,8 @@ def rk4_longdouble_loop(w, samples, u0, dt, n_steps, every):
     """Classical RK4 on dU/dt = W U + h(t) in long double (np.longdouble),
     stage by stage, one step of size dt at a time.  ``samples`` holds h at
     the 2 n_steps + 1 half-step nodes t_k + i dt/2, one row per node, in
-    double.  Returns every ``every``-th state, rounded to double."""
+    double or long double.  Returns every ``every``-th state, rounded to
+    double."""
     ld = np.longdouble
     w = np.asarray(w, dtype=ld)
     g = np.asarray(samples, dtype=ld)
@@ -140,6 +141,18 @@ def rk4_longdouble_loop(w, samples, u0, dt, n_steps, every):
         if (k + 1) % every == 0:
             states.append(y.astype(float))
     return np.array(states)
+
+
+def mass_solve_exact(mass, dofs):
+    """M^-1 E_S in long double, N x len(dofs): the columns ``dofs`` of the
+    identity solved in 50-digit mpmath against the double M, taken exactly."""
+    import mpmath
+    with mpmath.workdps(50):
+        m = mpmath.matrix(np.asarray(mass).tolist())
+        cols = [mpmath.lu_solve(m, mpmath.matrix([float(i == d) for i in range(len(mass))]))
+                for d in dofs]
+        return np.array([[np.longdouble(mpmath.nstr(x[i], 40)) for x in cols]
+                         for i in range(len(mass))])
 
 
 def increment_at_reduced_step_i_rounded(a_mat, minv_c, dt0, m_a, r_a):

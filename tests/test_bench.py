@@ -5,8 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import (damped_free_vibration, l2_norm, reference_fine_rk4,
-                     rk4_longdouble_loop, sdof_model, step_loop)
+from oracles import (damped_free_vibration, l2_norm, mass_solve_exact,
+                     reference_fine_rk4, rk4_longdouble_loop, sdof_model, step_loop)
 
 import perdyn.bench as bench
 import perdyn.per as per
@@ -203,6 +203,70 @@ class TestFoldedReference:
         for got, want in ((ref.displacements, exact[:, :12]),
                           (ref.velocities, exact[:, 12:])):
             assert np.abs(got - want).max() <= 2e-14 * np.abs(want).max()
+
+    @staticmethod
+    def readme_chain(seed=0):
+        rng = np.random.default_rng(seed)
+        force = gaussian_multiharmonic_force(12, 2, t0=0.3, s=2.5,
+                                             components=[(1.0, 3.0), (0.5, 7.1)])
+        return build_chain(12, 1.0, 100.0, [(0, None, 2.0), (1, 2, 2.0)]).with_force(
+            force).with_initial_state(1e-3 * rng.standard_normal(12),
+                                      1e-3 * rng.standard_normal(12))
+
+    @pytest.mark.parametrize("case", ["readme-chain", "full-mass", "beam"])
+    def test_plain_callable_matches_the_support_path(self, case):
+        # the same load without its support: M^-1 f sampled at every dof
+        model, dt, t_max = {
+            "readme-chain": lambda: (self.readme_chain(), 0.024, 0.6),
+            # a non-diagonal mass; the step switches at the sample t = 0.3
+            "full-mass": lambda: (SystemModel(
+                np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.5]]),
+                np.array([[3.0, -1.0, 0.5], [-1.0, 2.0, -0.5], [0.5, -0.5, 1.0]]),
+                np.array([[200.0, -100.0, 0.0], [-100.0, 200.0, -100.0],
+                          [0.0, -100.0, 100.0]]),
+                force=constant_step_force(3, 1, 0.3, 5.0),
+                u0=np.array([0.01, 0.0, -0.01])), 0.1, 1.0),
+            "beam": lambda: (benchmark_beam(n_elements=6, t_c=10 * 2e-5), 2e-5, 20 * 2e-5),
+        }[case]()
+        assert model.force._support
+        ref = reference_solution(model, dt, t_max)
+        plain = reference_solution(model.with_force(lambda t: model.force(t)), dt, t_max)
+        for got, want in ((ref.displacements, plain.displacements),
+                          (ref.velocities, plain.velocities)):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("case", ["readme-chain", "beam"])
+    def test_support_path_near_the_long_double_loop(self, case):
+        # The oracle is fed f(t) M^-1 E_S with the solve exact: the plain
+        # path's double M^-1 f samples are its own inputs and would favour
+        # it.  Both paths sit at their roundoff floor, and either may be the
+        # nearer: measured support/plain, u then v, 6.4e-16/4.8e-16 and
+        # 3.7e-15/3.4e-15 on the chain, 9.3e-13/9.3e-13 and 2.3e-12/2.0e-12
+        # on the beam, whose gap follows the one rounding of M^-1 E_S.
+        pytest.importorskip("mpmath")
+        model, dt, n_coarse = {
+            "readme-chain": lambda: (self.readme_chain(), 0.024, 20),
+            # the tip step switches at t = 0.01, the sample of coarse step 10
+            "beam": lambda: (benchmark_beam(n_elements=12), 1e-3, 20),
+        }[case]()
+        refine = 500
+        ref = reference_solution(model, dt, n_coarse * dt, refine=refine)
+        plain = reference_solution(model.with_force(lambda t: model.force(t)), dt,
+                                   n_coarse * dt, refine=refine)
+        assert ref.info["refine"] == plain.info["refine"] == refine
+        n, h, n_fine = model.n_dof, dt / refine, n_coarse * refine
+        k, odd = np.divmod(np.arange(2 * n_fine + 1), 2)
+        dofs, cols = model.force._support
+        samples = np.zeros((2 * n_fine + 1, 2 * n), dtype=np.longdouble)
+        samples[:, n:] = cols(k * h + odd * (h / 2.0)) @ mass_solve_exact(model.mass, dofs).T
+        exact = rk4_longdouble_loop(state_space(model).w, samples,
+                                    np.concatenate([model.u0, model.v0]), h, n_fine, refine)
+
+        def error(traj, half):
+            got = np.hstack([traj.displacements, traj.velocities])[:, half]
+            return np.abs(got - exact[:, half]).max() / np.abs(exact[:, half]).max()
+        for half in (slice(0, n), slice(n, 2 * n)):  # u, then v
+            assert error(ref, half) <= 1.25 * error(plain, half) + 4 * np.finfo(float).eps
 
     def test_fold_size_divides_refine(self):
         for refine in (1, 7, 500, 1000, 8000):

@@ -274,3 +274,53 @@ class TestForceArrayForm:
                           np.array([0.0, 0.5, 1.0]))
         np.testing.assert_array_equal(rows, [[0.0, 0.0], [0.5, 1.0], [1.0, 2.0]])
         assert calls == [0.0, 0.5, 1.0]
+
+
+class TestForceSupport:
+    """The support form (dofs S, times -> f_S) of each built-in load: its
+    ``_rows`` is that form scattered into zeros, bit for bit, and each
+    column is the load's own per-dof arithmetic."""
+
+    @staticmethod
+    def scattered(force, times, n_dof):
+        dofs, cols = force._support
+        out = np.zeros((len(times), n_dof))
+        out[:, dofs] = cols(times)
+        return out
+
+    def test_constant_step_switches_at_the_sample(self):
+        t_c = 0.1
+        force = constant_step_force(4, 2, t_c, 7.0)
+        times = np.array([0.0, np.nextafter(t_c, -np.inf), t_c, 0.3])
+        rows = _force_rows(force, times)
+        assert force._support[0] == [2]
+        np.testing.assert_array_equal(rows, self.scattered(force, times, 4))
+        np.testing.assert_array_equal(rows[:, 2], [0.0, 0.0, 7.0, 7.0])
+        assert not rows[:, [0, 1, 3]].any()
+
+    def test_gaussian_multiharmonic(self):
+        t0, s, comps = 0.3, 2.5, [(1.0, 3.0), (0.5, 7.1)]
+        force = gaussian_multiharmonic_force(5, 3, t0=t0, s=s, components=comps)
+        times = np.random.default_rng(3).uniform(-10.0, 40.0, 10_000)
+        rows = _force_rows(force, times)
+        assert force._support[0] == [3]
+        np.testing.assert_array_equal(rows, self.scattered(force, times, 5))
+        # the envelope through libm pow, as the scalar form computes it
+        env = np.exp(-np.float_power(times - t0, 2.0) / (2.0 * s * s))
+        np.testing.assert_array_equal(rows[:, 3], env * sum(a * np.sin(w * times)
+                                                            for a, w in comps))
+
+    def test_beam_point_loads_on_one_node(self):
+        # two loads on node 4 add in the order given; node 2 has its own column
+        t_c = 0.01
+        tip, ramp, side = step_function(t_c, 1.0e3), (lambda t: 2.0 * t), step_function(0.0, 5.0)
+        model = build_beam(3.0, 437.5e3, 235.5, 4, point_loads=[
+            (4, -1.0, tip), (4, 1.0, ramp), (2, 1.0, side)])
+        times = np.array([0.0, np.nextafter(t_c, -np.inf), t_c, 0.02, 1.0])
+        dofs, cols = model.force._support
+        assert dofs == [2, 6]  # the deflection dofs of nodes 2 and 4, sorted
+        np.testing.assert_array_equal(_force_rows(model.force, times),
+                                      self.scattered(model.force, times, 8))
+        ramp_rows = np.array([ramp(t) for t in times])
+        np.testing.assert_array_equal(cols(times), np.column_stack([
+            0.0 + _force_rows(side, times), 0.0 + -1.0 * _force_rows(tip, times) + ramp_rows]))
