@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from perdyn import baselines, bench, per
+from perdyn import baselines, bench, cli, per
 from perdyn.analysis import beta_radius_map
 from perdyn.cli import (EXIT_DIVERGENCE, EXIT_VALIDATION, RunConfig,
                         dump_config, load_config, main, write_csv)
@@ -479,6 +479,35 @@ class TestAnalysisCommands:
         assert printed.out == "" and not out.exists()
         assert printed.err.startswith("error: ") and message in printed.err
 
+
+    def test_tau_limit_checks_the_curve_grid_first(self, tmp_path, capsys):
+        # it printed the tau lines and wrote --out before the curve grid failed
+        out, curve = tmp_path / "tau.csv", tmp_path / "curve.csv"
+        assert main(["tau-limit", "--m", "2,4", "--out", str(out), "--curve-out", str(curve),
+                     "--curve-step", "0"]) == EXIT_VALIDATION
+        printed = capsys.readouterr()
+        assert printed.out == "" and printed.err == "error: grid parameters must be positive\n"
+        assert not out.exists() and not curve.exists()
+
+
+class TestParser:
+    def test_built_once_and_reused_after_a_failed_parse(self, tmp_path, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        # argparse's choices reject a method without a cost model
+        with pytest.raises(SystemExit) as exc:
+            main(["cost-model", "--method", "newmark"])
+        assert exc.value.code == EXIT_VALIDATION
+        assert "invalid choice: 'newmark'" in capsys.readouterr().err
+        assert main(["cost-model", "--method", "per", "--n", "1"]) == 0
+        assert "n3=213" in capsys.readouterr().out
+
+    def test_command_looked_up_at_each_call(self, monkeypatch):
+        # a cmd_* replaced after the parser was built, as a tracer's wrapper, runs
+        cli.build_parser()
+        calls = []
+        monkeypatch.setattr(cli, "cmd_cost_model", lambda args: calls.append(args.n) or 7)
+        assert main(["cost-model", "--method", "rk4", "--n", "3"]) == 7
+        assert calls == [3]
 
 class TestSweepCommands:
     def test_sweep_dt_csv(self, sdof_config, tmp_path):
