@@ -47,6 +47,8 @@ The matrix:
   ``sweep-dt`` (the perturbation scheme and Newmark) and ``sweep-damping``
   on the README chain, all at t_max 4;
 - ``compare`` on the README chain with ``--dof 12``, one past its last dof;
+- ``compare`` on the benchmark beam to t_max 0.0104, so that its tip step
+  load switches on at the sample t = 0.01, 20 steps before the end;
 - ``tau-limit --curve-out``, the same with ``--curve-step 0``, and two
   ``stability-map`` grids;
 - ``cost-model`` of the perturbation scheme, MPIM and RK4 at N 48, and of
@@ -189,6 +191,7 @@ CASES = {
                          "--dts", "0.024,0.5", "--out", "out.csv"],
     "sweep-damping": ["sweep-damping", "--config", "chain.json", *SHORT,
                       "--zetas", "0,0.5,1,5,20,60", "--out", "out.csv"],
+    "compare-beam": ["compare", "--config", "beam.json", "--t-max", "0.0104", "--out", "out.csv"],
     "compare-dof-out-of-range": ["compare", "--config", "chain.json", *SHORT, "--dof", "12",
                                  "--out", "out.csv"],
     "tau-limit": ["tau-limit", "--m", "2,4,6,8,10,20", "--out", "out.csv",
