@@ -138,6 +138,8 @@ def reference_solution(model: SystemModel, dt: float, t_max: float,
     fold = _fold_size(used, model.n_dof)
     # a load without a support gives M^-1 f at every dof
     dofs, force = getattr(model.force, "_support", (None, per._force_sampler(model, solve_mass)))
+    if dofs is not None and np.shape(model.force(0.0)) != (model.n_dof,):
+        raise ValueError(f"the load is not one of {model.n_dof} dofs")
     proj = None if dofs is None else solve_mass(np.eye(model.n_dof)[:, dofs])  # M^-1 E_S
     phi, weights = _folded_rk4(w, h, fold, proj)
     x0 = np.concatenate([model.u0, model.v0])

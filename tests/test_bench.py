@@ -235,6 +235,13 @@ class TestFoldedReference:
                           (ref.velocities, plain.velocities)):
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
+    def test_load_of_another_model_rejected(self):
+        # the support path samples only dof 1, where the M^-1 f path's
+        # mass solve of the 4-column load raised
+        model = self.readme_chain().with_force(constant_step_force(4, 1, 0.0, 1.0))
+        with pytest.raises(ValueError, match="the load is not one of 12 dofs"):
+            reference_solution(model, 0.024, 0.24)
+
     @pytest.mark.parametrize("case", ["readme-chain", "beam"])
     def test_support_path_near_the_long_double_loop(self, case):
         # The oracle is fed f(t) M^-1 E_S with the solve exact: the plain
