@@ -178,11 +178,11 @@ def _folded_rk4(w, h, s, proj=None):
     2j, 2j+1, 2j+2 of the half-step grid, so node 2j (0 < j < s) weighs
     R^(s-1-j) (P0 + R).  The upper half of h(t) is zero, so W keeps only
     the velocity columns: N per node, or q when h(t) = [0; proj g(t)] with
-    proj N x q, which is folded in before the powers.  The powers are doubled as increments
-    R^j - I (R^(a+b) - I = D_a + D_b + D_a D_b, one batched product per
-    doubling) from RK4's own increment D, never from a rounded R = I + D:
-    that rounding put a forced 12-dof chain's reference 1.1e-12 of its peak
-    from a long-double RK4 loop at t_max = 1.2, against 5.6e-15 from D.
+    proj N x q, folded in before the powers.  The powers are doubled as
+    increments R^j - I (R^(a+b) - I = D_a + D_b + D_a D_b, one batched
+    product per doubling) from RK4's own increment D, never from a rounded
+    R = I + D: that rounding put a forced 12-dof chain's reference 1.1e-12
+    of its peak from a long-double RK4 loop at t_max = 1.2, against 5.6e-15.
     """
     d_one, p0, pm = baselines.rk4_operators(w, h)
     n2 = w.shape[0]

@@ -247,8 +247,8 @@ class TestFoldedReference:
         # The oracle is fed f(t) M^-1 E_S with the solve exact: the plain
         # path's double M^-1 f samples are its own inputs and would favour
         # it.  Both paths sit at their roundoff floor, and either may be the
-        # nearer: measured support/plain, u then v, 6.4e-16/4.8e-16 and
-        # 3.7e-15/3.4e-15 on the chain, 9.3e-13/9.3e-13 and 2.3e-12/2.0e-12
+        # nearer: measured support/plain, u then v, 6.3e-16/6.3e-16 and
+        # 2.3e-15/2.1e-15 on the chain, 9.3e-13/9.3e-13 and 2.3e-12/2.0e-12
         # on the beam, whose gap follows the one rounding of M^-1 E_S.
         pytest.importorskip("mpmath")
         model, dt, n_coarse = {
