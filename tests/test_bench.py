@@ -182,15 +182,19 @@ class TestFoldedReference:
         self.assert_matches_fine_loop(model.with_initial_state(
             np.linspace(0.0, 1e-3, 12), np.zeros(12)), 0.024, 0.6)
 
-    def test_near_the_long_double_loop(self):
-        # the chain-compare chain; folded from a rounded R = I + D, the
-        # reference was 1.1e-12 of the peak from exact RK4 arithmetic
+    @staticmethod
+    def readme_chain():
         rng = np.random.default_rng(0)
         force = gaussian_multiharmonic_force(12, 2, t0=0.3, s=2.5,
                                              components=[(1.0, 3.0), (0.5, 7.1)])
-        model = build_chain(12, 1.0, 100.0, [(0, None, 2.0), (1, 2, 2.0)]).with_force(
+        return build_chain(12, 1.0, 100.0, [(0, None, 2.0), (1, 2, 2.0)]).with_force(
             force).with_initial_state(1e-3 * rng.standard_normal(12),
                                       1e-3 * rng.standard_normal(12))
+
+    def test_near_the_long_double_loop(self):
+        # the chain-compare chain; folded from a rounded R = I + D, the
+        # reference was 1.1e-12 of the peak from exact RK4 arithmetic
+        model = self.readme_chain()
         dt, refine, n_fine = 0.024, 500, 50 * 500
         ref = reference_solution(model, dt, 50 * dt, refine=refine)
         assert ref.info["refine"] == refine
@@ -203,15 +207,6 @@ class TestFoldedReference:
         for got, want in ((ref.displacements, exact[:, :12]),
                           (ref.velocities, exact[:, 12:])):
             assert np.abs(got - want).max() <= 2e-14 * np.abs(want).max()
-
-    @staticmethod
-    def readme_chain(seed=0):
-        rng = np.random.default_rng(seed)
-        force = gaussian_multiharmonic_force(12, 2, t0=0.3, s=2.5,
-                                             components=[(1.0, 3.0), (0.5, 7.1)])
-        return build_chain(12, 1.0, 100.0, [(0, None, 2.0), (1, 2, 2.0)]).with_force(
-            force).with_initial_state(1e-3 * rng.standard_normal(12),
-                                      1e-3 * rng.standard_normal(12))
 
     @pytest.mark.parametrize("case", ["readme-chain", "full-mass", "beam"])
     def test_plain_callable_matches_the_support_path(self, case):
