@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import signal
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -97,15 +99,71 @@ def format_number(x) -> str:
     return f"{float(x):.17g}"
 
 
+#: Rows per string of _csv_blocks: one ``%`` call formats the whole block.
+_BLOCK_ROWS = 32
+#: Numbers (rows x columns) from which write_csv formats the second half of
+#: an array in a forked child.  The fork, the child's start and its reaping
+#: cost the parent about 7 ms, half of what 20,000 numbers take to format at
+#: about 0.8 us each (measured on a 2-vCPU Xeon; the README has the table).
+_SPLIT_NUMBERS = 20_000
+
+
+def _csv_blocks(rows: np.ndarray, start: int, stop: int):
+    """The CSV text of rows[start:stop], one string per _BLOCK_ROWS rows."""
+    fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    for lo in range(start, stop, _BLOCK_ROWS):
+        block = rows[lo:min(lo + _BLOCK_ROWS, stop)]
+        yield (fmt * len(block)) % tuple(block.ravel().tolist())
+
+
+def _write_split(fh, rows: np.ndarray) -> None:
+    """Write rows[:mid] here while a forked child formats rows[mid:], then
+    copy the child's text after them from a pipe, 64 KB per read.  The
+    child formats into its own memory before it writes, since a pipe holds
+    only 64 KB.  It runs only this formatting, no BLAS call, and leaves by
+    os._exit, so it flushes none of the parent's buffers; it is reaped on
+    every path, and killed first if this side fails."""
+    mid = len(rows) // 2
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            text = "".join(_csv_blocks(rows, mid, len(rows)))
+            with open(write_end, "w", newline="\n") as out:
+                out.write(text)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    try:
+        fh.writelines(_csv_blocks(rows, 0, mid))
+        fh.flush()
+        while chunk := os.read(read_end, 1 << 16):
+            fh.buffer.write(chunk)
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(read_end)
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code:
+        raise OSError(f"the CSV writer's child process exited with code {code}")
+
+
 def write_csv(path: str, header, rows) -> None:
-    """Write ``rows``, a 2-D float array (one format string per row) or
-    mixed rows (item by item); numbers get format_number's bytes."""
+    """Write ``rows``, a 2-D float array (formatted a block of rows at a
+    time, its second half in a forked child from _SPLIT_NUMBERS numbers
+    where os.fork exists) or mixed rows (item by item); numbers get
+    format_number's bytes."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         if isinstance(rows, np.ndarray):
-            fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-            for row in rows:
-                fh.write(fmt % tuple(row.tolist()))
+            if rows.size >= _SPLIT_NUMBERS and hasattr(os, "fork"):
+                _write_split(fh, rows)
+            else:
+                fh.writelines(_csv_blocks(rows, 0, len(rows)))
             return
         for row in rows:
             fields = []

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import signal
 import warnings
 
 import numpy as np
@@ -690,3 +692,95 @@ class TestCsvFormat:
         raw = (tmp_path / "array.csv").read_bytes()
         assert raw == (tmp_path / "items.csv").read_bytes()
         assert raw.splitlines()[1] == b"0,-0,4.9406564584124654e-324,-4.9406564584124654e-324,1.0000000000000001e+300"
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def odd_rows(n):
+    """An array of n numbers with an odd number of rows and several columns."""
+    cols = next(c for c in range(2, n + 1) if n % c == 0 and n // c % 2)
+    return np.random.default_rng(n).standard_normal((n // cols, cols))
+
+
+class TestSplitWriter:
+    """From cli._SPLIT_NUMBERS numbers, write_csv formats the second half of
+    an array in a forked child; the bytes are those of the item-by-item path."""
+
+    @staticmethod
+    def assert_same_bytes(tmp_path, values):
+        header = [f"c{j}" for j in range(values.shape[1])]
+        write_csv(str(tmp_path / "array.csv"), header, values)
+        write_csv(str(tmp_path / "items.csv"), header, values.tolist())
+        assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "items.csv").read_bytes()
+        assert_no_child_left()
+
+    @staticmethod
+    def count_forks(monkeypatch):
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        return forks
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("shape", ["one-column", "odd-rows"])
+    def test_same_bytes_around_the_threshold(self, tmp_path, monkeypatch, offset, shape):
+        n = cli._SPLIT_NUMBERS + offset
+        values = (np.random.default_rng(n).standard_normal((n, 1)) if shape == "one-column"
+                  else odd_rows(n))
+        assert values.size == n
+        forks = self.count_forks(monkeypatch)
+        self.assert_same_bytes(tmp_path, values)
+        assert len(forks) == (offset >= 0)
+
+    def test_special_values_split(self, tmp_path, monkeypatch):
+        special = np.array([
+            [0.0, -0.0, 5e-324, -5e-324, 1e300],
+            [-1e300, 1.0, -2.0, 3.0, 1e16],
+            [0.1, -1.0 / 3.0, 2.0 ** 0.5, -123456789.0, 2.5e-308],
+            [np.pi, -np.e, 1e-5, 65536.0, -0.5],
+        ])
+        # an odd row count, above the threshold
+        values = np.tile(special, (cli._SPLIT_NUMBERS // 20 + 2, 1))[1:]
+        forks = self.count_forks(monkeypatch)
+        self.assert_same_bytes(tmp_path, values)
+        assert len(forks) == 1
+
+    def test_without_fork_the_array_is_written_here(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        self.assert_same_bytes(tmp_path, odd_rows(cli._SPLIT_NUMBERS + 1))
+
+    @staticmethod
+    def fail_blocks(monkeypatch, failing_start):
+        """Make _csv_blocks raise for the half that starts as ``failing_start``
+        says: in the child (start > 0) or here (start == 0)."""
+        blocks = cli._csv_blocks
+
+        def patched(rows, start, stop):
+            if failing_start(start):
+                raise RuntimeError("injected")
+            return blocks(rows, start, stop)
+        monkeypatch.setattr(cli, "_csv_blocks", patched)
+
+    def test_child_failure_is_an_os_error(self, tmp_path, monkeypatch, sdof_config, capsys):
+        self.fail_blocks(monkeypatch, lambda start: start > 0)
+        values = np.ones((cli._SPLIT_NUMBERS, 1))
+        with pytest.raises(OSError, match="child process exited with code 1"):
+            write_csv(str(tmp_path / "a.csv"), ["a"], values)
+        assert_no_child_left()
+        # sdof_config writes (t, u, v): 3 numbers a row at dt 0.02
+        t_max = 0.02 * (cli._SPLIT_NUMBERS // 3 + 1)
+        assert main(["simulate", "--config", str(sdof_config), "--t-max", str(t_max),
+                     "--out", str(tmp_path / "b.csv")]) == EXIT_VALIDATION
+        assert "error: the CSV writer's child process exited" in capsys.readouterr().err
+        assert_no_child_left()
+
+    def test_parent_failure_kills_the_child(self, tmp_path, monkeypatch):
+        self.fail_blocks(monkeypatch, lambda start: start == 0)
+        signals, kill = [], os.kill
+        monkeypatch.setattr(os, "kill", lambda pid, sig: signals.append(sig) or kill(pid, sig))
+        with pytest.raises(RuntimeError, match="injected"):
+            write_csv(str(tmp_path / "a.csv"), ["a"], np.ones((cli._SPLIT_NUMBERS, 1)))
+        assert signals == [signal.SIGKILL]
+        assert_no_child_left()
