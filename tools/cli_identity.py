@@ -16,6 +16,9 @@ The matrix:
 
 - ``simulate`` with each of the six methods on the README chain (dt 0.024,
   t_max 40) and on the benchmark beam (dt 2e-5, t_max 0.02, m_b 8);
+- ``simulate`` of the perturbation scheme on the benchmark beam to t_max
+  0.1: 5,001 rows of 97 numbers, far above the size from which the CSV
+  writer formats half of the rows in a forked child;
 - ``simulate`` of the perturbation scheme on two runs with
   rho(beta_b) >= 1: the README chain with dampers c = 120, and the
   unforced ``{"kind": "chain", "zeta": 3.0}`` at dt 1.4, m_b 2, r_b 12;
@@ -157,6 +160,8 @@ CASES = {
                                "--out", "out.csv"] for m in METHODS},
     **{f"simulate-beam-{m}": ["simulate", "--config", "beam.json", "--method", m,
                               "--out", "out.csv"] for m in METHODS},
+    "simulate-beam-long": ["simulate", "--config", "beam.json", "--t-max", "0.1",
+                           "--out", "out.csv"],
     "simulate-c120-per": ["simulate", "--config", "c120.json", "--out", "out.csv"],
     "simulate-zeta3-per": ["simulate", "--config", "zeta3.json", "--out", "out.csv"],
     "simulate-c120-newmark": ["simulate", "--config", "c120.json", "--method", "newmark",
