@@ -119,27 +119,37 @@ def rk4_stage_loop(w, h, u0, dt, n_steps):
     return states
 
 
-def rk4_longdouble_loop(w, samples, u0, dt, n_steps, every):
+def half_step_times(i, dt):
+    """The times t_k + j dt/2 of the half-step node numbers i = 2k + j."""
+    k, j = np.divmod(i, 2)
+    return k * dt + j * (dt / 2.0)
+
+
+def rk4_longdouble_loop(w, sample, u0, dt, n_steps, every, window=1000):
     """Classical RK4 on dU/dt = W U + h(t) in long double (np.longdouble),
-    stage by stage, one step of size dt at a time.  ``samples`` holds h at
-    the 2 n_steps + 1 half-step nodes t_k + i dt/2, one row per node, in
-    double or long double.  Returns every ``every``-th state, rounded to
-    double."""
+    stage by stage, one step of size dt at a time.  ``sample(i)`` returns h
+    at the half-step nodes t_k + j dt/2 of node numbers i = 2k + j, an
+    integer array, one row per node, in double or long double; it is called
+    for ``window`` steps at a time, so that a long run never holds all its
+    samples.  Returns every ``every``-th state, rounded to double."""
     ld = np.longdouble
     w = np.asarray(w, dtype=ld)
-    g = np.asarray(samples, dtype=ld)
     step = ld(dt)
     half, sixth = step / 2, step / 6
     y = np.asarray(u0, dtype=ld)
     states = [y.astype(float)]
-    for k in range(n_steps):
-        k1 = w @ y + g[2 * k]
-        k2 = w @ (y + half * k1) + g[2 * k + 1]
-        k3 = w @ (y + half * k2) + g[2 * k + 1]
-        k4 = w @ (y + step * k3) + g[2 * k + 2]
-        y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-        if (k + 1) % every == 0:
-            states.append(y.astype(float))
+    for lo in range(0, n_steps, window):
+        hi = min(lo + window, n_steps)
+        g = np.asarray(sample(np.arange(2 * lo, 2 * hi + 1)), dtype=ld)
+        for k in range(lo, hi):
+            i = 2 * (k - lo)
+            k1 = w @ y + g[i]
+            k2 = w @ (y + half * k1) + g[i + 1]
+            k3 = w @ (y + half * k2) + g[i + 1]
+            k4 = w @ (y + step * k3) + g[i + 2]
+            y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+            if (k + 1) % every == 0:
+                states.append(y.astype(float))
     return np.array(states)
 
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import (damped_free_vibration, l2_norm, mass_solve_exact,
+from oracles import (damped_free_vibration, half_step_times, l2_norm, mass_solve_exact,
                      reference_fine_rk4, rk4_longdouble_loop, sdof_model, step_loop)
 
 import perdyn.bench as bench
@@ -199,9 +199,8 @@ class TestFoldedReference:
         ref = reference_solution(model, dt, 50 * dt, refine=refine)
         assert ref.info["refine"] == refine
         system = state_space(model)
-        k, odd = np.divmod(np.arange(2 * n_fine + 1), 2)
         h = dt / refine
-        exact = rk4_longdouble_loop(system.w, system.h(k * h + odd * (h / 2.0)),
+        exact = rk4_longdouble_loop(system.w, lambda i: system.h(half_step_times(i, h)),
                                     np.concatenate([model.u0, model.v0]), h,
                                     n_fine, refine)
         for got, want in ((ref.displacements, exact[:, :12]),
@@ -257,11 +256,14 @@ class TestFoldedReference:
                                    n_coarse * dt, refine=refine)
         assert ref.info["refine"] == plain.info["refine"] == refine
         n, h, n_fine = model.n_dof, dt / refine, n_coarse * refine
-        k, odd = np.divmod(np.arange(2 * n_fine + 1), 2)
         dofs, cols = model.force._support
-        samples = np.zeros((2 * n_fine + 1, 2 * n), dtype=np.longdouble)
-        samples[:, n:] = cols(k * h + odd * (h / 2.0)) @ mass_solve_exact(model.mass, dofs).T
-        exact = rk4_longdouble_loop(state_space(model).w, samples,
+        forcing = mass_solve_exact(model.mass, dofs).T
+
+        def sample(i):
+            out = np.zeros((len(i), 2 * n), dtype=np.longdouble)
+            out[:, n:] = cols(half_step_times(i, h)) @ forcing
+            return out
+        exact = rk4_longdouble_loop(state_space(model).w, sample,
                                     np.concatenate([model.u0, model.v0]), h, n_fine, refine)
 
         def error(traj, half):
@@ -269,6 +271,17 @@ class TestFoldedReference:
             return np.abs(got - exact[:, half]).max() / np.abs(exact[:, half]).max()
         for half in (slice(0, n), slice(n, 2 * n)):  # u, then v
             assert error(ref, half) <= 1.25 * error(plain, half) + 4 * np.finfo(float).eps
+
+    def test_long_double_loop_windows_agree(self):
+        # the oracle draws its samples a window of steps at a time; the
+        # window, here cut mid-run and at the end, moves no bit
+        model = self.readme_chain()
+        system, h = state_space(model), 0.024 / 50
+        runs = [rk4_longdouble_loop(system.w, lambda i: system.h(half_step_times(i, h)),
+                                    np.concatenate([model.u0, model.v0]), h, 60, 5,
+                                    window=window) for window in (1, 7, 60, 1000)]
+        for run in runs[1:]:
+            assert np.array_equal(run, runs[0])
 
     def test_fold_size_divides_refine(self):
         for refine in (1, 7, 500, 1000, 8000):
