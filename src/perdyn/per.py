@@ -241,7 +241,12 @@ def _damped_series(a_mat, minv_c, dt, m, *coeffs):
     minv_c), summed from minv_c[:, s]; rho of the first, that of its block
     [cols, cols], as the square is zero outside cols (0.0 when undamped)."""
     s = np.flatnonzero((minv_c != 0.0).any(axis=0))
-    series = _series(a_mat, minv_c[:, s], dt, m, *coeffs)
+    # a lone column is taken twice: numpy multiplies an n x 1 power by its
+    # matrix-vector product, whose sums differ from the dense series' bits
+    lone = len(s) == 1
+    series = _series(a_mat, minv_c[:, np.repeat(s, 1 + lone)], dt, m, *coeffs)
+    if lone:
+        series = [np.ascontiguousarray(out[:, ::2]) for out in series]
     cols = np.concatenate([s, len(minv_c) + s])
     return cols, spectral_radius(series[0][cols]), series
 
