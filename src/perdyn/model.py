@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import cholesky, eigh
 
 ForceFunction = Callable[[float], np.ndarray]
 
@@ -20,11 +20,25 @@ _SYM_RTOL = 1e-12
 _PSD_RTOL = 1e-10
 
 
-def _check_symmetric(mat, name):
+def _check_finite_symmetric(mat, name):
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{name} matrix must be finite")
     dev = np.abs(mat - mat.T).max()
     scale = max(np.abs(mat).max(), 1.0)
     if dev > _SYM_RTOL * scale:
         raise ValueError(f"{name} matrix is not symmetric (deviation {dev:.3e})")
+
+
+def _check_definite(mat, name, kind, shift=0.0):
+    """Reject ``mat`` unless mat + shift I has a Cholesky factor, that is, is
+    positive definite to roundoff (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, ch. 10); only the lower triangle is read."""
+    shifted = mat.copy()
+    shifted.flat[::len(mat) + 1] += shift
+    try:
+        cholesky(shifted, lower=True, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        raise ValueError(f"{name} matrix must be positive {kind}") from None
 
 
 def _as_square(mat, name):
@@ -39,8 +53,8 @@ class SystemModel:
     """A linear structural system: mass, damping and stiffness matrices,
     the external force function and the initial state.
 
-    mass must be symmetric positive definite; damping and stiffness
-    symmetric positive semidefinite.  ``force`` maps time (s) to an
+    mass must be finite, symmetric positive definite; damping and stiffness
+    finite, symmetric positive semidefinite.  ``force`` maps time (s) to an
     N-vector of nodal forces (N); None means no external forcing.
     """
 
@@ -58,15 +72,12 @@ class SystemModel:
         n = mass.shape[0]
         if damping.shape[0] != n or stiffness.shape[0] != n:
             raise ValueError("mass, damping and stiffness dimensions disagree")
-        _check_symmetric(mass, "mass")
-        _check_symmetric(damping, "damping")
-        _check_symmetric(stiffness, "stiffness")
-        if np.linalg.eigvalsh(mass).min() <= 0.0:
-            raise ValueError("mass matrix must be positive definite")
+        for mat, name in ((mass, "mass"), (damping, "damping"), (stiffness, "stiffness")):
+            _check_finite_symmetric(mat, name)
+        _check_definite(mass, "mass", "definite")
         for mat, name in ((damping, "damping"), (stiffness, "stiffness")):
-            floor = -_PSD_RTOL * max(np.abs(mat).max(), 1.0)
-            if np.linalg.eigvalsh(mat).min() < floor:
-                raise ValueError(f"{name} matrix must be positive semidefinite")
+            # semidefinite: no eigenvalue below -floor, so X + floor I factors
+            _check_definite(mat, name, "semidefinite", _PSD_RTOL * max(np.abs(mat).max(), 1.0))
         u0 = np.zeros(n) if self.u0 is None else np.array(self.u0, dtype=float)
         v0 = np.zeros(n) if self.v0 is None else np.array(self.v0, dtype=float)
         if u0.shape != (n,) or v0.shape != (n,):

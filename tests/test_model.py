@@ -1,5 +1,7 @@
 """Tests for system builders, modal analysis and the damping metric."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,16 @@ class TestSystemModelValidation:
         with pytest.raises(ValueError, match="semidefinite"):
             SystemModel(np.eye(2), np.zeros((2, 2)), np.diag([1.0, -1.0]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["mass", "damping", "stiffness"])
+    def test_non_finite_matrix_rejected(self, name, value):
+        mats = {"mass": np.eye(2), "damping": np.eye(2), "stiffness": np.eye(2)}
+        mats[name][1, 1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected up front, not after a RuntimeWarning
+            with pytest.raises(ValueError, match=f"^{name} matrix must be finite$"):
+                SystemModel(**mats)
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="disagree"):
             SystemModel(np.eye(2), np.zeros((3, 3)), np.eye(2))
@@ -201,6 +213,43 @@ class TestSystemModelValidation:
         model = build_chain(2, 1.0, 1.0)
         with pytest.raises(ValueError):
             model.mass[0, 0] = 5.0
+
+
+class TestDefinitenessBorder:
+    """The definiteness checks at their borders: M must be positive definite;
+    C and K may have no eigenvalue below -1e-10 max(|X|max, 1)."""
+
+    @staticmethod
+    def with_eigenvalue(rel):
+        """A symmetric 4 x 4 matrix with eigenvalues 300, 200, 100 and rel
+        times the largest magnitude of its entries."""
+        q = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))[0]
+        base = (q * [300.0, 200.0, 100.0, 0.0]) @ q.T
+        mat = base + rel * np.abs(base).max() * np.outer(q[:, 3], q[:, 3])
+        return (mat + mat.T) / 2.0
+
+    def test_free_free_stiffness_accepted(self):
+        mass, stiff = beam_matrices(3.0, 437.5e3, 235.5, 6)
+        # two rigid-body modes, zero to roundoff
+        assert np.abs(np.linalg.eigvalsh(stiff)[:2]).max() < 1e-10 * np.abs(stiff).max()
+        SystemModel(mass, np.zeros_like(mass), stiff)
+
+    @pytest.mark.parametrize("rel, accepted", [(-1e-12, True), (-1e-8, False)])
+    @pytest.mark.parametrize("name", ["damping", "stiffness"])
+    def test_negative_eigenvalue(self, name, rel, accepted):
+        mat = self.with_eigenvalue(rel)
+        lowest = np.linalg.eigvalsh(mat)[0]
+        assert lowest == pytest.approx(rel * np.abs(mat).max(), rel=1e-2)
+        mats = {"mass": np.eye(4), "damping": np.eye(4), "stiffness": np.eye(4), name: mat}
+        if accepted:
+            SystemModel(**mats)
+        else:
+            with pytest.raises(ValueError, match=f"{name} matrix must be positive semidefinite"):
+                SystemModel(**mats)
+
+    def test_singular_mass_rejected(self):
+        with pytest.raises(ValueError, match="mass matrix must be positive definite"):
+            SystemModel(np.ones((2, 2)), np.zeros((2, 2)), np.eye(2))
 
 
 class TestForceBuilders:
