@@ -198,12 +198,24 @@ def coeff_beta(j: int, dt: float) -> np.ndarray:
 def system_operators(model: SystemModel):
     """(solve_mass, A, minv_c) with A = M^-1 K and minv_c = M^-1 C.
 
-    M is factorized once; its inverse is never formed.
+    M is factorized once; its inverse is never formed.  minv_c is solved on
+    the nonzero columns of C only, and is zero elsewhere.
     """
     solve_mass = spd_solver(model.mass)
     a_mat = solve_mass(model.stiffness)
-    minv_c = solve_mass(model.damping)
+    minv_c = np.zeros_like(a_mat)
+    s = np.flatnonzero((model.damping != 0.0).any(axis=0))
+    minv_c[:, s], = _on_columns(lambda cols: [solve_mass(cols)], model.damping[:, s])
     return solve_mass, a_mat, minv_c
+
+
+def _on_columns(fn, cols):
+    """fn(cols), a list of arrays whose column blocks follow the n x k
+    ``cols``.  A lone column is taken twice, and the first copy of each block
+    kept: a vector kernel's sums differ from those of a matrix product."""
+    if cols.shape[1] != 1:
+        return fn(cols)
+    return [np.ascontiguousarray(out[:, ::2]) for out in fn(np.repeat(cols, 2, axis=1))]
 
 
 def assemble_series(model: SystemModel, dt: float, m: int, which: str) -> np.ndarray:
@@ -220,14 +232,15 @@ def assemble_series(model: SystemModel, dt: float, m: int, which: str) -> np.nda
 def _series(a_mat, start, dt, m, *coeffs):
     """[sum_{j=0}^{m/2} c(j, dt) (x) A^j F for c in coeffs], every family
     summed off one chain of powers A^j F with F = ``start`` (the identity
-    when None, else n x k), one power held at a time."""
+    when None, whose first power is A itself, else n x k), one power held
+    at a time."""
     n = a_mat.shape[0]
     power = np.eye(n) if start is None else start
     k = power.shape[1]
     outs = [np.zeros((rows * n, cols * k)) for rows, cols in (c(0, dt).shape for c in coeffs)]
     for j in range(m // 2 + 1):
         if j:
-            power = a_mat @ power
+            power = a_mat if j == 1 and start is None else a_mat @ power
         for out, coeff in zip(outs, coeffs):
             for (r, c), cj in np.ndenumerate(coeff(j, dt)):
                 if cj != 0.0:
@@ -241,12 +254,7 @@ def _damped_series(a_mat, minv_c, dt, m, *coeffs):
     minv_c), summed from minv_c[:, s]; rho of the first, that of its block
     [cols, cols], as the square is zero outside cols (0.0 when undamped)."""
     s = np.flatnonzero((minv_c != 0.0).any(axis=0))
-    # a lone column is taken twice: numpy multiplies an n x 1 power by its
-    # matrix-vector product, whose sums differ from the dense series' bits
-    lone = len(s) == 1
-    series = _series(a_mat, minv_c[:, np.repeat(s, 1 + lone)], dt, m, *coeffs)
-    if lone:
-        series = [np.ascontiguousarray(out[:, ::2]) for out in series]
+    series = _on_columns(lambda start: _series(a_mat, start, dt, m, *coeffs), minv_c[:, s])
     cols = np.concatenate([s, len(minv_c) + s])
     return cols, spectral_radius(series[0][cols]), series
 
@@ -263,9 +271,8 @@ def undamped_step_increment(a_mat: np.ndarray, dt: float, m: int) -> np.ndarray:
     j_max = m // 2
     delta_g = np.zeros((n, n))
     h_mat = np.eye(n)
-    b_pow = np.eye(n)
     for j in range(1, j_max + 1):
-        b_pow = b_pow @ b_mat
+        b_pow = b_mat if j == 1 else b_pow @ b_mat
         delta_g += (-1.0) ** j / factorial(2 * j) * b_pow
         h_mat += (-1.0) ** j / factorial(2 * j + 1) * b_pow
     h_mat *= dt

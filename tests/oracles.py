@@ -185,7 +185,8 @@ def increment_at_reduced_step_i_rounded(a_mat, minv_c, dt0, m_a, r_a):
 
 def dense_series(a_mat, start, dt, m, *coeffs):
     """[sum_{j=0}^{m/2} c(j, dt) (x) A^j F for c in coeffs] over every column:
-    F = ``start`` (the identity when None) is n x n, and so is each block."""
+    F = ``start`` (the identity when None, whose first power is then A @ I)
+    is n x n, and so is each block."""
     n = a_mat.shape[0]
     outs = [np.zeros((rows * n, cols * n)) for rows, cols in (c(0, dt).shape for c in coeffs)]
     power = np.eye(n) if start is None else start
@@ -197,6 +198,30 @@ def dense_series(a_mat, start, dt, m, *coeffs):
                 if cj != 0.0:
                     out[r * n:(r + 1) * n, c * n:(c + 1) * n] += cj * power
     return outs
+
+
+def system_operators_every_column(model):
+    """(M^-1 K, M^-1 C), each by one Cholesky solve over all its columns, the
+    zero columns of C among them."""
+    factor = cho_factor(model.mass)
+    return cho_solve(factor, model.stiffness), cho_solve(factor, model.damping)
+
+
+def undamped_step_increment_eye_first(a_mat, dt, m):
+    """The increment dT of the truncated undamped transfer matrix, its powers
+    of B = dt^2 A walked from the identity: the first is I @ B.  Its blocks
+    are the truncated cosine and sine series, and -A H."""
+    n = a_mat.shape[0]
+    b_mat = (dt * dt) * a_mat
+    delta_g = np.zeros((n, n))
+    h_mat = np.eye(n)
+    b_pow = np.eye(n)
+    for j in range(1, m // 2 + 1):
+        b_pow = b_pow @ b_mat
+        delta_g += (-1.0) ** j / factorial(2 * j) * b_pow
+        h_mat += (-1.0) ** j / factorial(2 * j + 1) * b_pow
+    h_mat *= dt
+    return np.block([[delta_g, h_mat], [-a_mat @ h_mat, delta_g]])
 
 
 def dense_neumann_increment(mat, order):

@@ -9,11 +9,12 @@ import pytest
 
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
-from oracles import (companion_matrix, damped_free_vibration, dense_scheme,
+from oracles import (companion_matrix, damped_free_vibration, dense_scheme, dense_series,
                      doubling_dense_flushed, doubling_unflushed, expm_eig,
                      gauss_panel_integral, increment_at_reduced_step_i_rounded,
                      lagrange_cubic_basis, l2_norm, profile_doubling_fresh_buffer,
-                     rotation_propagator, sdof_model, step_loop)
+                     rotation_propagator, sdof_model, step_loop,
+                     system_operators_every_column, undamped_step_increment_eye_first)
 from scipy.linalg import cho_factor, cho_solve
 
 import perdyn.per as per
@@ -582,6 +583,78 @@ class TestDampedColumns:
         model = SystemModel(m, damping, k)
         cols = self.check(model, per.PerConfig(dt=frac * dt_bound(model, 4).dt_max))
         np.testing.assert_array_equal(cols, [d, n + d])
+
+
+def one_damped_dof():
+    """9 dof with a dense mass and one damper, so that M^-1 C has one nonzero
+    column, solved through the full triangular factor."""
+    m, k = (x @ x.T + 1e-3 * np.eye(9)
+            for x in np.random.default_rng(5).standard_normal((2, 9, 9)))
+    damping = np.zeros((9, 9))
+    damping[4, 4] = 3.0
+    return SystemModel(m, damping, k)
+
+
+class TestSetupOldForms:
+    """The setup's shortcuts against the forms they replaced, bit for bit and
+    sign bit for sign bit: M^-1 C solved on the nonzero columns of C against
+    one solve over every column, and A (or B) taken as the identity's first
+    power against the product A @ I."""
+
+    MODELS = {
+        "readme-chain": (lambda: build_chain(12, 1.0, 100.0, [(0, None, 2.0), (1, 2, 2.0)]),
+                         0.024),
+        **{f"setup-scaling-{n}": (lambda n=n: benchmark_chain(0.1, n_dof=n), None)
+           for n in (96, 240, 480)},
+        "beam": (benchmark_beam, 2e-5),
+        "one-damped-dof": (one_damped_dof, None),
+        "undamped-chain": (lambda: build_chain(12, 1.0, 100.0), 0.024),
+        "full-damping": (lambda: FULL_DAMPING, 0.1),
+    }
+
+    def case(self, name):
+        """The model and its config at m_b = 8: at the named dt, or at 0.8
+        dt_max as the setup-scaling benchmark runs."""
+        make, dt = self.MODELS[name]
+        model = make()
+        return model, per.PerConfig(dt=dt or 0.8 * dt_bound(model, 8).dt_max, m_b=8)
+
+    @staticmethod
+    def same(got, want):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_each_operator(self, name):
+        model, config = self.case(name)
+        ops = per.system_operators(model)[1:]
+        for got, want in zip(ops, system_operators_every_column(model)):
+            self.same(got, want)
+        a_mat = ops[0]
+        coeffs = (per.coeff_t, per.coeff_l)
+        for got, want in zip(per._series(a_mat, None, config.dt, config.m_b, *coeffs),
+                             dense_series(a_mat, None, config.dt, config.m_b, *coeffs)):
+            self.same(got, want)
+        for dt, m in ((config.dt0, config.m_a), (config.dt, config.m_b)):
+            self.same(per.undamped_step_increment(a_mat, dt, m),
+                      undamped_step_increment_eye_first(a_mat, dt, m))
+
+    # the larger chains are left to test_each_operator: each build takes seconds
+    @pytest.mark.parametrize("name", [n for n in MODELS if n[-3:] not in ("240", "480")])
+    def test_scheme(self, name, monkeypatch):
+        # build_scheme again with the three old forms patched in
+        model, config = self.case(name)
+        new = per.build_scheme(model, config)
+        series = per._series
+        monkeypatch.setattr(per, "system_operators", lambda m: (
+            spd_solver(m.mass), *system_operators_every_column(m)))
+        monkeypatch.setattr(per, "undamped_step_increment", undamped_step_increment_eye_first)
+        monkeypatch.setattr(per, "_series", lambda a_mat, start, *rest: (
+            dense_series if start is None else series)(a_mat, start, *rest))
+        old = per.build_scheme(model, config)
+        for key in ("a", "neumann_b", "l_b"):
+            self.same(getattr(new, key), getattr(old, key))
+        assert (new.rho_beta_a, new.rho_beta_b) == (old.rho_beta_a, old.rho_beta_b)
 
 
 # ---------------------------------------------------------------------------
