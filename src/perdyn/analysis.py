@@ -9,6 +9,7 @@ spectral radius of beta_b over a time-step grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -95,9 +96,10 @@ def sigma_eigenvalues(m: int, tau: float) -> SigmaEigen:
                       modulus_max=float(np.abs(mu).max()))
 
 
+@cache
 def tau_limit(m: int) -> float:
     """Smallest tau > 0 where the spectral radius of sigma_m(tau) climbs
-    back to its tau = 0 value 1/(2*sqrt(3)).
+    back to its tau = 0 value 1/(2*sqrt(3)); a constant of m, cached.
 
     The curve starts exactly at the threshold, dips below it, and the
     first upward crossing bounds the admissible nondimensional step

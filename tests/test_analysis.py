@@ -99,6 +99,30 @@ class TestTauLimit:
         with pytest.raises(ValueError, match="even"):
             tau_limit(3)
 
+    def test_scanned_once_per_order(self, monkeypatch):
+        # tau_limit is a constant of m: a second dt_bound runs no scan
+        calls = []
+        stack = perdyn.analysis._sigma_stack
+
+        def counting(*args):
+            calls.append(args[0])
+            return stack(*args)
+
+        monkeypatch.setattr(perdyn.analysis, "_sigma_stack", counting)
+        model = benchmark_chain(0.1)
+        tau_limit.cache_clear()
+        first = dt_bound(model, 8)
+        assert calls and set(calls) == {8}
+        calls.clear()
+        assert dt_bound(model, 8) == first and tau_limit(8) == tau_limit_scalar_scan(8)
+        assert calls == []
+
+    @pytest.mark.parametrize("m, match", [(0, "m = 0"), (3, "even"), (-2, "even")])
+    def test_rejected_order_raises_at_every_call(self, m, match):
+        for _ in range(3):
+            with pytest.raises(ValueError, match=match):
+                tau_limit(m)
+
 
 class TestDtBound:
     def test_sdof_both_bounds(self):
