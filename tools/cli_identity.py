@@ -42,6 +42,9 @@ The matrix:
 - ``simulate`` of the perturbation scheme on a 3-dof ``matrices`` model
   whose damping matrix has full rank, so that every dof is damped (dt 0.1,
   a step load at t = 0.3);
+- ``simulate`` of the perturbation scheme on the README chain with a single
+  ground damper, at dof 0, and a step load at dof 2 from t = 10: M^-1 C has
+  one nonzero column, solved alone;
 - ``simulate`` of a 2-dof chain with ``"p": 2000``, whose reduced step
   dt/2^p is no float;
 - ``simulate`` of a chain with ``"n_dof": 1000000000``, whose matrices
@@ -144,6 +147,10 @@ CONFIGS = {
                                 "stiffness": [[200.0, -100.0, 0.0], [-100.0, 200.0, -100.0],
                                               [0.0, -100.0, 100.0]]},
                       "force": {"kind": "constant-step", "dof": 1, "t_c": 0.3, "f0": 5.0}},
+    # one damped dof, and a step load
+    "one-damper.json": {**CHAIN,
+                        "model": {**CHAIN["model"], "dampers": [{"i": 0, "j": None, "c": 2.0}]},
+                        "force": {"kind": "constant-step", "dof": 2, "t_c": 10.0, "f0": 1.0}},
     # a reduced step dt/2^p beyond the float range
     "p-overflow.json": {"version": 1, "model": {"kind": "chain", "n_dof": 2},
                         "method": {"name": "per", "p": 2000}, "dt": 0.01, "t_max": 0.1},
@@ -186,6 +193,8 @@ CASES = {
                                  "--out", "out.csv"],
     "simulate-matrices-full-damping": ["simulate", "--config", "matrices.json",
                                        "--out", "out.csv"],
+    "simulate-chain-one-damper": ["simulate", "--config", "one-damper.json",
+                                  "--out", "out.csv"],
     "simulate-p-overflow": ["simulate", "--config", "p-overflow.json", "--out", "out.csv"],
     "simulate-chain-huge": ["simulate", "--config", "chain-huge.json", "--out", "out.csv"],
     "compare-chain": ["compare", "--config", "chain.json", *SHORT, "--out", "out.csv"],
