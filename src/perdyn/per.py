@@ -205,7 +205,7 @@ def system_operators(model: SystemModel):
     a_mat = solve_mass(model.stiffness)
     minv_c = np.zeros_like(a_mat)
     s = np.flatnonzero((model.damping != 0.0).any(axis=0))
-    minv_c[:, s], = _on_columns(lambda cols: [solve_mass(cols)], model.damping[:, s])
+    minv_c[:, s] = _on_columns(lambda cols: [solve_mass(cols)], model.damping[:, s])[0]
     return solve_mass, a_mat, minv_c
 
 
