@@ -27,9 +27,8 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import cho_factor, cho_solve
 
 from .linalg import _reduced_step, double_increment, spd_solver
-from .model import SystemModel
-from .per import (Trajectory, _force_sampler, _load_sampler, _run, _steps,
-                  system_operators)
+from .model import SystemModel, _load_sampler
+from .per import Trajectory, _force_sampler, _run, _steps, system_operators
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,7 @@ def _run_map(model, dt, t_max, build, *params):
     if len(phi) > len(x0):
         x0 = np.concatenate([x0, _acceleration(model)(model.u0, model.v0, model.force_at(0.0))])
     forcing = () if model.force is None else (
-        _load_sampler(model), offsets, weights, np.linalg.norm(weights, 2))
+        _load_sampler(model)[2], offsets, weights, np.linalg.norm(weights, 2))
     return _run(dt, n_steps, model.n_dof, phi, x0, *forcing)
 
 

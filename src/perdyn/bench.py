@@ -11,7 +11,7 @@ import numpy as np
 
 from . import analysis, baselines, per
 from .linalg import _reduced_step
-from .model import SystemModel, _spectral_extremes, damping_level
+from .model import SystemModel, _load_sampler, _spectral_extremes, damping_level
 
 METHODS = ("per", "newmark", "wilson", "bathe", "rk4", "mpim")
 
@@ -115,12 +115,12 @@ def reference_solution(model: SystemModel, dt: float, t_max: float,
     The system is linear, so s fine steps fold into one step map
     U <- R^s U + W g (a blocked linear scan: the same RK4 in exact
     arithmetic), and only every s-th fine state is computed.  ``g`` holds
-    the load at the 2s+1 half-step nodes of the s steps.  A built-in load
-    is zero off its support S, so W folds in M^-1 E_S and ``g`` holds only
-    f_S: q = |S| numbers per node, with no mass solve.  Any other callable
-    gives M^-1 f at every dof.  s is refine unless a W over all N dofs
-    would hold more than per._BLOCK_FLOATS numbers; then it is the largest
-    divisor of refine whose W fits.
+    f_S, the load on its support S, at the 2s+1 half-step nodes of the s
+    steps, and W folds in M^-1 E_S: q = |S| numbers per node, with no mass
+    solve.  S is a built-in load's own support, every dof for any other
+    callable (M^-1 E_S = M^-1) and empty when unforced.  s is refine unless
+    a W over all N dofs would hold more than per._BLOCK_FLOATS numbers;
+    then it is the largest divisor of refine whose W fits.
     """
     if refine < 1:
         raise ValueError("refine must be >= 1")
@@ -136,23 +136,16 @@ def reference_solution(model: SystemModel, dt: float, t_max: float,
     w, solve_mass = baselines._companion(model)
     h = dt / used
     fold = _fold_size(used, model.n_dof)
-    # a load without a support gives M^-1 f at every dof
-    dofs, force = getattr(model.force, "_support", (None, per._force_sampler(model, solve_mass)))
-    if dofs is not None and np.shape(model.force(0.0)) != (model.n_dof,):
+    dofs, cols, _ = _load_sampler(model)
+    if cols is not None and np.shape(model.force(0.0)) != (model.n_dof,):
         raise ValueError(f"the load is not one of {model.n_dof} dofs")
-    proj = None if dofs is None else solve_mass(np.eye(model.n_dof)[:, dofs])  # M^-1 E_S
+    proj = solve_mass(np.eye(model.n_dof)[:, dofs])  # M^-1 E_S
     phi, weights = _folded_rk4(w, h, fold, proj)
-    x0 = np.concatenate([model.u0, model.v0])
-    n_steps = n_coarse * (used // fold)
-
-    def sample(times):
-        return force(_on_fine_grid(times, h))
-
     # guard scale: the folded step, as RK4's is its step, times ||M^-1 E_S|| >= |M^-1 f|/|f_S|
-    scale = fold * h * (1.0 if proj is None else np.linalg.norm(proj, 2))
-    states, stop = per.recurrence(phi, x0, fold * h, n_steps,
-                                  None if model.force is None else sample,
-                                  np.arange(2 * fold + 1) * (h / 2.0), weights, scale)
+    states, stop = per.recurrence(
+        phi, np.concatenate([model.u0, model.v0]), fold * h, n_coarse * (used // fold),
+        None if cols is None else lambda times: cols(_on_fine_grid(times, h)),
+        np.arange(2 * fold + 1) * (h / 2.0), weights, fold * h * np.linalg.norm(proj, 2))
     if stop is not None:
         raise ValueError("reference RK4 run diverged")
     coarse = states[::used // fold]
@@ -171,25 +164,23 @@ def _fold_size(refine, n_dof):
     return next(s for s in range(min(refine, s_max), 0, -1) if refine % s == 0)
 
 
-def _folded_rk4(w, h, s, proj=None):
-    """(R^s, W): s RK4 steps of size h on dU/dt = W U + h(t) as one step.
+def _folded_rk4(w, h, s, proj):
+    """(R^s, W): s RK4 steps of size h on dU/dt = W U + [0; proj g(t)] as one step.
 
     Step j of the s contributes R^(s-1-j) h/6 (P0, Pm, I) at the nodes
     2j, 2j+1, 2j+2 of the half-step grid, so node 2j (0 < j < s) weighs
     R^(s-1-j) (P0 + R).  The upper half of h(t) is zero, so W keeps only
-    the velocity columns: N per node, or q when h(t) = [0; proj g(t)] with
-    proj N x q, folded in before the powers.  The powers are doubled as
-    increments R^j - I (R^(a+b) - I = D_a + D_b + D_a D_b, one batched
-    product per doubling) from RK4's own increment D, never from a rounded
-    R = I + D: that rounding put a forced 12-dof chain's reference 1.1e-12
+    the velocity columns, times proj (N x q): q per node, folded in before
+    the powers.  The powers are doubled as increments R^j - I (R^(a+b) - I =
+    D_a + D_b + D_a D_b, one batched product per doubling) from RK4's own
+    increment D, never from a rounded R = I + D: that rounding put a forced 12-dof chain's reference 1.1e-12
     of its peak from a long-double RK4 loop at t_max = 1.2, against 5.6e-15.
     """
     d_one, p0, pm = baselines.rk4_operators(w, h)
     n2 = w.shape[0]
-    n = n2 // 2
 
     def onto(mat):  # the velocity columns, times proj
-        return mat[:, n:] if proj is None else mat[:, n:] @ proj
+        return mat[:, n2 // 2:] @ proj
     eye = np.eye(n2)
     inc = np.zeros((1, n2, n2))  # inc[j] = R^j - I
     d_len = d_one  # R^len(inc) - I
@@ -221,8 +212,7 @@ def run_method(model: SystemModel, method: str, dt: float, t_max: float,
                per_config: per.PerConfig | None = None,
                params: baselines.IntegratorParams | None = None) -> per.Trajectory:
     """Dispatch a single integration run by method name."""
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    _check_method(method)
     params = params or baselines.IntegratorParams(method=method)
     if method == "per":
         return per.integrate(model, _at_dt(per_config, dt), t_max)
@@ -240,6 +230,11 @@ def run_method(model: SystemModel, method: str, dt: float, t_max: float,
     return baselines.mpim(system, u0, dt, t_max, params.mpim_g, params.mpim_p)
 
 
+def _check_method(method):
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+
+
 def _at_dt(per_config, dt):
     """The PER configuration of a run at this dt."""
     return replace(per_config, dt=dt) if per_config else per.PerConfig(dt=dt)
@@ -252,7 +247,9 @@ def _sweep(methods, points, t_max, dof, per_config, params, refine):
     a PER run with rho(beta_b) >= 1 is) or stops short of the reference.
     The one scoring loop of compare and the sweeps; every run goes through
     run_method with RuntimeWarnings silenced (divergence is sweep data).
-    The dof is checked on every point before the first reference is built."""
+    The methods, and the dof on every point, are checked before any reference."""
+    for method in methods:
+        _check_method(method)
     for model, *_ in points:
         _check_dof(dof, model.n_dof)
     rows = []
@@ -302,6 +299,7 @@ def sweep_damping(model: SystemModel, zeta_list, dt: float, t_max: float,
 
     The template model's damping matrix is the zeta = 1 layout.
     """
+    _check_method(method)
     config = _at_dt(per_config, dt)
     points = []
     for zeta in zeta_list:

@@ -9,6 +9,7 @@ scalar damping-level metric.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -361,11 +362,24 @@ def damping_level(model: SystemModel) -> float:
 # Force builders shared by the library, the tests and the CLI config loader.
 #
 # Each built-in load is written once, as its private array form ``_rows``: an
-# array of times to one value (or row) per time.  Every integrator samples the
-# load through it, and its public scalar call is the same form at one time, so
-# the two agree bit for bit.  A load of a model carries ``_support`` too: the
-# sorted dofs S it touches and the form times -> f_S(t), which its ``_rows``
-# scatters into zeros; the RK4 reference samples only f_S.
+# array of times to one value (or row) per time.  Its public scalar call is the
+# same form at one time, so the two agree bit for bit.  A load of a model
+# carries ``_support`` too: the sorted dofs S it touches and the form
+# times -> f_S(t), which its ``_rows`` scatters into zeros.  No other module
+# reads either: every integrator samples a model's load through _load_sampler.
+
+def _load_sampler(model: SystemModel):
+    """(S, cols, rows) of the model's load: its dofs S, times -> f_S(t) and
+    times -> f(t), one row per time.  A built-in load keeps its own support,
+    any other callable covers every dof at one call per time, and an
+    unforced model has no dofs, no cols and rows of zeros."""
+    force, n = model.force, model.n_dof
+    if force is None:
+        return [], None, lambda times: np.zeros((len(times), n))
+    rows = partial(_force_rows, force)
+    dofs, cols = getattr(force, "_support", (list(range(n)), rows))
+    return dofs, cols, rows
+
 
 def _force_rows(fn: Callable, times: np.ndarray) -> np.ndarray:
     """``fn`` at each time of the 1-D array ``times``, one row (or value) per

@@ -21,7 +21,7 @@ import numpy as np
 
 from .linalg import (MAX_SERIES_ORDER, DivergenceError, _check_order, _neumann_columns,
                      _reduced_step, double_increment, spd_solver, spectral_radius)
-from .model import StateVector, SystemModel, _force_rows
+from .model import StateVector, SystemModel, _load_sampler
 
 _DIVERGENCE_FACTOR = 1e12
 
@@ -357,17 +357,9 @@ def _per_offsets(dt):
     return (0.0, dt / 3.0, 2.0 * dt / 3.0, dt)
 
 
-def _load_sampler(model):
-    """times -> f(t), one row per time: the array form of a built-in load,
-    one force call per time for any other callable, zeros when unforced."""
-    if model.force is None:
-        return lambda times: np.zeros((len(times), model.n_dof))
-    return lambda times: _force_rows(model.force, times)
-
-
 def _force_sampler(model, solve_mass):
     """times -> M^-1 f(t), one row per time, by one multi-RHS mass solve."""
-    loads = _load_sampler(model)
+    _, _, loads = _load_sampler(model)
     return lambda times: solve_mass(loads(times).T).T
 
 
@@ -536,16 +528,13 @@ def integrate_asymptotic(model: SystemModel, config: PerConfig, t_max: float,
     t_mat, l_mat = _series(a_mat, None, dt, m, coeff_t, coeff_l)
     alpha, beta = _series(a_mat, minv_c, dt, m, coeff_alpha, coeff_beta)
 
-    forced = model.force is not None
-    g = _per_samples(model, solve_mass, 0, n_steps, dt) if forced else None
+    g = _per_samples(model, solve_mass, 0, n_steps, dt)  # zeros when unforced
 
     term = np.zeros((n_steps + 1, 2 * n))
     term[0, :n] = model.u0
     term[0, n:] = model.v0
     for k in range(n_steps):
-        term[k + 1] = t_mat @ term[k]
-        if forced:
-            term[k + 1] += l_mat @ g[k]
+        term[k + 1] = t_mat @ term[k] + l_mat @ g[k]
 
     total = term.copy()
     term_norms = [float(np.abs(term).max())]

@@ -400,6 +400,38 @@ def reference_fine_rk4(model, dt, t_max, refine=500):
     return fine.displacements[::refine], fine.velocities[::refine], refine
 
 
+def reference_mass_solve_fold(model, dt, t_max, refine):
+    """The folded RK4 reference as it took a load without a support: W over
+    all N velocity columns, fed M^-1 f at every dof by one mass solve per
+    block of samples.  ``refine`` is taken as given.  Returns
+    (displacements, velocities) on the coarse grid."""
+    from perdyn import baselines, bench, per
+    w, solve_mass = baselines._companion(model)
+    n2, n, h = len(w), model.n_dof, dt / refine
+    s = bench._fold_size(refine, n)
+    d_one, p0, pm = baselines.rk4_operators(w, h)
+    eye = np.eye(n2)
+    inc = np.zeros((1, n2, n2))  # inc[j] = R^j - I
+    d_len = d_one
+    while len(inc) < s:
+        inc = np.concatenate([inc, inc + d_len + inc @ d_len])
+        d_len = 2.0 * d_len + d_len @ d_len
+    q = inc[s - 1::-1]
+    head = h / 6.0 * np.hstack([(p0 + eye + d_one)[:, n:], pm[:, n:]])
+    blocks = head + q @ head
+    first = h / 6.0 * p0[:, n:]
+    blocks[0, :, :n] = first + q[0] @ first
+    weights = np.hstack([blocks.transpose(1, 0, 2).reshape(n2, -1), h / 6.0 * eye[:, n:]])
+    force = per._force_sampler(model, solve_mass)
+    states, stop = per.recurrence(
+        eye + (q[0] + d_one + q[0] @ d_one), np.concatenate([model.u0, model.v0]), s * h,
+        per._steps(t_max, dt) * (refine // s), lambda t: force(bench._on_fine_grid(t, h)),
+        np.arange(2 * s + 1) * (h / 2.0), weights, s * h)
+    assert stop is None
+    coarse = states[::refine // s]
+    return coarse[:, :n], coarse[:, n:]
+
+
 def _initial_acceleration(model):
     return np.linalg.solve(model.mass, model.force_at(0.0)
                            - model.damping @ model.v0 - model.stiffness @ model.u0)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from oracles import (damped_free_vibration, half_step_times, l2_norm, mass_solve_exact,
-                     reference_fine_rk4, rk4_longdouble_loop, sdof_model, step_loop)
+                     reference_fine_rk4, reference_mass_solve_fold, rk4_longdouble_loop,
+                     sdof_model, step_loop)
 
 import perdyn.bench as bench
 import perdyn.per as per
@@ -168,7 +169,7 @@ class TestFoldedReference:
         # switches on fine node 581, where k*h exceeds the node time that
         # the folded steps compute as 1*(s*h) + 162*(h/2) by one ulp
         constant_step_force(4, 1, 581 * (0.025 / 500), 2.0),
-        lambda t: _GAUSS4(t),                       # scalar fallback
+        lambda t: _GAUSS4(t),                       # a load on every dof
     ], ids=["gaussian", "step", "lambda"])
     def test_whole_coarse_step_folded(self, force):
         assert bench._fold_size(500, 4) == 500
@@ -207,10 +208,9 @@ class TestFoldedReference:
                           (ref.velocities, exact[:, 12:])):
             assert np.abs(got - want).max() <= 2e-14 * np.abs(want).max()
 
-    @pytest.mark.parametrize("case", ["readme-chain", "full-mass", "beam"])
-    def test_plain_callable_matches_the_support_path(self, case):
-        # the same load without its support: M^-1 f sampled at every dof
-        model, dt, t_max = {
+    def plain_case(self, case):
+        """(model, dt, t_max) of a case of the plain-callable tests."""
+        return {
             "readme-chain": lambda: (self.readme_chain(), 0.024, 0.6),
             # a non-diagonal mass; the step switches at the sample t = 0.3
             "full-mass": lambda: (SystemModel(
@@ -222,6 +222,11 @@ class TestFoldedReference:
                 u0=np.array([0.01, 0.0, -0.01])), 0.1, 1.0),
             "beam": lambda: (benchmark_beam(n_elements=6, t_c=10 * 2e-5), 2e-5, 20 * 2e-5),
         }[case]()
+
+    @pytest.mark.parametrize("case", ["readme-chain", "full-mass", "beam"])
+    def test_plain_callable_matches_the_support_path(self, case):
+        # the same load without its support: folded as a load on every dof
+        model, dt, t_max = self.plain_case(case)
         assert model.force._support
         ref = reference_solution(model, dt, t_max)
         plain = reference_solution(model.with_force(lambda t: model.force(t)), dt, t_max)
@@ -229,21 +234,57 @@ class TestFoldedReference:
                           (ref.velocities, plain.velocities)):
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
+    @pytest.mark.parametrize("case", ["readme-chain", "full-mass", "beam"])
+    def test_plain_callable_near_the_mass_solve_fold(self, case):
+        # the every-dof fold against the M^-1 f samples it replaced
+        model, dt, t_max = self.plain_case(case)
+        plain = reference_solution(model.with_force(lambda t: model.force(t)), dt, t_max)
+        u, v = reference_mass_solve_fold(model, dt, t_max, plain.info["refine"])
+        for got, want in ((plain.displacements, u), (plain.velocities, v)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_plain_callable_makes_no_mass_solve_per_sample(self, monkeypatch):
+        # its samples are f itself; M^-1 is solved once, from the identity
+        rhs = []
+        companion = bench.baselines._companion
+
+        def spy(model):
+            w, solve_mass = companion(model)
+            return w, lambda b: rhs.append(b) or solve_mass(b)
+        monkeypatch.setattr(bench.baselines, "_companion", spy)
+        model, dt, t_max = self.plain_case("full-mass")
+        reference_solution(model.with_force(lambda t: model.force(t)), dt, t_max)
+        assert len(rhs) == 1 and np.array_equal(rhs[0], np.eye(3))
+
+    def test_unforced_reference_folds_no_load_columns(self, monkeypatch):
+        folds = []
+        fold = bench._folded_rk4
+        monkeypatch.setattr(bench, "_folded_rk4",
+                            lambda *args: folds.append(fold(*args)) or folds[-1])
+        model = benchmark_chain(0.1).with_initial_state(np.linspace(0.0, 1e-2, 12),
+                                                        np.zeros(12))
+        ref = reference_solution(model, 0.024, 0.24)
+        [(phi, weights)] = folds
+        assert weights.shape == (24, 0)
+        u, v, _ = reference_fine_rk4(model, 0.024, 0.24)
+        assert np.abs(ref.displacements - u).max() <= 1e-12 * np.abs(u).max()
+
     def test_load_of_another_model_rejected(self):
-        # the support path samples only dof 1, where the M^-1 f path's
-        # mass solve of the 4-column load raised
-        model = self.readme_chain().with_force(constant_step_force(4, 1, 0.0, 1.0))
-        with pytest.raises(ValueError, match="the load is not one of 12 dofs"):
-            reference_solution(model, 0.024, 0.24)
+        # a built-in load is sampled only on its support, dof 1, and a plain
+        # callable's 4-vectors met the 12 x 12 mass solve
+        for force in (constant_step_force(4, 1, 0.0, 1.0), lambda t: np.ones(4)):
+            model = self.readme_chain().with_force(force)
+            with pytest.raises(ValueError, match="the load is not one of 12 dofs"):
+                reference_solution(model, 0.024, 0.24)
 
     @pytest.mark.parametrize("case", ["readme-chain", "beam"])
     def test_support_path_near_the_long_double_loop(self, case):
-        # The oracle is fed f(t) M^-1 E_S with the solve exact: the plain
-        # path's double M^-1 f samples are its own inputs and would favour
-        # it.  Both paths sit at their roundoff floor, and either may be the
-        # nearer: measured support/plain, u then v, 6.3e-16/6.3e-16 and
-        # 2.3e-15/2.1e-15 on the chain, 9.3e-13/9.3e-13 and 2.3e-12/2.0e-12
-        # on the beam, whose gap follows the one rounding of M^-1 E_S.
+        # The oracle is fed f(t) M^-1 E_S with the solve exact.  ``plain``
+        # folds the same load as one on every dof: the rounded M^-1 in place
+        # of the rounded M^-1 E_S.  Both folds sit at their roundoff floor,
+        # and either may be the nearer: measured support/plain, u then v,
+        # 6.3e-16/6.3e-16 and 2.3e-15/2.1e-15 on the chain, 9.3e-13/9.4e-13
+        # and 2.3e-12/2.1e-12 on the beam, whose gap follows those roundings.
         pytest.importorskip("mpmath")
         model, dt, n_coarse = {
             "readme-chain": lambda: (self.readme_chain(), 0.024, 20),

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from perdyn import baselines, bench, cli, per
+from perdyn import analysis, baselines, bench, cli, per
 from perdyn.analysis import beta_radius_map
 from perdyn.cli import (EXIT_DIVERGENCE, EXIT_VALIDATION, RunConfig,
                         dump_config, load_config, main, write_csv)
@@ -625,6 +625,29 @@ class TestSweepCommands:
         assert main(command + ["--config", str(sdof_config), "--dof", dof,
                                "--out", str(out)]) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: dof must be in [0, 1), got {dof}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["compare", "--methods", "per,bogus"],
+        ["sweep-dt", "--dts", "0.02", "--method", "bogus"],
+        ["sweep-damping", "--zetas", "0,1", "--method", "bogus"]],
+        ids=["compare", "sweep-dt", "sweep-damping"])
+    def test_unknown_method_rejected_before_any_run(self, sdof_config, tmp_path,
+                                                    capsys, monkeypatch, command):
+        # each built a full RK4 reference, and sweep-damping a radius per
+        # zeta, before run_method named the method
+        calls = []
+
+        def spy(original):
+            return lambda *args, **kwargs: calls.append(original) or original(*args, **kwargs)
+        for module, name in ((bench, "reference_solution"), (analysis, "beta_radius_map")):
+            monkeypatch.setattr(module, name, spy(getattr(module, name)))
+        out = tmp_path / "out.csv"
+        assert main(command + ["--config", str(sdof_config), "--out", str(out)]) \
+            == EXIT_VALIDATION
+        assert calls == []
+        assert capsys.readouterr().err == (
+            f"error: unknown method 'bogus'; expected one of {bench.METHODS}\n")
         assert not out.exists()
 
     def test_sweep_dt_ignores_the_config_step(self, sdof_config, tmp_path):

@@ -53,6 +53,8 @@ The matrix:
   ``sweep-dt`` (the perturbation scheme and Newmark) and ``sweep-damping``
   on the README chain, all at t_max 4;
 - ``compare`` on the README chain with ``--dof 12``, one past its last dof;
+- ``compare --methods per,bogus`` and ``sweep-damping --method bogus`` on the
+  README chain, whose unknown method is rejected;
 - ``compare`` on the benchmark beam to t_max 0.0104, so that its tip step
   load switches on at the sample t = 0.01, 20 steps before the end;
 - ``tau-limit --curve-out``, the same with ``--curve-step 0``, and two
@@ -208,6 +210,11 @@ CASES = {
     "compare-beam": ["compare", "--config", "beam.json", "--t-max", "0.0104", "--out", "out.csv"],
     "compare-dof-out-of-range": ["compare", "--config", "chain.json", *SHORT, "--dof", "12",
                                  "--out", "out.csv"],
+    "compare-method-unknown": ["compare", "--config", "chain.json", *SHORT,
+                               "--methods", "per,bogus", "--out", "out.csv"],
+    "sweep-damping-method-unknown": ["sweep-damping", "--config", "chain.json", *SHORT,
+                                     "--method", "bogus", "--zetas", "0,1",
+                                     "--out", "out.csv"],
     "tau-limit": ["tau-limit", "--m", "2,4,6,8,10,20", "--out", "out.csv",
                   "--curve-out", "curve.csv"],
     "tau-limit-curve-step-zero": ["tau-limit", "--m", "2,4", "--out", "out.csv",
