@@ -169,11 +169,11 @@ def _folded_rk4(w, h, s, proj):
 
     Step j of the s contributes R^(s-1-j) h/6 (P0, Pm, I) at the nodes
     2j, 2j+1, 2j+2 of the half-step grid, so node 2j (0 < j < s) weighs
-    R^(s-1-j) (P0 + R).  The upper half of h(t) is zero, so W keeps only
-    the velocity columns, times proj (N x q): q per node, folded in before
-    the powers.  The powers are doubled as increments R^j - I (R^(a+b) - I =
-    D_a + D_b + D_a D_b, one batched product per doubling) from RK4's own
-    increment D, never from a rounded R = I + D: that rounding put a forced 12-dof chain's reference 1.1e-12
+    R^(s-1-j) (P0 + R).  W keeps only the velocity columns, times proj:
+    q per node, folded in before the powers.  The powers are doubled as
+    increments R^j - I (R^(a+b) - I = D_a + D_b + D_a D_b, one batched
+    product per doubling) from RK4's own increment D, never from a rounded
+    R = I + D: that rounding put a forced 12-dof chain's reference 1.1e-12
     of its peak from a long-double RK4 loop at t_max = 1.2, against 5.6e-15.
     """
     d_one, p0, pm = baselines.rk4_operators(w, h)

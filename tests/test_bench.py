@@ -264,7 +264,7 @@ class TestFoldedReference:
         model = benchmark_chain(0.1).with_initial_state(np.linspace(0.0, 1e-2, 12),
                                                         np.zeros(12))
         ref = reference_solution(model, 0.024, 0.24)
-        [(phi, weights)] = folds
+        [(_, weights)] = folds
         assert weights.shape == (24, 0)
         u, v, _ = reference_fine_rk4(model, 0.024, 0.24)
         assert np.abs(ref.displacements - u).max() <= 1e-12 * np.abs(u).max()
