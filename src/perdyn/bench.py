@@ -145,7 +145,8 @@ def reference_solution(model: SystemModel, dt: float, t_max: float,
     states, stop = per.recurrence(
         phi, np.concatenate([model.u0, model.v0]), fold * h, n_coarse * (used // fold),
         None if cols is None else lambda times: cols(_on_fine_grid(times, h)),
-        np.arange(2 * fold + 1) * (h / 2.0), weights, fold * h * np.linalg.norm(proj, 2))
+        np.arange(2 * fold + 1) * (h / 2.0), weights,
+        None if cols is None else fold * h * np.linalg.norm(proj, 2))
     if stop is not None:
         raise ValueError("reference RK4 run diverged")
     coarse = states[::used // fold]

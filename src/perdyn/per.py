@@ -528,13 +528,12 @@ def integrate_asymptotic(model: SystemModel, config: PerConfig, t_max: float,
     t_mat, l_mat = _series(a_mat, None, dt, m, coeff_t, coeff_l)
     alpha, beta = _series(a_mat, minv_c, dt, m, coeff_alpha, coeff_beta)
 
-    g = _per_samples(model, solve_mass, 0, n_steps, dt)  # zeros when unforced
+    g = None if model.force is None else _per_samples(model, solve_mass, 0, n_steps, dt)
 
     term = np.zeros((n_steps + 1, 2 * n))
-    term[0, :n] = model.u0
-    term[0, n:] = model.v0
+    term[0] = np.concatenate([model.u0, model.v0])
     for k in range(n_steps):
-        term[k + 1] = t_mat @ term[k] + l_mat @ g[k]
+        term[k + 1] = t_mat @ term[k] if g is None else t_mat @ term[k] + l_mat @ g[k]
 
     total = term.copy()
     term_norms = [float(np.abs(term).max())]
