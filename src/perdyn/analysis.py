@@ -29,8 +29,6 @@ _TOL = 1e-8
 
 @dataclass(frozen=True)
 class SigmaEigen:
-    m: int
-    tau: float
     mu1: complex
     mu2: complex
     modulus_max: float
@@ -92,7 +90,7 @@ def sigma_eigenvalues(m: int, tau: float) -> SigmaEigen:
     if tau < 0.0:
         raise ValueError("tau must be >= 0")
     mu = np.linalg.eigvals(sigma_matrix(m, tau))
-    return SigmaEigen(m=m, tau=tau, mu1=complex(mu[0]), mu2=complex(mu[1]),
+    return SigmaEigen(mu1=complex(mu[0]), mu2=complex(mu[1]),
                       modulus_max=float(np.abs(mu).max()))
 
 
@@ -183,11 +181,11 @@ def _max_abs_eig(x, zeta, m_a, r_a):
 #: |lambda| classification threshold: unity plus a roundoff allowance
 #: (near dt0 -> 0 the true excess sits below machine precision).
 _STABLE_LIMIT = 1.0 + 64.0 * np.finfo(float).eps
+_MAP_TOL = 1e-6  # the width to which sdof_stability_map bisects a boundary
 
 
 def sdof_stability_map(zeta: float, m_a: int, r_a: int = 2, p: int = 20,
-                       grid_max: float = 0.9, grid_step: float = 2e-3,
-                       tol: float = 1e-6) -> StabilityRecord:
+                       grid_max: float = 0.9, grid_step: float = 2e-3) -> StabilityRecord:
     """Stability intervals of the reduced-step transition matrix.
 
     Scans max|lambda(a(dt0))| over dt0/T, refines every stability
@@ -213,12 +211,12 @@ def sdof_stability_map(zeta: float, m_a: int, r_a: int = 2, p: int = 20,
         if not stable[i]:
             i += 1
             continue
-        lower = 0.0 if i == 0 else _bisect(xs[i - 1], xs[i], tol, is_stable)
+        lower = 0.0 if i == 0 else _bisect(xs[i - 1], xs[i], _MAP_TOL, is_stable)
         j = i
         while j < len(xs) and stable[j]:
             j += 1
         if j < len(xs):
-            upper = _bisect(xs[j - 1], xs[j], tol, lambda x: not is_stable(x))
+            upper = _bisect(xs[j - 1], xs[j], _MAP_TOL, lambda x: not is_stable(x))
         else:
             upper = float(xs[-1])
         if upper - lower >= 3.0 * grid_step:

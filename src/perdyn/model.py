@@ -9,7 +9,6 @@ scalar damping-level metric.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -56,7 +55,10 @@ class SystemModel:
 
     mass must be finite, symmetric positive definite; damping and stiffness
     finite, symmetric positive semidefinite.  ``force`` maps time (s) to an
-    N-vector of nodal forces (N); None means no external forcing.
+    N-vector of nodal forces (N); None means no external forcing.  Any other
+    load makes every method and the RK4 reference raise ValueError("the
+    load is not one of N dofs") when they sample it.  modal_analysis gives
+    the undamped frequencies (rad/s) and mass-normalized mode shapes.
     """
 
     mass: np.ndarray
@@ -93,9 +95,7 @@ class SystemModel:
         return self.mass.shape[0]
 
     def force_at(self, t: float) -> np.ndarray:
-        if self.force is None:
-            return np.zeros(self.n_dof)
-        return np.asarray(self.force(t), dtype=float)
+        return _load_sampler(self)[2](np.array([t], dtype=float))[0]
 
     def with_damping(self, damping) -> "SystemModel":
         """Same system with the damping matrix replaced."""
@@ -110,13 +110,11 @@ class SystemModel:
 
 @dataclass(frozen=True)
 class ModalData:
-    """Undamped modal quantities: frequencies (rad/s, ascending),
-    mass-normalized mode shapes (columns) and the projected damping
-    matrix Phi^T C Phi."""
+    """Undamped modal quantities: frequencies (rad/s, ascending) and
+    mass-normalized mode shapes (columns)."""
 
     frequencies: np.ndarray
     mode_shapes: np.ndarray
-    modal_damping: np.ndarray
 
     @property
     def min_period(self) -> float:
@@ -335,9 +333,7 @@ def modal_analysis(model: SystemModel) -> ModalData:
     """Solve K phi = w^2 M phi; mass-normalized modes, ascending frequencies."""
     vals, vecs = eigh(model.stiffness, model.mass)
     freqs = np.sqrt(np.clip(vals, 0.0, None))
-    modal_damping = vecs.T @ model.damping @ vecs
-    return ModalData(frequencies=freqs, mode_shapes=vecs,
-                     modal_damping=modal_damping)
+    return ModalData(frequencies=freqs, mode_shapes=vecs)
 
 
 def _spectral_extremes(model: SystemModel) -> tuple[float, float]:
@@ -364,19 +360,27 @@ def damping_level(model: SystemModel) -> float:
 # Each built-in load is written once, as its private array form ``_rows``: an
 # array of times to one value (or row) per time.  Its public scalar call is the
 # same form at one time, so the two agree bit for bit.  A load of a model
-# carries ``_support`` too: the sorted dofs S it touches and the form
-# times -> f_S(t), which its ``_rows`` scatters into zeros.  No other module
-# reads either: every integrator samples a model's load through _load_sampler.
+# carries ``_support`` and ``_n_dof`` too: the sorted dofs S it touches with
+# the form times -> f_S(t), which ``_rows`` scatters into ``_n_dof`` zeros.
+# No other module reads them: every integrator samples through _load_sampler.
 
 def _load_sampler(model: SystemModel):
     """(S, cols, rows) of the model's load: its dofs S, times -> f_S(t) and
     times -> f(t), one row per time.  A built-in load keeps its own support,
     any other callable covers every dof at one call per time, and an
-    unforced model has no dofs, no cols and rows of zeros."""
+    unforced model has no dofs, no cols and rows of zeros.  A load not of N
+    dofs raises: a built-in one here, any other callable when it is sampled."""
     force, n = model.force, model.n_dof
     if force is None:
         return [], None, lambda times: np.zeros((len(times), n))
-    rows = partial(_force_rows, force)
+    if getattr(force, "_n_dof", n) != n:
+        raise ValueError(f"the load is not one of {n} dofs")
+
+    def rows(times):
+        out = _force_rows(force, times)
+        if out.shape != (len(times), n):
+            raise ValueError(f"the load is not one of {n} dofs")
+        return out
     dofs, cols = getattr(force, "_support", (list(range(n)), rows))
     return dofs, cols, rows
 
@@ -401,13 +405,14 @@ def _from_rows(rows: Callable[[np.ndarray], np.ndarray]) -> Callable:
 
 def _from_support(n_dof: int, dofs: Sequence[int], cols: Callable) -> Callable:
     """The load of ``n_dof`` dofs that is ``cols(times)`` on the sorted dofs
-    ``dofs`` and zero elsewhere; it carries (dofs, cols) as ``_support``."""
+    ``dofs`` and zero elsewhere, with (dofs, cols) as ``_support``."""
     def rows(times):
         out = np.zeros((len(times), n_dof))
         out[:, dofs] = cols(times)
         return out
     load = _from_rows(rows)
     load._support = (dofs, cols)
+    load._n_dof = n_dof
     return load
 
 

@@ -556,7 +556,7 @@ def integrate_asymptotic(model: SystemModel, config: PerConfig, t_max: float,
         grew = (len(norms) >= 11
                 and norms[-1] > norms[-11] > 0.0
                 and norms[-1] > norms[0])
-    info = {"term_norms": term_norms, "n_terms": n_terms}
+    info = {"term_norms": term_norms}
     times = np.arange(n_steps + 1) * dt
     return Trajectory(times=times, displacements=total[:, :n],
                       velocities=total[:, n:], diverged=grew, info=info)

@@ -354,6 +354,29 @@ def test_infinite_t_max_rejected(run):
         run(sdof_model(omega=OMEGA, zeta=0.1))
 
 
+class TestLoadSize:
+    # every method and the reference raise the one message; before, Newmark,
+    # Wilson and the composite scheme ran the scalar load on one dof to the
+    # end, and the others raised numpy's own shape errors
+    LOADS = {
+        "4-vector-callable": lambda: (TestFoldedReference.readme_chain().with_force(
+            lambda t: np.ones(4)), 12),
+        "built-in-of-4-dofs": lambda: (TestFoldedReference.readme_chain().with_force(
+            constant_step_force(4, 2, 0.0, 1.0)), 12),
+        "scalar-on-1-dof": lambda: (build_chain(1, 1.0, 100.0).with_force(lambda t: 1.0), 1),
+    }
+
+    @pytest.mark.parametrize("load", list(LOADS))
+    @pytest.mark.parametrize("method", [*bench.METHODS, "reference"])
+    def test_one_message_from_every_method(self, method, load):
+        model, n = self.LOADS[load]()
+        with pytest.raises(ValueError, match=f"^the load is not one of {n} dofs$"):
+            if method == "reference":
+                reference_solution(model, 0.024, 0.24)
+            else:
+                run_method(model, method, 0.024, 0.24)
+
+
 class TestSweeps:
     def test_rk4_order_from_sweep(self):
         model = sdof_model(omega=OMEGA, zeta=0.05)
