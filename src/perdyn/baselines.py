@@ -28,7 +28,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .linalg import _reduced_step, double_increment, spd_solver
 from .model import SystemModel, _load_sampler
-from .per import Trajectory, _force_sampler, _run, _steps, system_operators
+from .per import Trajectory, _run, _steps, system_operators
 
 
 @dataclass(frozen=True)
@@ -67,16 +67,15 @@ def _companion(model):
 
 def state_space(model: SystemModel) -> StateSpaceSystem:
     """Companion form of a second-order model; M is factorized once."""
+    loads = _load_sampler(model)[2]  # a built-in load of the wrong size raises here
     w, solve_mass = _companion(model)
     if model.force is None:
         return StateSpaceSystem(w=w, h=None)
 
-    force_rows = _force_sampler(model, solve_mass)
-
     def h(t, _n=model.n_dof):
         times = np.asarray(t, dtype=float)
         out = np.zeros((times.size, 2 * _n))
-        out[:, _n:] = force_rows(times.ravel())
+        out[:, _n:] = solve_mass(loads(times.ravel()).T).T
         return out if times.ndim else out[0]
 
     return StateSpaceSystem(w=w, h=h)
@@ -104,12 +103,13 @@ def _run_map(model, dt, t_max, build, *params):
     (u, v, a).  The guard scale is the 2-norm of W, the raw forcing
     operator, as for the perturbation scheme."""
     n_steps = _steps(t_max, dt)
+    loads = _load_sampler(model)[2]  # a built-in load of the wrong size raises here
     phi, offsets, weights = build(model, dt, *params)
     x0 = np.concatenate([model.u0, model.v0])
     if len(phi) > len(x0):
         x0 = np.concatenate([x0, _acceleration(model)(model.u0, model.v0, model.force_at(0.0))])
     forcing = () if model.force is None else (
-        _load_sampler(model)[2], offsets, weights, np.linalg.norm(weights, 2))
+        loads, offsets, weights, np.linalg.norm(weights, 2))
     return _run(dt, n_steps, model.n_dof, phi, x0, *forcing)
 
 

@@ -111,6 +111,7 @@ def reference_solution(model: SystemModel, dt: float, t_max: float,
     if refine < 1:
         raise ValueError("refine must be >= 1")
     n_coarse = per._steps(t_max, dt)
+    dofs, cols, _ = _load_sampler(model)  # a built-in load of the wrong size raises here
     w_max = _spectral_extremes(model)[0]
     used = refine
     while w_max * dt / used >= RK4_STABLE_PRODUCT:
@@ -122,7 +123,6 @@ def reference_solution(model: SystemModel, dt: float, t_max: float,
     w, solve_mass = baselines._companion(model)
     h = dt / used
     fold = _fold_size(used, model.n_dof)
-    dofs, cols, _ = _load_sampler(model)
     proj = solve_mass(np.eye(model.n_dof)[:, dofs])  # M^-1 E_S
     phi, weights = _folded_rk4(w, h, fold, proj)
     # guard scale: the folded step, as RK4's is its step, times ||M^-1 E_S|| >= |M^-1 f|/|f_S|

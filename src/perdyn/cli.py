@@ -16,7 +16,7 @@ import json
 import os
 import signal
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -235,7 +235,7 @@ class RunConfig:
         (a beam's point loads), and an omitted u0 or v0 is zero."""
         model = _build_bare_model(self.model_spec)
         force = _build_force(self.force_spec, model.n_dof) or model.force
-        return replace(model, force=force, u0=self.u0, v0=self.v0)
+        return model.with_force(force).with_initial_state(self.u0, self.v0)
 
     def method_name(self) -> str:
         return self.method_spec.get("name", "per")

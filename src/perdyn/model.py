@@ -8,7 +8,8 @@ scalar damping-level metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from copy import copy
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -29,10 +30,13 @@ def _check_finite_symmetric(mat, name):
         raise ValueError(f"{name} matrix is not symmetric (deviation {dev:.3e})")
 
 
-def _check_definite(mat, name, kind, shift=0.0):
-    """Reject ``mat`` unless mat + shift I has a Cholesky factor, that is, is
-    positive definite to roundoff (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2002, ch. 10); only the lower triangle is read."""
+def _check_definite(mat, name):
+    """Reject ``mat`` unless mat + floor I has a Cholesky factor (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2002, ch. 10; the lower triangle is
+    read): the mass with no floor, positive definite to roundoff, and C or K with
+    floor = _PSD_RTOL max(|X|max, 1), no eigenvalue below -floor."""
+    kind, shift = (("definite", 0.0) if name == "mass" else
+                   ("semidefinite", _PSD_RTOL * max(np.abs(mat).max(), 1.0)))
     shifted = mat.copy()
     shifted.flat[::len(mat) + 1] += shift
     try:
@@ -48,6 +52,26 @@ def _as_square(mat, name):
     return arr
 
 
+def _checked(n, **fields):
+    """``fields`` (of mass, damping, stiffness, u0, v0) as read-only float arrays of
+    order n (None: the mass's), checked as SystemModel requires; a state of None is zero."""
+    mats = {name: _as_square(fields[name], name)
+            for name in ("mass", "damping", "stiffness") if name in fields}
+    n = mats["mass"].shape[0] if n is None else n
+    if any(mat.shape[0] != n for mat in mats.values()):
+        raise ValueError("mass, damping and stiffness dimensions disagree")
+    for check in (_check_finite_symmetric, _check_definite):
+        for name, mat in mats.items():
+            check(mat, name)
+    states = {name: np.zeros(n) if fields[name] is None else np.array(fields[name], dtype=float)
+              for name in ("u0", "v0") if name in fields}
+    if any(arr.shape != (n,) for arr in states.values()):
+        raise ValueError("initial state dimensions disagree with the matrices")
+    for arr in (*mats.values(), *states.values()):
+        arr.setflags(write=False)
+    return {**mats, **states}
+
+
 @dataclass(frozen=True)
 class SystemModel:
     """A linear structural system: mass, damping and stiffness matrices,
@@ -57,8 +81,11 @@ class SystemModel:
     finite, symmetric positive semidefinite.  ``force`` maps time (s) to an
     N-vector of nodal forces (N); None means no external forcing.  Any other
     load makes every method and the RK4 reference raise ValueError("the
-    load is not one of N dofs") when they sample it.  modal_analysis gives
-    the undamped frequencies (rad/s) and mass-normalized mode shapes.
+    load is not one of N dofs"): a built-in load before any O(N^3) work,
+    any other callable when they sample it.  The arrays are read-only; a
+    model made by a with_* method shares those it keeps and checks only
+    what it replaces.  modal_analysis gives the undamped frequencies
+    (rad/s) and mass-normalized mode shapes.
     """
 
     mass: np.ndarray
@@ -69,26 +96,8 @@ class SystemModel:
     v0: np.ndarray = None
 
     def __post_init__(self):
-        mass = _as_square(self.mass, "mass")
-        damping = _as_square(self.damping, "damping")
-        stiffness = _as_square(self.stiffness, "stiffness")
-        n = mass.shape[0]
-        if damping.shape[0] != n or stiffness.shape[0] != n:
-            raise ValueError("mass, damping and stiffness dimensions disagree")
-        for mat, name in ((mass, "mass"), (damping, "damping"), (stiffness, "stiffness")):
-            _check_finite_symmetric(mat, name)
-        _check_definite(mass, "mass", "definite")
-        for mat, name in ((damping, "damping"), (stiffness, "stiffness")):
-            # semidefinite: no eigenvalue below -floor, so X + floor I factors
-            _check_definite(mat, name, "semidefinite", _PSD_RTOL * max(np.abs(mat).max(), 1.0))
-        u0 = np.zeros(n) if self.u0 is None else np.array(self.u0, dtype=float)
-        v0 = np.zeros(n) if self.v0 is None else np.array(self.v0, dtype=float)
-        if u0.shape != (n,) or v0.shape != (n,):
-            raise ValueError("initial state dimensions disagree with the matrices")
-        for name, arr in (("mass", mass), ("damping", damping), ("stiffness", stiffness),
-                          ("u0", u0), ("v0", v0)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        self.__dict__.update(_checked(None, mass=self.mass, damping=self.damping,
+                                      stiffness=self.stiffness, u0=self.u0, v0=self.v0))
 
     @property
     def n_dof(self) -> int:
@@ -99,13 +108,19 @@ class SystemModel:
 
     def with_damping(self, damping) -> "SystemModel":
         """Same system with the damping matrix replaced."""
-        return replace(self, damping=damping)
+        return self._derive(**_checked(self.n_dof, damping=damping))
 
     def with_initial_state(self, u0, v0) -> "SystemModel":
-        return replace(self, u0=u0, v0=v0)
+        return self._derive(**_checked(self.n_dof, u0=u0, v0=v0))
 
     def with_force(self, force: ForceFunction | None) -> "SystemModel":
-        return replace(self, force=force)
+        return self._derive(force=force)
+
+    def _derive(self, **changes) -> "SystemModel":
+        """This model with the checked ``changes``, sharing every other field."""
+        new = copy(self)
+        new.__dict__.update(changes)
+        return new
 
 
 @dataclass(frozen=True)

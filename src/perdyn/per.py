@@ -73,16 +73,16 @@ class SchemeMatrices:
     """Precomputed one-step operators.
 
     a          2N x 2N transition matrix
-    neumann_b  truncated Neumann sum of beta_b
-    l_b        2N x 4N force-interpolation operator
+    neumann_b  truncated Neumann sum of beta_b (None for an unforced model)
+    l_b        2N x 4N force-interpolation operator (None for an unforced model)
     rho_beta_b spectral radius of beta_b (convergence diagnostic)
     rho_beta_a spectral radius of beta_a at the reduced step
     solve_mass M^-1 by the Cholesky factor the operators were built with
     """
 
     a: np.ndarray | None
-    neumann_b: np.ndarray
-    l_b: np.ndarray
+    neumann_b: np.ndarray | None
+    l_b: np.ndarray | None
     rho_beta_b: float
     rho_beta_a: float | None = None
     solve_mass: Callable[[np.ndarray], np.ndarray] | None = field(
@@ -331,24 +331,28 @@ def compute_b_factors(model: SystemModel, config: PerConfig) -> SchemeMatrices:
     return _b_factors(a_mat, minv_c, config)
 
 
-def _b_factors(a_mat, minv_c, config):
-    """compute_b_factors on the operators A = M^-1 K and minv_c = M^-1 C."""
+def _b_factors(a_mat, minv_c, config, forced=True):
+    """compute_b_factors on A = M^-1 K and minv_c = M^-1 C; only rho(beta_b) if not ``forced``."""
     cols, rho, (beta_b,) = _damped_series(a_mat, minv_c, config.dt, config.m_b, coeff_beta)
-    l_b, = _series(a_mat, None, config.dt, config.m_b, coeff_l)
     if rho >= 1.0:
         warnings.warn(
             f"rho(beta_b) = {rho:.4f} >= 1: the damping series does not "
             "converge at this time step", RuntimeWarning, stacklevel=3)
+    if not forced:
+        return SchemeMatrices(a=None, neumann_b=None, l_b=None, rho_beta_b=rho)
+    l_b, = _series(a_mat, None, config.dt, config.m_b, coeff_l)
     neumann_b = np.eye(len(l_b))  # I plus the Neumann increment, on the columns cols
     neumann_b[:, cols] += _neumann_columns(beta_b, cols, config.r_b)
     return SchemeMatrices(a=None, neumann_b=neumann_b, l_b=l_b, rho_beta_b=rho)
 
 
 def build_scheme(model: SystemModel, config: PerConfig) -> SchemeMatrices:
-    """All one-step operators of the scheme; M is factorized once."""
+    """All one-step operators of the scheme that a run of the model reads;
+    M is factorized once.  An unforced model has no forcing operators:
+    neumann_b and l_b are None, and beta_b is summed for its radius alone."""
     solve_mass, a_mat, minv_c = system_operators(model)
     a, rho_beta_a = _doubled_increment(a_mat, minv_c, config)
-    partial = _b_factors(a_mat, minv_c, config)
+    partial = _b_factors(a_mat, minv_c, config, model.force is not None)
     return replace(partial, a=a, rho_beta_a=rho_beta_a, solve_mass=solve_mass)
 
 
@@ -411,6 +415,7 @@ def integrate(model: SystemModel, config: PerConfig, t_max: float) -> Trajectory
     ``info["dt_max_bound"]``.
     """
     n_steps = _steps(t_max, config.dt)
+    _load_sampler(model)  # a built-in load of the wrong size raises here
     scheme = build_scheme(model, config)
     info = {"rho_beta_b": scheme.rho_beta_b, "rho_beta_a": scheme.rho_beta_a}
     if scheme.rho_beta_b >= 1.0:

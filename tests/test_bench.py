@@ -9,6 +9,7 @@ from oracles import (damped_free_vibration, half_step_times, l2_norm, mass_solve
                      reference_fine_rk4, reference_mass_solve_fold, rk4_longdouble_loop,
                      sdof_model, step_loop)
 
+import perdyn.baselines as baselines
 import perdyn.bench as bench
 import perdyn.per as per
 from perdyn.baselines import IntegratorParams, newmark, state_space
@@ -370,6 +371,22 @@ class TestLoadSize:
     @pytest.mark.parametrize("method", [*bench.METHODS, "reference"])
     def test_one_message_from_every_method(self, method, load):
         model, n = self.LOADS[load]()
+        with pytest.raises(ValueError, match=f"^the load is not one of {n} dofs$"):
+            if method == "reference":
+                reference_solution(model, 0.024, 0.24)
+            else:
+                run_method(model, method, 0.024, 0.24)
+
+
+    @pytest.mark.parametrize("method", [*bench.METHODS, "reference"])
+    def test_built_in_load_raises_before_any_setup(self, method, monkeypatch):
+        def reached(*args):
+            raise AssertionError("the setup ran")
+        for module, name in ((per, "build_scheme"), (per, "system_operators"),
+                             (baselines, "system_operators"), (baselines, "_step_map"),
+                             (bench, "_spectral_extremes")):
+            monkeypatch.setattr(module, name, reached)
+        model, n = self.LOADS["built-in-of-4-dofs"]()
         with pytest.raises(ValueError, match=f"^the load is not one of {n} dofs$"):
             if method == "reference":
                 reference_solution(model, 0.024, 0.24)

@@ -7,6 +7,8 @@ import pytest
 
 from oracles import generalized_modes, sdof_model
 
+import perdyn.model as model_module
+from perdyn.cli import RunConfig
 from perdyn.model import (SystemModel, _force_rows, beam_matrices,
                           benchmark_beam, benchmark_chain, build_beam,
                           build_chain, constant_step_force, damping_level,
@@ -213,6 +215,59 @@ class TestSystemModelValidation:
         model = build_chain(2, 1.0, 1.0)
         with pytest.raises(ValueError):
             model.mass[0, 0] = 5.0
+
+
+class TestDerivedModels:
+    """A model made from a checked one shares the arrays it keeps and checks
+    only the ones it replaces."""
+
+    @pytest.fixture
+    def choleskys(self, monkeypatch):
+        calls = []
+        cholesky = model_module.cholesky
+        monkeypatch.setattr(model_module, "cholesky",
+                            lambda *args, **kwargs: calls.append(1) or cholesky(*args, **kwargs))
+        return calls
+
+    def test_cholesky_checks(self, choleskys):
+        base = benchmark_chain(0.1, 96)
+        assert len(choleskys) == 3
+        moved = base.with_initial_state(np.ones(96), None).with_force(
+            constant_step_force(96, 3, 0.0, 1.0))
+        assert len(choleskys) == 3
+        assert all(getattr(moved, name) is getattr(base, name)
+                   for name in ("mass", "damping", "stiffness"))
+        np.testing.assert_array_equal(moved.v0, np.zeros(96))
+        assert not moved.u0.flags.writeable and not moved.v0.flags.writeable
+        damped = moved.with_damping(2.0 * base.damping)
+        assert len(choleskys) == 4
+        assert damped.u0 is moved.u0 and damped.force is moved.force
+        assert not damped.damping.flags.writeable
+        np.testing.assert_array_equal(damped.damping, 2.0 * base.damping)
+
+    def test_cholesky_checks_of_a_cli_model(self, choleskys):
+        config = RunConfig.from_dict({
+            "model": {"kind": "chain", "zeta": 0.1, "n_dof": 96},
+            "force": {"kind": "constant-step", "dof": 3, "f0": 1.0},
+            "dt": 0.1, "t_max": 1.0, "u0": [0.01] * 96})
+        model = config.build_model()
+        assert len(choleskys) == 3
+        assert model.force is not None and model.u0[0] == 0.01
+
+    def test_replaced_fields_keep_their_messages(self):
+        base = benchmark_chain(0.1)
+        for u0, v0 in ((np.ones(11), None), (None, np.ones(13))):
+            with pytest.raises(ValueError,
+                               match="^initial state dimensions disagree with the matrices$"):
+                base.with_initial_state(u0, v0)
+        asymmetric = base.damping.copy()
+        asymmetric[0, 1] += 1.0
+        with pytest.raises(ValueError, match="^damping matrix is not symmetric"):
+            base.with_damping(asymmetric)
+        with pytest.raises(ValueError, match="^damping matrix must be positive semidefinite$"):
+            base.with_damping(-base.damping)
+        with pytest.raises(ValueError, match="^mass, damping and stiffness dimensions disagree$"):
+            base.with_damping(np.zeros((3, 3)))
 
 
 class TestDefinitenessBorder:

@@ -503,6 +503,12 @@ FULL_DAMPING = SystemModel(
     np.array([[200.0, -100.0, 0.0], [-100.0, 200.0, -100.0], [0.0, -100.0, 100.0]]))
 
 
+def with_a_load(model):
+    """``model`` with a step load at dof 0.  The forcing operators do not
+    depend on the load, and the scheme of an unforced model has none."""
+    return model.with_force(constant_step_force(model.n_dof, 0, 0.0, 1.0))
+
+
 class TestDampedColumns:
     """Every damping operator is built on the u and v columns of the damped
     dofs only; the oracle builds each one dense, over all 2N columns."""
@@ -526,7 +532,7 @@ class TestDampedColumns:
                                                 per.coeff_beta)
         got = np.zeros_like(beta_b)
         got[:, cols] = beta
-        scheme = per.build_scheme(model, config)
+        scheme = per.build_scheme(with_a_load(model), config)
         radii = (rho, scheme.rho_beta_b, beta_radius_map(model, [config.dt], config.m_b)[0][1])
         assert np.array_equal(got, beta_b)
         assert radii == (rho_b,) * 3 and scheme.rho_beta_a == rho_a
@@ -644,6 +650,7 @@ class TestSetupOldForms:
     def test_scheme(self, name, monkeypatch):
         # build_scheme again with the three old forms patched in
         model, config = self.case(name)
+        model = with_a_load(model)
         new = per.build_scheme(model, config)
         series = per._series
         monkeypatch.setattr(per, "system_operators", lambda m: (
@@ -659,6 +666,27 @@ class TestSetupOldForms:
 
 # ---------------------------------------------------------------------------
 # Forcing factors
+
+class TestUnforcedScheme:
+    def test_no_forcing_operators_without_a_load(self, monkeypatch):
+        model = benchmark_chain(0.1, 24)
+        config = per.PerConfig(dt=0.05, m_b=8)
+        calls = []
+        coeff_l = per.coeff_l
+        monkeypatch.setattr(per, "coeff_l", lambda *args: calls.append(args) or coeff_l(*args))
+        scheme = per.build_scheme(model, config)
+        assert not calls and scheme.neumann_b is None and scheme.l_b is None
+        # a forced copy: the operators of compute_b_factors, bit for bit, and
+        # the same a and radii, which do not depend on the load
+        forced = per.build_scheme(with_a_load(model), config)
+        assert calls
+        factors = per.compute_b_factors(model, config)
+        for key in ("neumann_b", "l_b"):
+            TestSetupOldForms.same(getattr(forced, key), getattr(factors, key))
+        TestSetupOldForms.same(forced.a, scheme.a)
+        assert (forced.rho_beta_a, forced.rho_beta_b) == (scheme.rho_beta_a, scheme.rho_beta_b)
+        assert scheme.rho_beta_b == factors.rho_beta_b
+
 
 class TestComputeBFactors:
     def test_undamped_neumann_is_identity(self):
