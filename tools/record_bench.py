@@ -61,8 +61,9 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: float, trace: int):
 def tier1(tree: Path) -> dict:
     """Wall time, exit code and summary line of one Tier-1 run in ``tree``."""
     start = time.perf_counter()
+    path = os.pathsep.join(filter(None, ("src", os.environ.get("PYTHONPATH"))))
     run = subprocess.run(TIER1, cwd=tree, capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": "src"})
+                         env={**os.environ, "PYTHONPATH": path})
     wall = time.perf_counter() - start
     summary = next((line for line in reversed(run.stdout.splitlines())
                     if re.search(r"\d+ (passed|failed)", line)), "")
@@ -77,6 +78,7 @@ def summarize(values: list[float]) -> dict:
 
 
 def record(rev: str) -> dict:
+    """The BENCH entry of ``rev``, without its number."""
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = declared["run_seconds"]
     names = [w["name"] for w in declared["workloads"]]
