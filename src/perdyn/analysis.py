@@ -42,10 +42,6 @@ class StabilityRecord:
     lists the (lower, upper) intervals where max|lambda| <= 1.
     """
 
-    zeta: float
-    m_a: int
-    r_a: int
-    p: int
     grid: np.ndarray
     boundaries: list[tuple[float, float]]
 
@@ -184,7 +180,7 @@ _STABLE_LIMIT = 1.0 + 64.0 * np.finfo(float).eps
 _MAP_TOL = 1e-6  # the width to which sdof_stability_map bisects a boundary
 
 
-def sdof_stability_map(zeta: float, m_a: int, r_a: int = 2, p: int = 20,
+def sdof_stability_map(zeta: float, m_a: int, r_a: int = 2,
                        grid_max: float = 0.9, grid_step: float = 2e-3) -> StabilityRecord:
     """Stability intervals of the reduced-step transition matrix.
 
@@ -192,38 +188,29 @@ def sdof_stability_map(zeta: float, m_a: int, r_a: int = 2, p: int = 20,
     boundary by bisection, and reports the |lambda| <= 1 intervals.
     Intervals narrower than 3 grid steps are discarded: near dt0 -> 0
     the excess over 1 sits below machine precision and produces
-    sub-resolution noise.  ``p`` is carried as metadata (the map lives at
-    the reduced step; multiply by 2^p for full-step values).
+    sub-resolution noise.  The map takes no halving count p: a run's
+    a(dt) is a(dt0)^(2^p), whose eigenvalues are those of a(dt0) raised to
+    2^p, so |lambda| <= 1 holds for both or for neither (multiply dt0/T
+    by 2^p for full-step values).
     """
     xs = _grid(grid_step, grid_max, grid_step)
     if zeta < 0.0:
         raise ValueError("zeta must be >= 0")
     lams = np.array([_max_abs_eig(x, zeta, m_a, r_a) for x in xs])
-    grid = np.column_stack([xs, lams])
 
     def is_stable(x):
         return _max_abs_eig(x, zeta, m_a, r_a) <= _STABLE_LIMIT
 
+    # each stable run xs[i:j] starts at a rising edge i and ends at a falling edge j
+    edges = np.flatnonzero(np.diff(np.pad(lams <= _STABLE_LIMIT, 1))).tolist()
     boundaries = []
-    stable = lams <= _STABLE_LIMIT
-    i = 0
-    while i < len(xs):
-        if not stable[i]:
-            i += 1
-            continue
+    for i, j in zip(edges[::2], edges[1::2]):
         lower = 0.0 if i == 0 else _bisect(xs[i - 1], xs[i], _MAP_TOL, is_stable)
-        j = i
-        while j < len(xs) and stable[j]:
-            j += 1
-        if j < len(xs):
-            upper = _bisect(xs[j - 1], xs[j], _MAP_TOL, lambda x: not is_stable(x))
-        else:
-            upper = float(xs[-1])
+        upper = (float(xs[-1]) if j == len(xs) else
+                 _bisect(xs[j - 1], xs[j], _MAP_TOL, lambda x: not is_stable(x)))
         if upper - lower >= 3.0 * grid_step:
             boundaries.append((float(lower), float(upper)))
-        i = j
-    return StabilityRecord(zeta=zeta, m_a=m_a, r_a=r_a, p=p,
-                           grid=grid, boundaries=boundaries)
+    return StabilityRecord(grid=np.column_stack([xs, lams]), boundaries=boundaries)
 
 
 def beta_radius_map(model: SystemModel, dt_values, m_b: int) -> list[tuple[float, float]]:

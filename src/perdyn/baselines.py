@@ -28,7 +28,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .linalg import _reduced_step, double_increment, spd_solver
 from .model import SystemModel, _load_sampler
-from .per import Trajectory, _run, _steps, system_operators
+from .per import Trajectory, _force_sampler, _run, _steps, system_operators
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,8 @@ class StateSpaceSystem:
 
 @dataclass(frozen=True)
 class IntegratorParams:
-    """Method selection plus the tunables every baseline accepts."""
+    """The tunables every baseline accepts."""
 
-    method: str
     newmark_gamma: float = 0.5
     newmark_beta: float = 0.25
     wilson_theta: float = 1.4
@@ -67,15 +66,16 @@ def _companion(model):
 
 def state_space(model: SystemModel) -> StateSpaceSystem:
     """Companion form of a second-order model; M is factorized once."""
-    loads = _load_sampler(model)[2]  # a built-in load of the wrong size raises here
+    _load_sampler(model)  # a built-in load of the wrong size raises here
     w, solve_mass = _companion(model)
     if model.force is None:
         return StateSpaceSystem(w=w, h=None)
+    mass_solved = _force_sampler(model, solve_mass)
 
     def h(t, _n=model.n_dof):
         times = np.asarray(t, dtype=float)
         out = np.zeros((times.size, 2 * _n))
-        out[:, _n:] = solve_mass(loads(times.ravel()).T).T
+        out[:, _n:] = mass_solved(times.ravel())
         return out if times.ndim else out[0]
 
     return StateSpaceSystem(w=w, h=h)

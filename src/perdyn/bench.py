@@ -198,7 +198,7 @@ def run_method(model: SystemModel, method: str, dt: float, t_max: float,
                params: baselines.IntegratorParams | None = None) -> per.Trajectory:
     """Dispatch a single integration run by method name."""
     _check_method(method)
-    params = params or baselines.IntegratorParams(method=method)
+    params = params or baselines.IntegratorParams()
     if method == "per":
         return per.integrate(model, _at_dt(per_config, dt), t_max)
     if method == "newmark":

@@ -5,7 +5,7 @@ sweep-damping, cost-model, compare.  Run configurations are JSON
 documents (schema version 1); every command emits CSV with a header
 row, 17-significant-digit numbers, comma separators and LF endings.
 
-Exit codes: 0 success, 2 validation error, 3 divergence.
+Exit codes: 0 success, 2 validation or arithmetic error, 3 divergence.
 """
 
 from __future__ import annotations
@@ -253,10 +253,9 @@ class RunConfig:
     def integrator_params(self) -> baselines.IntegratorParams:
         """IntegratorParams from the method keys; omitted keys keep its defaults."""
         ms = self.method_spec
-        return baselines.IntegratorParams(
-            method=self.method_name(), **{name: _field(ms, key, kind)
-                                          for key, (kind, *names) in _BASELINE_KEYS.items()
-                                          if key in ms for name in names})
+        return baselines.IntegratorParams(**{name: _field(ms, key, kind)
+                                             for key, (kind, *names) in _BASELINE_KEYS.items()
+                                             if key in ms for name in names})
 
 
 def _build_bare_model(spec: dict) -> SystemModel:
@@ -363,8 +362,7 @@ def cmd_simulate(args) -> int:
 def cmd_stability_map(args) -> int:
     record = analysis.sdof_stability_map(args.zeta, args.ma, r_a=args.ra,
                                          grid_max=args.grid_max, grid_step=args.grid_step)
-    write_csv(args.out, ["dt0_over_T", "max_abs_lambda"],
-              [list(row) for row in record.grid])
+    write_csv(args.out, ["dt0_over_T", "max_abs_lambda"], record.grid)
     for lo, hi in record.boundaries:
         print(f"stable: {lo:.4f} < dt0/T < {hi:.4f}")
     return 0
@@ -562,7 +560,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return globals()[args.func](args)
-    except (ConfigError, ValueError, OSError, json.JSONDecodeError, MemoryError) as exc:
+    except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except DivergenceError as exc:

@@ -29,6 +29,7 @@ _FLUSH_MIN_ORDER = 128
 _FLUSH_REL = sqrt(np.finfo(float).tiny)
 
 MAX_SERIES_ORDER = 60  # higher truncations are numerically unreliable
+MAX_NEUMANN_ORDER = 1000  # past it the terms are below roundoff for any rho(B) <= 0.96
 
 
 class DivergenceError(RuntimeError):
@@ -78,7 +79,7 @@ def _neumann_columns(mat_cols, cols, order):
     outside the columns cols taken as X[:, cols] @ Y[cols].  Callers take the
     increment over I from here, never as the sum minus I, which rounds away
     the low bits of a small B."""
-    _check_order(order, "Neumann truncation order", 2, None)
+    _check_order(order, "Neumann truncation order", 2, MAX_NEUMANN_ORDER)
     sq = mat_cols @ mat_cols[cols]
     total = first = mat_cols + sq
     for _ in range(order // 2 - 1):

@@ -153,6 +153,13 @@ class StateVector:
 DamperSpec = Iterable[tuple[int, int | None, float]]
 
 
+def _check_positive(**values):
+    """Reject the first of the builder's ``values`` that is not finite and positive."""
+    for name, value in values.items():
+        if not (np.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def build_chain(n_dof: int, mass_coeff: float, stiffness_coeff: float,
                 damper_spec: DamperSpec = ()) -> SystemModel:
     """Fixed-base spring-mass chain.
@@ -165,8 +172,7 @@ def build_chain(n_dof: int, mass_coeff: float, stiffness_coeff: float,
     """
     if n_dof < 1:
         raise ValueError("n_dof must be >= 1")
-    if mass_coeff <= 0.0 or stiffness_coeff <= 0.0:
-        raise ValueError("mass and stiffness coefficients must be positive")
+    _check_positive(mass_coeff=mass_coeff, stiffness_coeff=stiffness_coeff)
     mass = mass_coeff * np.eye(n_dof)
     stiff = np.zeros((n_dof, n_dof))
     for i in range(n_dof):
@@ -276,8 +282,10 @@ def build_beam(length: float, bending_stiffness: float, total_mass: float,
     damper N*s/m) acting on the node's deflection dof; ``point_loads``
     entries are (node, direction, force(t)) with direction a sign
     multiplier (+1 along positive deflection) applied to the deflection
-    dof.
+    dof.  length, bending_stiffness and total_mass must be finite and
+    positive.
     """
+    _check_positive(length=length, bending_stiffness=bending_stiffness, total_mass=total_mass)
     mass_full, stiff_full = beam_matrices(length, bending_stiffness,
                                           total_mass, n_elements)
     free = slice(2, None)  # clamp node 0 (deflection + rotation)
@@ -328,8 +336,10 @@ def benchmark_beam(zeta_a: float = 0.5, zeta_b: float = 0.5,
     Supports sit at the interior third-point nodes with stiffness
     20*EI/l^3 and 10*EI/l^3; damper coefficients are 2*m0*w_r*zeta with
     the reference frequency w_r = sqrt(EI/(m0*l^3)).  The step load
-    (0 for t < t_c, f0 after) acts downward at the tip.
+    (0 for t < t_c, f0 after) acts downward at the tip.  length,
+    bending_stiffness and total_mass must be finite and positive.
     """
+    _check_positive(length=length, bending_stiffness=bending_stiffness, total_mass=total_mass)
     ei = bending_stiffness
     w_r = np.sqrt(ei / (total_mass * length**3))
     k_a = 20.0 * ei / length**3

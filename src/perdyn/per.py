@@ -19,8 +19,9 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .linalg import (MAX_SERIES_ORDER, DivergenceError, _check_order, _neumann_columns,
-                     _reduced_step, double_increment, spd_solver, spectral_radius)
+from .linalg import (MAX_NEUMANN_ORDER, MAX_SERIES_ORDER, DivergenceError, _check_order,
+                     _neumann_columns, _reduced_step, double_increment, spd_solver,
+                     spectral_radius)
 from .model import StateVector, SystemModel, _load_sampler
 
 _DIVERGENCE_FACTOR = 1e12
@@ -60,7 +61,8 @@ class PerConfig:
         if self.dt < 0.0:
             raise ValueError("dt must be >= 0")
         _reduced_step(self.dt, self.p)
-        for name, cap in zip(("m_a", "r_a", "m_b", "r_b"), (MAX_SERIES_ORDER, None) * 2):
+        for name, cap in zip(("m_a", "r_a", "m_b", "r_b"),
+                             (MAX_SERIES_ORDER, MAX_NEUMANN_ORDER) * 2):
             _check_order(getattr(self, name), name, 2, cap)
 
     @property

@@ -239,11 +239,21 @@ class TestStabilityMap:
         assert widest[0] == pytest.approx(lower, abs=5e-4)
         assert widest[1] == pytest.approx(upper, abs=5e-4)
 
+    @pytest.mark.parametrize("zeta,m_a,grid_max,intervals", [
+        # two stable runs, the second bisected at both ends
+        (0.0, 8, 0.9, [(0.0, 0.02978955078125), (0.2748754882812501, 0.72794287109375)]),
+        # one run that is still stable at the last grid point
+        (0.05, 4, 0.5, [(0.0, 0.5)]),
+    ])
+    def test_every_interval(self, zeta, m_a, grid_max, intervals):
+        rec = sdof_stability_map(zeta, m_a, grid_max=grid_max)
+        assert len(rec.boundaries) == len(intervals)
+        for got, expected in zip(rec.boundaries, intervals):
+            assert got == pytest.approx(expected, abs=1e-9)
+
     def test_grid_shape_and_metadata(self):
-        rec = sdof_stability_map(0.1, 2, r_a=4, p=18, grid_max=0.1,
-                                 grid_step=0.01)
+        rec = sdof_stability_map(0.1, 2, r_a=4, grid_max=0.1, grid_step=0.01)
         assert rec.grid.shape[1] == 2
-        assert rec.p == 18 and rec.r_a == 4 and rec.m_a == 2
         assert np.all(np.diff(rec.grid[:, 0]) > 0)
 
     def test_bad_grid_rejected(self):

@@ -304,7 +304,7 @@ class TestMpim:
         model = benchmark_chain(0.1).with_initial_state(np.full(12, 0.01), None)
         system = state_space(model)
         x0 = np.concatenate([model.u0, model.v0])
-        params = IntegratorParams(method="mpim", mpim_p=p)
+        params = IntegratorParams(mpim_p=p)
         for call in (lambda: expm_2p(system.w, 0.024, p),
                      lambda: mpim(system, x0, 0.024, 0.48, p=p),
                      lambda: run_method(model, "mpim", 0.024, 0.48, params=params)):

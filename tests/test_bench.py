@@ -637,7 +637,7 @@ class TestTiming:
         # N = 10 pairs are taken.
         model = build_chain(64, 1.0, 100.0, [(0, None, 1.0)])
         per_config = PerConfig(dt=0.01, p=20, m_a=2, r_a=2, m_b=4, r_b=2)
-        params = IntegratorParams(method="mpim", mpim_g=4, mpim_p=20)
+        params = IntegratorParams(mpim_g=4, mpim_p=20)
         per_s = mpim_s = float("inf")
         for _ in range(10):
             per_s = min(per_s, timing_run(model, "per", 0.01, 0.0,

@@ -266,6 +266,38 @@ class TestSimulate:
         assert err.startswith("error: ") and repr(key) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("beam", [
+        {"length": 0}, {"length": 1e300}, {"length": 1e-110}, {"total_mass": 0},
+        {"supports": [], "length": 0, "ei": 1.0, "total_mass": 1.0, "n_elements": 2},
+    ], ids=["length-zero", "length-overflow", "length-cube-underflow", "mass-zero",
+            "supported-length-zero"])
+    def test_beam_arithmetic_fault_is_a_validation_error(self, beam, tmp_path, capsys):
+        # each raised ZeroDivisionError or OverflowError: a traceback and exit 1
+        cfg = tmp_path / "beam.json"
+        write_config(cfg, {"version": 1, "model": {"kind": "beam", **beam},
+                           "dt": 0.001, "t_max": 0.01})
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("beam, message", [
+        ({"length": -1}, "length must be finite and positive, got -1.0"),
+        ({"ei": -5}, "bending_stiffness must be finite and positive, got -5.0"),
+        ({"total_mass": -1}, "total_mass must be finite and positive, got -1.0"),
+        ({"ei": 0}, "bending_stiffness must be finite and positive, got 0.0"),
+    ], ids=["length", "ei", "total_mass", "ei-zero"])
+    def test_beam_input_rule_names_the_key(self, beam, message, tmp_path, capsys):
+        # the first three blamed a support coefficient or the damping matrix;
+        # ei = 0 exited 0 with a zero-stiffness model and dt_max_bound nan
+        cfg = tmp_path / "beam.json"
+        write_config(cfg, {"version": 1, "model": {"kind": "beam", **beam},
+                           "dt": 0.001, "t_max": 0.01})
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("doc, out, message", [
         ([1, 2], True, "a config must be a JSON object"),
         ({"dt": 0.0}, True, "dt must be positive"),

@@ -89,6 +89,15 @@ class TestBuildBeam:
         with pytest.raises(ValueError, match="out of range"):
             build_beam(3.0, 437.5e3, 235.5, 4, supports=[(9, 1.0, 0.0)])
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["length", "bending_stiffness", "total_mass"])
+    def test_length_ei_and_mass_must_be_finite_and_positive(self, name, bad):
+        values = {"length": 3.0, "bending_stiffness": 437.5e3, "total_mass": 235.5, name: bad}
+        for build in (lambda: build_beam(*values.values(), 4), lambda: benchmark_beam(**values)):
+            with pytest.raises(ValueError,
+                               match=f"^{name} must be finite and positive, got {bad}$"):
+                build()
+
     def test_rigid_body_translation_free_free(self):
         mass, stiff = beam_matrices(3.0, 437.5e3, 235.5, 8)
         rigid = np.zeros(stiff.shape[0])

@@ -1056,6 +1056,16 @@ class TestPerConfigValidation:
         with pytest.raises(ValueError, match="cap"):
             per.PerConfig(dt=0.1, m_b=62)
 
+    @pytest.mark.parametrize("name", ["r_a", "r_b"])
+    def test_neumann_cap(self, name):
+        # a Neumann order of 1e300 from a config ran its 5e299 products and never returned
+        per.PerConfig(dt=0.1, **{name: 1000})
+        for order in (1002, int(1e300)):
+            with pytest.raises(ValueError, match=f"^{name} exceeds the series cap 1000$"):
+                per.PerConfig(dt=0.1, **{name: order})
+        with pytest.raises(ValueError, match="cap 1000"):
+            neumann_sum(np.zeros((2, 2)), 1002)
+
     def test_reduced_step(self):
         config = per.PerConfig(dt=1.0, p=3)
         assert config.dt0 == 0.125

@@ -57,8 +57,9 @@ The matrix:
   README chain, whose unknown method is rejected;
 - ``compare`` on the benchmark beam to t_max 0.0104, so that its tip step
   load switches on at the sample t = 0.01, 20 steps before the end;
-- ``tau-limit --curve-out``, the same with ``--curve-step 0``, and two
-  ``stability-map`` grids;
+- ``tau-limit --curve-out``, the same with ``--curve-step 0``, and four
+  ``stability-map`` grids, one of them (zeta 0, m_a 8) with two stable runs
+  whose second is bisected at both ends, and one of order m_a 0;
 - ``cost-model`` of the perturbation scheme, MPIM and RK4 at N 48, and of
   the perturbation scheme at N -5.
 
@@ -221,6 +222,9 @@ CASES = {
                                   "--curve-out", "curve.csv", "--curve-step", "0"],
     "stability-map-0.05": ["stability-map", "--zeta", "0.05", "--ma", "2", "--out", "out.csv"],
     "stability-map-0.5": ["stability-map", "--zeta", "0.5", "--ma", "4", "--out", "out.csv"],
+    "stability-map-two-runs": ["stability-map", "--zeta", "0", "--ma", "8", "--out", "out.csv"],
+    "stability-map-order-zero": ["stability-map", "--zeta", "0.005", "--ma", "0",
+                                 "--out", "out.csv"],
     **{f"cost-model-{m}": ["cost-model", "--method", m, "--n", "48", "--steps", "1000",
                            "--out", "out.csv"] for m in ("per", "mpim", "rk4")},
     "cost-model-invalid": ["cost-model", "--method", "per", "--n", "-5", "--out", "out.csv"],
