@@ -8,12 +8,13 @@ into its one-step map, and the modified precise integration method
 from RK4's step increment and whose forcing integral uses
 Gauss-Legendre quadrature.
 
-Every method is a step map U_{k+1} = Phi U_k + W g(t_k + o_i) run by
-``per._run``, the runner of the perturbation scheme: the
-explicit ones on U = [u; v] with g = M^-1 f, the implicit ones with
-g = f on U = [u; v] (Newmark, the composite scheme) or U = [u; v; a]
-(Wilson, whose a is not in equilibrium), their maps built once by
-applying the step to the columns of the identity.
+Every method is a step map U_{k+1} = Phi U_k + W f_S(t_k + o_i) run by
+``per._run``, the runner of the perturbation scheme, on the samples f_S of
+the load on its support S: the explicit ones on U = [u; v], the implicit
+ones on U = [u; v] (Newmark, the composite scheme) or U = [u; v; a]
+(Wilson, whose a is not in equilibrium), their maps built once by applying
+the step to the columns of the identity, with [0; M^-1 E_S] or E_S folded
+into W by ``per._fold``.
 """
 
 from __future__ import annotations
@@ -28,20 +29,29 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .linalg import _reduced_step, double_increment, spd_solver
 from .model import SystemModel, _load_sampler
-from .per import Trajectory, _force_sampler, _run, _steps, system_operators
+from .per import Trajectory, _fold, _run, _steps, system_operators
 
 
 @dataclass(frozen=True)
 class StateSpaceSystem:
-    """First-order form dU/dt = W U + h(t) with U = [u; v]; ``h`` maps a
-    time to a 2N vector and an array of times to one row per time."""
+    """First-order form dU/dt = W U + h(t), U = [u; v], h(t) = proj f_S(t): ``load``
+    maps an array of times to f_S, the load on its support S, one row per time
+    (None when unforced), and ``proj`` = [0; M^-1 E_S] is 2N x |S|."""
 
     w: np.ndarray
-    h: Callable[[float | np.ndarray], np.ndarray] | None = None
+    load: Callable[[np.ndarray], np.ndarray] | None
+    proj: np.ndarray
 
     @property
     def n_dof(self) -> int:
         return self.w.shape[0] // 2
+
+    def h(self, t):
+        """h at a time, a 2N vector, or at an array of times, one row per time."""
+        times = np.asarray(t, dtype=float)
+        out = (np.zeros((times.size, len(self.w))) if self.load is None
+               else self.load(times.ravel()) @ self.proj.T)
+        return out if times.ndim else out[0]
 
 
 @dataclass(frozen=True)
@@ -66,19 +76,9 @@ def _companion(model):
 
 def state_space(model: SystemModel) -> StateSpaceSystem:
     """Companion form of a second-order model; M is factorized once."""
-    _load_sampler(model)  # a built-in load of the wrong size raises here
+    e_s, cols, _ = _load_sampler(model)  # a built-in load of the wrong size raises here
     w, solve_mass = _companion(model)
-    if model.force is None:
-        return StateSpaceSystem(w=w, h=None)
-    mass_solved = _force_sampler(model, solve_mass)
-
-    def h(t, _n=model.n_dof):
-        times = np.asarray(t, dtype=float)
-        out = np.zeros((times.size, 2 * _n))
-        out[:, _n:] = mass_solved(times.ravel())
-        return out if times.ndim else out[0]
-
-    return StateSpaceSystem(w=w, h=h)
+    return StateSpaceSystem(w, cols, np.vstack([np.zeros_like(e_s), solve_mass(e_s)]))
 
 
 def _step_map(model, offsets, step):
@@ -100,17 +100,14 @@ def _step_map(model, offsets, step):
 def _run_map(model, dt, t_max, build, *params):
     """The map ``build(model, dt, *params)`` run by ``_run`` from [u0, v0],
     extended by the equilibrium acceleration at t = 0 for Wilson's
-    (u, v, a).  The guard scale is the 2-norm of W, the raw forcing
-    operator, as for the perturbation scheme."""
+    (u, v, a), with E_S folded into its W."""
     n_steps = _steps(t_max, dt)
-    loads = _load_sampler(model)[2]  # a built-in load of the wrong size raises here
+    e_s, cols, _ = _load_sampler(model)  # a built-in load of the wrong size raises here
     phi, offsets, weights = build(model, dt, *params)
     x0 = np.concatenate([model.u0, model.v0])
     if len(phi) > len(x0):
         x0 = np.concatenate([x0, _acceleration(model)(model.u0, model.v0, model.force_at(0.0))])
-    forcing = () if model.force is None else (
-        loads, offsets, weights, np.linalg.norm(weights, 2))
-    return _run(dt, n_steps, model.n_dof, phi, x0, *forcing)
+    return _run(dt, n_steps, model.n_dof, phi, x0, cols, offsets, _fold(weights, e_s))
 
 
 def _acceleration(model):
@@ -258,9 +255,8 @@ def rk4(system: StateSpaceSystem, u0: np.ndarray, dt: float,
     n_steps = _steps(t_max, dt)
     d, p0, pm = rk4_operators(system.w, dt)
     eye = np.eye(len(d))
-    weights = dt / 6.0 * np.hstack([p0, pm, eye])
-    return _run(dt, n_steps, system.n_dof, eye + d, u0, system.h, (0.0, dt / 2.0, dt),
-                weights, dt)
+    return _run(dt, n_steps, system.n_dof, eye + d, u0, system.load, (0.0, dt / 2.0, dt),
+                _fold(dt / 6.0 * np.hstack([p0, pm, eye]), system.proj))
 
 
 # ---------------------------------------------------------------------------
@@ -304,5 +300,5 @@ def mpim(system: StateSpaceSystem, u0: np.ndarray, dt: float, t_max: float,
     propagation plus Gauss quadrature of the forcing convolution."""
     n_steps = _steps(t_max, dt)
     big_h, exps, offsets = mpim_operators(system, dt, g, p)
-    return _run(dt, n_steps, system.n_dof, big_h, u0, system.h, offsets,
-                np.hstack(exps), dt)
+    return _run(dt, n_steps, system.n_dof, big_h, u0, system.load, offsets,
+                _fold(np.hstack(exps), system.proj))

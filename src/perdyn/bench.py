@@ -11,7 +11,7 @@ import numpy as np
 
 from . import analysis, baselines, per
 from .linalg import _reduced_step
-from .model import SystemModel, _load_sampler, _spectral_extremes, damping_level
+from .model import SystemModel, _spectral_extremes, damping_level
 
 METHODS = ("per", "newmark", "wilson", "bathe", "rk4", "mpim")
 
@@ -102,16 +102,15 @@ def reference_solution(model: SystemModel, dt: float, t_max: float,
     U <- R^s U + W g (a blocked linear scan: the same RK4 in exact
     arithmetic), and only every s-th fine state is computed.  ``g`` holds
     f_S, the load on its support S, at the 2s+1 half-step nodes of the s
-    steps, and W folds in M^-1 E_S: q = |S| numbers per node, with no mass
-    solve.  S is a built-in load's own support, every dof for any other
-    callable (M^-1 E_S = M^-1) and empty when unforced.  s is refine unless
+    steps, and W folds in the [0; M^-1 E_S] of ``baselines.state_space``:
+    q = |S| numbers per node, with no mass solve.  s is refine unless
     a W over all N dofs would hold more than per._BLOCK_FLOATS numbers;
     then it is the largest divisor of refine whose W fits.
     """
     if refine < 1:
         raise ValueError("refine must be >= 1")
     n_coarse = per._steps(t_max, dt)
-    dofs, cols, _ = _load_sampler(model)  # a built-in load of the wrong size raises here
+    system = baselines.state_space(model)  # a built-in load of the wrong size raises here
     w_max = _spectral_extremes(model)[0]
     used = refine
     while w_max * dt / used >= RK4_STABLE_PRODUCT:
@@ -120,24 +119,20 @@ def reference_solution(model: SystemModel, dt: float, t_max: float,
             raise ValueError(
                 f"cannot reach RK4 stability below refine={MAX_REFINE} "
                 f"(omega_max*dt = {w_max * dt:.3e})")
-    w, solve_mass = baselines._companion(model)
-    h = dt / used
+    h, load = dt / used, system.load
     fold = _fold_size(used, model.n_dof)
-    proj = solve_mass(np.eye(model.n_dof)[:, dofs])  # M^-1 E_S
-    phi, weights = _folded_rk4(w, h, fold, proj)
-    # guard scale: the folded step, as RK4's is its step, times ||M^-1 E_S|| >= |M^-1 f|/|f_S|
-    states, stop = per.recurrence(
-        phi, np.concatenate([model.u0, model.v0]), fold * h, n_coarse * (used // fold),
-        None if cols is None else lambda times: cols(_on_fine_grid(times, h)),
-        np.arange(2 * fold + 1) * (h / 2.0), weights,
-        None if cols is None else fold * h * np.linalg.norm(proj, 2))
-    if stop is not None:
+    phi, weights = _folded_rk4(system.w, h, fold, system.proj)
+    fine = per._run(
+        fold * h, n_coarse * (used // fold), model.n_dof, phi,
+        np.concatenate([model.u0, model.v0]),
+        None if load is None else lambda times: load(_on_fine_grid(times, h)),
+        np.arange(2 * fold + 1) * (h / 2.0), weights)
+    if fine.diverged:
         raise ValueError("reference RK4 run diverged")
-    coarse = states[::used // fold]
-    n = model.n_dof
+    every = used // fold
     return per.Trajectory(times=np.arange(n_coarse + 1) * dt,
-                          displacements=coarse[:, :n].copy(),
-                          velocities=coarse[:, n:].copy(),
+                          displacements=fine.displacements[::every].copy(),
+                          velocities=fine.velocities[::every].copy(),
                           info={"refine": used})
 
 
@@ -150,12 +145,12 @@ def _fold_size(refine, n_dof):
 
 
 def _folded_rk4(w, h, s, proj):
-    """(R^s, W): s RK4 steps of size h on dU/dt = W U + [0; proj g(t)] as one step.
+    """(R^s, W): s RK4 steps of size h on dU/dt = W U + proj g(t) as one step.
 
     Step j of the s contributes R^(s-1-j) h/6 (P0, Pm, I) at the nodes
     2j, 2j+1, 2j+2 of the half-step grid, so node 2j (0 < j < s) weighs
-    R^(s-1-j) (P0 + R).  W keeps only the velocity columns, times proj:
-    q per node, folded in before the powers.  The powers are doubled as
+    R^(s-1-j) (P0 + R).  proj, 2N x q, is folded in before the powers, so
+    W has q columns per node.  The powers are doubled as
     increments R^j - I (R^(a+b) - I = D_a + D_b + D_a D_b, one batched
     product per doubling) from RK4's own increment D, never from a rounded
     R = I + D: that rounding put a forced 12-dof chain's reference 1.1e-12
@@ -163,9 +158,6 @@ def _folded_rk4(w, h, s, proj):
     """
     d_one, p0, pm = baselines.rk4_operators(w, h)
     n2 = w.shape[0]
-
-    def onto(mat):  # the velocity columns, times proj
-        return mat[:, n2 // 2:] @ proj
     eye = np.eye(n2)
     inc = np.zeros((1, n2, n2))  # inc[j] = R^j - I
     d_len = d_one  # R^len(inc) - I
@@ -175,13 +167,13 @@ def _folded_rk4(w, h, s, proj):
             inc = np.concatenate([inc, inc + d_len + inc @ d_len])
             d_len = 2.0 * d_len + d_len @ d_len
         q = inc[s - 1::-1]  # q[j] = R^(s-1-j) - I
-        head = h / 6.0 * np.hstack([onto(p0 + eye + d_one), onto(pm)])
+        head = h / 6.0 * np.hstack([(p0 + eye + d_one) @ proj, pm @ proj])
         blocks = head + q @ head
-        first = h / 6.0 * onto(p0)
+        first = h / 6.0 * (p0 @ proj)
         blocks[0, :, :first.shape[1]] = first + q[0] @ first
         phi = eye + (q[0] + d_one + q[0] @ d_one)
     weights = np.hstack([blocks.transpose(1, 0, 2).reshape(n2, -1),
-                         h / 6.0 * onto(eye)])
+                         h / 6.0 * proj])
     return phi, weights
 
 

@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import os
+import reprlib
 import signal
 import sys
 from dataclasses import dataclass, field
@@ -47,7 +48,8 @@ def _field(spec: dict, key: str, kind, default=_REQUIRED):
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key {key!r} has the invalid value {value!r}: {exc}") from None
+        raise ConfigError(f"config key {key!r} has the invalid value "
+                          f"{reprlib.repr(value)}: {exc}") from None
 
 
 def _object(value) -> dict:
@@ -68,13 +70,13 @@ def _finite(value) -> float:
 
 
 def _integer(value) -> int:
-    """An int, or a finite float of integral value; not a boolean."""
+    """An int, or a finite float of integral value, of magnitude at most 2**53; not a boolean."""
     if isinstance(value, bool):
         raise TypeError("expected an integer, not a boolean")
-    if isinstance(value, int):
-        return value
-    number = _finite(value)
-    if not number.is_integer():
+    number = value if isinstance(value, int) else _finite(value)
+    if abs(number) > 2**53:
+        raise ValueError("expected an integer of magnitude at most 2**53")
+    if number != int(number):
         raise ValueError("expected an integer")
     return int(number)
 
@@ -233,7 +235,11 @@ class RunConfig:
     def build_model(self) -> SystemModel:
         """The model; a force spec of kind "zero" keeps the model's own loads
         (a beam's point loads), and an omitted u0 or v0 is zero."""
-        model = _build_bare_model(self.model_spec)
+        try:
+            model = _build_bare_model(self.model_spec)
+        except ArithmeticError as exc:
+            raise ConfigError(f"config key 'model' of kind {self.model_spec.get('kind')!r} "
+                              f"cannot be built: {exc}") from None
         force = _build_force(self.force_spec, model.n_dof) or model.force
         return model.with_force(force).with_initial_state(self.u0, self.v0)
 

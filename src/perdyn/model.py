@@ -390,14 +390,14 @@ def damping_level(model: SystemModel) -> float:
 # No other module reads them: every integrator samples through _load_sampler.
 
 def _load_sampler(model: SystemModel):
-    """(S, cols, rows) of the model's load: its dofs S, times -> f_S(t) and
-    times -> f(t), one row per time.  A built-in load keeps its own support,
-    any other callable covers every dof at one call per time, and an
-    unforced model has no dofs, no cols and rows of zeros.  A load not of N
-    dofs raises: a built-in one here, any other callable when it is sampled."""
+    """(E_S, cols, rows) of the model's load: the identity's columns on its dofs S,
+    times -> f_S(t) and times -> f(t), one row per time.  A built-in load keeps
+    its own support, any other callable covers every dof at one call per time,
+    and an unforced model has no dofs, no cols and rows of zeros.  A load not of
+    N dofs raises: a built-in one here, any other callable when it is sampled."""
     force, n = model.force, model.n_dof
     if force is None:
-        return [], None, lambda times: np.zeros((len(times), n))
+        return np.zeros((n, 0)), None, lambda times: np.zeros((len(times), n))
     if getattr(force, "_n_dof", n) != n:
         raise ValueError(f"the load is not one of {n} dofs")
 
@@ -407,7 +407,7 @@ def _load_sampler(model: SystemModel):
             raise ValueError(f"the load is not one of {n} dofs")
         return out
     dofs, cols = getattr(force, "_support", (list(range(n)), rows))
-    return dofs, cols, rows
+    return (np.arange(n)[:, None] == np.asarray(dofs)).astype(float), cols, rows
 
 
 def _force_rows(fn: Callable, times: np.ndarray) -> np.ndarray:

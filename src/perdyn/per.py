@@ -363,12 +363,6 @@ def _per_offsets(dt):
     return (0.0, dt / 3.0, 2.0 * dt / 3.0, dt)
 
 
-def _force_sampler(model, solve_mass):
-    """times -> M^-1 f(t), one row per time, by one multi-RHS mass solve."""
-    _, _, loads = _load_sampler(model)
-    return lambda times: solve_mass(loads(times).T).T
-
-
 def _step_samples(sample, k0, k1, dt, offsets):
     """[s(t_k + o_1), ..., s(t_k + o_q)] with t_k = k*dt, one row per step k0 <= k < k1."""
     times = np.arange(k0, k1)[:, None] * dt + np.asarray(offsets)
@@ -376,10 +370,10 @@ def _step_samples(sample, k0, k1, dt, offsets):
 
 
 def _per_samples(model, solve_mass, k0, k1, dt):
-    """PER force rows of the steps k0 <= k < k1 with M^-1 = ``solve_mass``;
-    a non-finite sample raises ValueError."""
-    offsets = _per_offsets(dt)
-    g = _step_samples(_force_sampler(model, solve_mass), k0, k1, dt, offsets)
+    """PER force rows M^-1 f of the steps k0 <= k < k1 with M^-1 = ``solve_mass``,
+    one multi-RHS mass solve; a non-finite sample raises ValueError."""
+    offsets, rows = _per_offsets(dt), _load_sampler(model)[2]
+    g = _step_samples(lambda times: solve_mass(rows(times).T).T, k0, k1, dt, offsets)
     bad = np.flatnonzero(~np.isfinite(g.reshape(-1, model.n_dof)).all(axis=1))
     if len(bad):
         k, i = divmod(int(bad[0]), len(offsets))
@@ -417,16 +411,17 @@ def integrate(model: SystemModel, config: PerConfig, t_max: float) -> Trajectory
     ``info["dt_max_bound"]``.
     """
     n_steps = _steps(t_max, config.dt)
-    _load_sampler(model)  # a built-in load of the wrong size raises here
+    e_s, cols, _ = _load_sampler(model)  # a built-in load of the wrong size raises here
     scheme = build_scheme(model, config)
     info = {"rho_beta_b": scheme.rho_beta_b, "rho_beta_a": scheme.rho_beta_a}
     if scheme.rho_beta_b >= 1.0:
         info["reason"] = "rho(beta_b) >= 1"
-    # the guard scale is the raw forcing operator, deliberately without
-    # the Neumann factor so that its blow-up is detected
-    forcing = () if model.force is None else (
-        _force_sampler(model, scheme.solve_mass), _per_offsets(config.dt),
-        scheme.neumann_b @ scheme.l_b, np.linalg.norm(scheme.l_b, 2))
+    forcing = ()
+    if cols is not None:
+        # the guard scale is that of L_b M^-1 E_S, deliberately without the
+        # Neumann factor so that its blow-up is detected
+        l_s = _fold(scheme.l_b, scheme.solve_mass(e_s))
+        forcing = (cols, _per_offsets(config.dt), scheme.neumann_b @ l_s, np.linalg.norm(l_s, 2))
     traj = _run(config.dt, n_steps, model.n_dof, scheme.a,
                 np.concatenate([model.u0, model.v0]), *forcing, info=info)
     if forcing and "diverged_at_step" in traj.info:  # a non-finite sample raises
@@ -437,14 +432,25 @@ def integrate(model: SystemModel, config: PerConfig, t_max: float) -> Trajectory
     return replace(traj, info={**traj.info, "dt_max_bound": _dt_max(model, config.m_b)})
 
 
-def _run(dt, n_steps, n, phi, x0, sample=None, offsets=(), weights=None, ref_scale=0.0,
+def _fold(weights, proj):
+    """``weights`` on samples proj g, a block of len(proj) columns per sample,
+    as weights on the samples g: proj = M^-1 E_S, E_S or [0; M^-1 E_S] is
+    folded in once, so that a step loop samples f_S alone."""
+    return (weights.reshape(-1, len(proj)) @ proj).reshape(len(weights), -1)
+
+
+def _run(dt, n_steps, n, phi, x0, sample=None, offsets=(), weights=None, ref_scale=None,
          info=None):
-    """The run of every method: ``recurrence`` from x0 (see there for the
-    arguments; an unforced run has ``sample=None``), as the Trajectory of
-    the (u, v) part, the first 2n entries, of its states.  It carries a
-    copy of the caller's ``info``; a guard stop adds its step as
-    ``diverged_at_step`` and the reason "norm guard".  A run whose info
-    holds a ``reason`` is diverged."""
+    """The run of every method and of the RK4 reference: ``recurrence`` from
+    x0 (see there for the arguments; an unforced run has ``sample=None``, and
+    ref_scale is by default ||weights||_2, inf for weights that are not
+    finite, whose run stops at its first step), as the Trajectory of the
+    (u, v) part, the first 2n entries, of its states.  It carries a copy of
+    the caller's ``info``; a guard stop adds its step as ``diverged_at_step``
+    and the reason "norm guard".  A run whose info holds a ``reason`` is
+    diverged."""
+    if sample is not None and ref_scale is None:  # the SVD raises on inf or nan
+        ref_scale = np.linalg.norm(weights, 2) if np.isfinite(weights).all() else np.inf
     states, stop = recurrence(phi, x0, dt, n_steps, sample, offsets, weights, ref_scale)
     info = dict(info or {})
     if stop is not None:

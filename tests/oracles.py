@@ -400,6 +400,13 @@ def reference_fine_rk4(model, dt, t_max, refine=500):
     return fine.displacements[::refine], fine.velocities[::refine], refine
 
 
+def mass_solved_sampler(model, solve_mass):
+    """times -> M^-1 f(t), one row per time of an array of times, by one
+    multi-RHS solve with M^-1 = ``solve_mass``: the samples of the unfolded
+    forms, whose weights act on M^-1 f."""
+    return lambda times: solve_mass(np.array([model.force_at(t) for t in times.tolist()]).T).T
+
+
 def reference_mass_solve_fold(model, dt, t_max, refine):
     """The folded RK4 reference as it took a load without a support: W over
     all N velocity columns, fed M^-1 f at every dof by one mass solve per
@@ -422,7 +429,7 @@ def reference_mass_solve_fold(model, dt, t_max, refine):
     first = h / 6.0 * p0[:, n:]
     blocks[0, :, :n] = first + q[0] @ first
     weights = np.hstack([blocks.transpose(1, 0, 2).reshape(n2, -1), h / 6.0 * eye[:, n:]])
-    force = per._force_sampler(model, solve_mass)
+    force = mass_solved_sampler(model, solve_mass)
     states, stop = per.recurrence(
         eye + (q[0] + d_one + q[0] @ d_one), np.concatenate([model.u0, model.v0]), s * h,
         per._steps(t_max, dt) * (refine // s), lambda t: force(bench._on_fine_grid(t, h)),

@@ -648,3 +648,111 @@ class TestTiming:
         assert per_s < mpim_s
         ratio = per_s / mpim_s
         assert 0.5 * 213.0 / 818.0 <= ratio <= 1.5 * 213.0 / 818.0
+
+
+@pytest.mark.parametrize("method", [*bench.METHODS, "reference"])
+def test_step_loops_never_sample_the_n_wide_load(method):
+    # every loop samples f_S, the load on its support; only Wilson's
+    # equilibrium acceleration at t = 0 reads the N-wide load, once.  Before,
+    # every loop but the reference's sampled it (and solved M) in each block.
+    force = constant_step_force(12, 3, 0.12, 2.0)
+    rows, calls = force._rows, []
+    force._rows = lambda times: calls.append(len(times)) or rows(times)
+    model = benchmark_chain(0.1).with_force(force)
+    if method == "reference":
+        reference_solution(model, 0.024, 0.24)
+    else:
+        traj = run_method(model, method, 0.024, 0.24,
+                          per_config=PerConfig(dt=0.024, m_b=8, r_b=4))
+        assert not traj.diverged and traj.n_steps == 10
+    assert calls == ([1] if method == "wilson" else [])
+
+
+def _unfolded(model, method, dt, config):
+    """(phi, x0, sample, offsets, weights, ref_scale) of ``method`` with its
+    weights on the N-wide samples it took before the fold: M^-1 f (PER),
+    [0; M^-1 f] (RK4, MPIM) or f (the implicit maps), M solved per sample."""
+    n, solve = model.n_dof, per.spd_solver(model.mass)
+    x0 = np.concatenate([model.u0, model.v0])
+
+    def loads(times):
+        return np.array([model.force_at(t) for t in times.tolist()])
+
+    def mass_solved(times):
+        return solve(loads(times).T).T
+
+    if method == "per":
+        scheme = per.build_scheme(model, config)
+        return (scheme.a, x0, mass_solved, (0.0, dt / 3.0, 2.0 * dt / 3.0, dt),
+                scheme.neumann_b @ scheme.l_b, np.linalg.norm(scheme.l_b, 2))
+    if method in ("rk4", "mpim"):
+        system = state_space(model)  # its W alone
+        if method == "rk4":
+            d, p0, pm = baselines.rk4_operators(system.w, dt)
+            phi, offsets, weights = (np.eye(2 * n) + d, (0.0, dt / 2.0, dt),
+                                     dt / 6.0 * np.hstack([p0, pm, np.eye(2 * n)]))
+        else:
+            phi, exps, offsets = baselines.mpim_operators(system, dt)
+            weights = np.hstack(exps)
+        return (phi, x0, lambda times: np.hstack([np.zeros((len(times), n)),
+                                                  mass_solved(times)]),
+                offsets, weights, dt)
+    build, params = {"newmark": (baselines._newmark_map, (0.5, 0.25)),
+                     "wilson": (baselines._wilson_map, (1.4,)),
+                     "bathe": (baselines._bathe_map, (0.5,))}[method]
+    phi, offsets, weights = build(model, dt, *params)
+    if len(phi) > len(x0):
+        x0 = np.concatenate([x0, solve(model.force_at(0.0) - model.damping @ model.v0
+                                       - model.stiffness @ model.u0)])
+    return phi, x0, loads, offsets, weights, np.linalg.norm(weights, 2)
+
+
+#: (model, dt, steps, bound on u, bound on v) of the folded-against-unfolded
+#: cases; a bound is relative to the peak of the unfolded run.
+UNFOLDED_CASES = {
+    # the README chain and its Gaussian load, t_max 40
+    "readme-chain": lambda: (build_chain(12, 1.0, 100.0, [(0, None, 2.0), (1, 2, 2.0)])
+                             .with_force(gaussian_multiharmonic_force(
+                                 12, 2, t0=10.0, s=2.5, components=[(1.0, 3.0), (0.5, 7.1)])),
+                             0.024, 1667, 1e-12, 1e-12),
+    # the 48-dof beam from the initial state of tools/cli_identity.py, its
+    # tip step on at t = 0.01; RK4 diverges at this dt
+    "beam": lambda: (benchmark_beam().with_initial_state(
+        np.array([1e-3 * np.sin(i + 1.0) for i in range(48)]),
+        np.array([3e-2 * np.cos(i + 1.0) for i in range(48)])), 2e-5, 1000, 1e-12, 1e-12),
+    # the same beam from rest, whose state is the load's response alone: v
+    # moved by 4.7e-12 (PER) and 1.4e-11 (MPIM) of its peak, u by 6.4e-14
+    "beam-from-rest": lambda: (benchmark_beam(), 2e-5, 1000, 1e-12, 3e-11),
+    # a full mass and a plain callable: S is every dof
+    "plain-3-dof": lambda: (SystemModel(
+        np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.5]]),
+        np.array([[3.0, -1.0, 0.5], [-1.0, 2.0, -0.5], [0.5, -0.5, 1.0]]),
+        np.array([[200.0, -100.0, 0.0], [-100.0, 200.0, -100.0], [0.0, -100.0, 100.0]]),
+        force=lambda t: np.array([np.sin(3.0 * t), 0.5 * np.cos(7.0 * t) + 1.0, t * t]),
+        u0=np.array([0.01, 0.0, -0.01])), 0.01, 400, 1e-12, 1e-12),
+}
+
+
+@pytest.mark.parametrize("case", list(UNFOLDED_CASES))
+@pytest.mark.parametrize("method", bench.METHODS)
+def test_folded_forcing_near_the_unfolded_form(method, case):
+    # the weights on f_S, with M^-1 E_S or E_S folded in once, against the
+    # same method's weights on its N-wide samples, M solved per sample: both
+    # run to the end, or both are stopped (RK4 on the beam, one step apart
+    # at most, as the guard scale moved from dt to the 2-norm of the folded
+    # weights), and the states agree within the case's bounds up to the stop
+    model, dt, n_steps, u_bound, v_bound = UNFOLDED_CASES[case]()
+    config = PerConfig(dt=dt, m_b=8, r_b=4)
+    with np.errstate(over="ignore", invalid="ignore"):  # RK4 on the beam
+        traj = run_method(model, method, dt, n_steps * dt, per_config=config)
+        phi, x0, *forcing = _unfolded(model, method, dt, config)
+        states, stop = per.recurrence(phi, x0, dt, n_steps, *forcing)
+    stops = (traj.info.get("diverged_at_step"), stop)
+    if method == "rk4" and case.startswith("beam"):
+        assert abs(stops[0] - stops[1]) <= 1
+    else:
+        assert stops == (None, None)
+    n, k = model.n_dof, min(len(traj.times), len(states)) - (stop is not None)
+    for got, want, bound in ((traj.displacements, states[:, :n], u_bound),
+                             (traj.velocities, states[:, n:2 * n], v_bound)):
+        assert np.abs(got[:k] - want[:k]).max() <= bound * np.abs(want[:k]).max()

@@ -281,6 +281,31 @@ class TestSimulate:
         assert code == EXIT_VALIDATION
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert not (tmp_path / "x.csv").exists()
+        # the overflow and the underflowed cube are arithmetic faults, named by
+        # the model key and its kind; the other three break the input rule
+        if beam.get("length") in (1e300, 1e-110):
+            assert err.startswith("error: config key 'model' of kind 'beam' cannot be built: ")
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"model": {"kind": "chain", "n_dof": 4},
+          "force": {"kind": "constant-step", "dof": 1e300, "f0": 1.0}}, "dof"),
+        ({"model": {"kind": "chain", "n_dof": 4},
+          "force": {"kind": "constant-step", "dof": 10**300, "f0": 1.0}}, "dof"),
+        ({"model": {"kind": "beam", "n_elements": 1e300}}, "n_elements"),
+        ({"model": {"kind": "chain", "n_dof": 1e300}}, "n_dof"),
+        ({"model": {"kind": "chain", "n_dof": -2**60}}, "n_dof"),
+    ], ids=["dof-float", "dof-json-integer", "n_elements", "n_dof", "n_dof-negative"])
+    def test_huge_integer_names_the_key(self, doc, key, tmp_path, capsys):
+        # the dofs echoed a 301-digit int, n_elements printed "float division
+        # by zero" and n_dof numpy's "Maximum allowed dimension exceeded"
+        cfg = tmp_path / "huge.json"
+        write_config(cfg, {"version": 1, "dt": 0.01, "t_max": 0.1, **doc})
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err.startswith(f"error: config key {key!r} has the invalid value ")
+        assert err.endswith(": expected an integer of magnitude at most 2**53\n")
+        assert len(err.splitlines()) == 1 and len(err) < 200
 
     @pytest.mark.parametrize("beam, message", [
         ({"length": -1}, "length must be finite and positive, got -1.0"),

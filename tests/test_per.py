@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from oracles import (companion_matrix, damped_free_vibration, dense_scheme, dense_series,
                      doubling_dense_flushed, doubling_unflushed, expm_eig,
                      gauss_panel_integral, increment_at_reduced_step_i_rounded,
-                     lagrange_cubic_basis, l2_norm, profile_doubling_fresh_buffer,
+                     lagrange_cubic_basis, l2_norm, mass_solved_sampler,
+                     profile_doubling_fresh_buffer,
                      rotation_propagator, sdof_model, step_loop,
                      system_operators_every_column, undamped_step_increment_eye_first)
 from scipy.linalg import cho_factor, cho_solve
@@ -984,7 +985,7 @@ class TestBlockedForcing:
         x0 = rng.standard_normal(2 * self.N)
         block = per._BLOCK_FLOATS // (4 * self.N)
         got, got_stop = per.recurrence(phi, x0, dt, 5 * block,
-                                       per._force_sampler(model, spd_solver(model.mass)),
+                                       mass_solved_sampler(model, spd_solver(model.mass)),
                                        offsets, weights, 1.0)
         states, stop = step_loop(phi, x0, dt, 5 * block, self.scalar_sampler(model),
                                  offsets, weights, 1.0)
@@ -1007,7 +1008,7 @@ class TestBlockedForcing:
         weights = rng.standard_normal((2 * self.N, 4 * self.N))
         x0 = rng.standard_normal(2 * self.N)
         got, got_stop = per.recurrence(phi, x0, dt, 3 * block,
-                                       per._force_sampler(model, spd_solver(model.mass)),
+                                       mass_solved_sampler(model, spd_solver(model.mass)),
                                        offsets, weights, 1.0)
         factor = cho_factor(model.mass)
         states, stop = step_loop(phi, x0, dt, 3 * block,

@@ -37,6 +37,9 @@ The matrix:
   and MPIM at ``--dt 0.02 --g 3 --p 12``;
 - ``simulate`` of a custom-support beam (6 elements, a sprung and damped
   support at node 3, a damper at node 6) with a step point load at its tip;
+- ``simulate`` with each of the six methods on that beam with a second step
+  point load, at node 3 from t = 5e-3, so that the load's support holds two
+  dofs;
 - ``simulate`` of two configs that the input checks reject: the README
   chain with ``"mb": 8.5``, and a chain whose damper ``c`` is infinite;
 - ``simulate`` of the perturbation scheme on a 3-dof ``matrices`` model
@@ -134,6 +137,15 @@ CONFIGS = {
                   "supports": [{"node": 3, "spring": 1e4, "damper": 50.0},
                                {"node": 6, "damper": 20.0}],
                   "point_loads": [{"node": 6, "direction": -1.0, "t_c": 2e-3, "f0": 300.0}]}},
+    # the same beam with a second point load: a support of two dofs
+    "beam-two-loads.json": {
+        "version": 1, "method": {"name": "per", "mb": 8}, "dt": 1e-4, "t_max": 0.02,
+        "model": {"kind": "beam", "length": 2.0, "ei": 3e5, "total_mass": 120.0,
+                  "n_elements": 6,
+                  "supports": [{"node": 3, "spring": 1e4, "damper": 50.0},
+                               {"node": 6, "damper": 20.0}],
+                  "point_loads": [{"node": 6, "direction": -1.0, "t_c": 2e-3, "f0": 300.0},
+                                  {"node": 3, "t_c": 5e-3, "f0": 100.0}]}},
     # a truncation order that is not an integer
     "mb-non-integral.json": {**CHAIN, "method": {"name": "per", "mb": 8.5, "rb": 4},
                              "t_max": 0.48},
@@ -190,6 +202,8 @@ CASES = {
     "simulate-chain-mpim-flags": ["simulate", "--config", "chain.json", "--method", "mpim",
                                   "--dt", "0.02", "--g", "3", "--p", "12", "--out", "out.csv"],
     "simulate-beam-supports": ["simulate", "--config", "beam-supports.json", "--out", "out.csv"],
+    **{f"simulate-beam-two-loads-{m}": ["simulate", "--config", "beam-two-loads.json",
+                                        "--method", m, "--out", "out.csv"] for m in METHODS},
     "simulate-mb-non-integral": ["simulate", "--config", "mb-non-integral.json",
                                  "--out", "out.csv"],
     "simulate-damper-infinite": ["simulate", "--config", "damper-infinite.json",
