@@ -103,9 +103,9 @@ def reference_solution(model: SystemModel, dt: float, t_max: float,
     arithmetic), and only every s-th fine state is computed.  ``g`` holds
     f_S, the load on its support S, at the 2s+1 half-step nodes of the s
     steps, and W folds in the [0; M^-1 E_S] of ``baselines.state_space``:
-    q = |S| numbers per node, with no mass solve.  s is refine unless
-    a W over all N dofs would hold more than per._BLOCK_FLOATS numbers;
-    then it is the largest divisor of refine whose W fits.
+    q = |S| numbers per node, with no mass solve.  s is refine, or the
+    largest divisor of refine that keeps the powers of R stacked by
+    _folded_rk4 below twice per._BLOCK_FLOATS numbers (``_fold_size``).
     """
     if refine < 1:
         raise ValueError("refine must be >= 1")
@@ -137,9 +137,11 @@ def reference_solution(model: SystemModel, dt: float, t_max: float,
 
 
 def _fold_size(refine, n_dof):
-    """Fine steps per folded step: the largest divisor of refine whose
-    (2N) x (2s+1)N weight matrix holds at most per._BLOCK_FLOATS numbers
-    (1 from N = 115 up)."""
+    """Fine steps per folded step: the largest divisor s of refine with
+    (2s+1) 2N^2 <= per._BLOCK_FLOATS (s = 1 from N = 115 up).  The folded
+    weights are only 2N x (2s+1)|S|: the rule bounds _folded_rk4's stack of
+    up to 2^ceil(log2 s) powers of order 2N, under 2 per._BLOCK_FLOATS
+    numbers (16 x 96 x 96 = 147,456 on the 48-dof beam at refine 500, s = 10)."""
     s_max = max(1, (per._BLOCK_FLOATS // (2 * n_dof * n_dof) - 1) // 2)
     return next(s for s in range(min(refine, s_max), 0, -1) if refine % s == 0)
 

@@ -333,35 +333,27 @@ def dump_config(config: RunConfig, path: str) -> None:
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def _summary(model, config: RunConfig, traj) -> dict:
-    pc = config.per_config()
-    rho = (traj.info["rho_beta_b"] if config.method_name() == "per"
-           else analysis.beta_radius_map(model, [config.dt], pc.m_b)[0][1])
-    bound = traj.info.get("dt_max_bound")  # a diverged PER run carries it
-    if bound is None:
-        bound = analysis._dt_max(model, pc.m_b)
-    return {
-        "rho_beta_b": rho,
-        "dt_max_bound": bound,
-        "diverged": traj.diverged,
-    }
-
-
 def cmd_simulate(args) -> int:
     config, model = _configured(args)
     out = args.out or config.out
     if out is None:
         raise ConfigError("no output path: pass --out or set 'out' in the config")
     method = config.method_name()
-    traj = bench.run_method(model, method, config.dt, config.t_max,
-                            per_config=config.per_config(),
+    pc = config.per_config()
+    traj = bench.run_method(model, method, config.dt, config.t_max, per_config=pc,
                             params=config.integrator_params())
     n = model.n_dof
     header = (["t"] + [f"u_{i+1}" for i in range(n)]
               + [f"v_{i+1}" for i in range(n)])
     write_csv(out, header, np.column_stack([traj.times, traj.displacements, traj.velocities]))
-    for key, val in _summary(model, config, traj).items():
-        print(f"{key}: {val}")
+    rho = (traj.info["rho_beta_b"] if method == "per"
+           else analysis.beta_radius_map(model, [config.dt], pc.m_b)[0][1])
+    bound = traj.info.get("dt_max_bound")  # a diverged PER run carries it
+    if bound is None:
+        bound = analysis._dt_max(model, pc.m_b)
+    print(f"rho_beta_b: {rho}")
+    print(f"dt_max_bound: {bound}")
+    print(f"diverged: {traj.diverged}")
     return EXIT_DIVERGENCE if traj.diverged else 0
 
 
@@ -376,15 +368,14 @@ def cmd_stability_map(args) -> int:
 
 def cmd_tau_limit(args) -> int:
     orders = _parse_list(args.m, int)
-    # the curve grid is checked before any tau line or file is written
+    # the curve grid and every order are checked before any tau line or file is written
     taus = analysis._grid(0.0, args.curve_max, args.curve_step) if args.curve_out else None
-    rows = []
-    for m in orders:
-        tl = analysis.tau_limit(m)
-        rows.append([m, tl, tl / (2.0 * np.pi)])
+    limits = [analysis.tau_limit(m) for m in orders]
+    for m, tl in zip(orders, limits):
         print(f"m={m}: tau_limit={tl:.5f}  tau_limit/2pi={tl / (2 * np.pi):.5f}")
     if args.out:
-        write_csv(args.out, ["m", "tau_limit", "tau_limit_over_2pi"], rows)
+        write_csv(args.out, ["m", "tau_limit", "tau_limit_over_2pi"],
+                  [[m, tl, tl / (2.0 * np.pi)] for m, tl in zip(orders, limits)])
     if args.curve_out:
         curve = []
         for m in orders:
@@ -457,16 +448,15 @@ def _configured(args) -> tuple[RunConfig, SystemModel]:
     """The run configuration of --config with the flag overrides applied,
     and its model."""
     config = load_config(args.config)
-    if getattr(args, "method", None):
+    if args.method:
         config.method_spec["name"] = args.method
-    if getattr(args, "dt", None) is not None:
+    if args.dt is not None:
         config.dt = args.dt
-    if getattr(args, "t_max", None) is not None:
+    if args.t_max is not None:
         config.t_max = args.t_max
     for flag in ("mb", "rb", "ma", "ra", "p", "g"):
-        val = getattr(args, flag, None)
-        if val is not None:
-            config.method_spec[flag] = val
+        if vars(args)[flag] is not None:
+            config.method_spec[flag] = vars(args)[flag]
     return config, config.build_model()
 
 
@@ -474,7 +464,15 @@ def _parse_list(text: str, kind) -> list:
     return [kind(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _add_override_flags(sub):
+def _add_config_command(subs, name: str, help_text: str, own: dict, out_help=None):
+    """Subcommand ``name``: --config, its ``own`` flags (flag -> add_argument
+    keywords), --out (required unless ``out_help`` is given) and the override
+    flags that _configured applies, in that order."""
+    sub = subs.add_parser(name, help=help_text)
+    sub.add_argument("--config", required=True)
+    for flag, kwargs in own.items():
+        sub.add_argument(flag, **kwargs)
+    sub.add_argument("--out", required=out_help is None, help=out_help)
     sub.add_argument("--method", help="integrator name override")
     sub.add_argument("--dt", type=float, help="time step override")
     sub.add_argument("--t-max", dest="t_max", type=float, help="end time override")
@@ -488,21 +486,17 @@ def _add_override_flags(sub):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The ``perdyn`` parser, built once per process.  Each subcommand's
-    ``func`` default is the name of its cmd_* function, which ``main`` looks
-    up at every call, so a cmd_* replaced after the first build (as a
-    tracer's wrapper) is still the one that runs."""
+    """The ``perdyn`` parser, built once per process.  ``main`` looks up the
+    subcommand's cmd_* function at every call, so a cmd_* replaced after the
+    first build (as a tracer's wrapper) is still the one that runs."""
     parser = argparse.ArgumentParser(
         prog="perdyn",
         description="Transient structural dynamics toolkit: perturbation "
                     "integrator, stability analysis and benchmarks")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sim = subs.add_parser("simulate", help="integrate one configuration, emit a trajectory CSV")
-    sim.add_argument("--config", required=True)
-    sim.add_argument("--out", help="CSV output path (overrides config)")
-    _add_override_flags(sim)
-    sim.set_defaults(func="cmd_simulate")
+    _add_config_command(subs, "simulate", "integrate one configuration, emit a trajectory CSV",
+                        {}, out_help="CSV output path (overrides config)")
 
     smap = subs.add_parser("stability-map", help="single-dof stability map of a(dt0)")
     smap.add_argument("--zeta", type=float, required=True)
@@ -511,7 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     smap.add_argument("--grid-max", dest="grid_max", type=float, default=0.9)
     smap.add_argument("--grid-step", dest="grid_step", type=float, default=2e-3)
     smap.add_argument("--out", required=True)
-    smap.set_defaults(func="cmd_stability_map")
 
     tl = subs.add_parser("tau-limit", help="admissible nondimensional step limits")
     tl.add_argument("--m", required=True, help="comma-separated even truncation orders")
@@ -520,23 +513,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also emit the eigenvalue-modulus curves (m, tau, |mu1|, |mu2|)")
     tl.add_argument("--curve-max", dest="curve_max", type=float, default=12.0)
     tl.add_argument("--curve-step", dest="curve_step", type=float, default=0.05)
-    tl.set_defaults(func="cmd_tau_limit")
 
-    swd = subs.add_parser("sweep-dt", help="global error vs time step")
-    swd.add_argument("--config", required=True)
-    swd.add_argument("--dts", required=True, help="comma-separated time steps")
-    swd.add_argument("--dof", type=int, default=0)
-    swd.add_argument("--out", required=True)
-    _add_override_flags(swd)
-    swd.set_defaults(func="cmd_sweep_dt")
+    _add_config_command(subs, "sweep-dt", "global error vs time step",
+                        {"--dts": dict(required=True, help="comma-separated time steps"),
+                         "--dof": dict(type=int, default=0)})
 
-    swz = subs.add_parser("sweep-damping", help="global error vs damping scale")
-    swz.add_argument("--config", required=True)
-    swz.add_argument("--zetas", required=True, help="comma-separated damping scales")
-    swz.add_argument("--dof", type=int, default=0)
-    swz.add_argument("--out", required=True)
-    _add_override_flags(swz)
-    swz.set_defaults(func="cmd_sweep_damping")
+    _add_config_command(subs, "sweep-damping", "global error vs damping scale",
+                        {"--zetas": dict(required=True, help="comma-separated damping scales"),
+                         "--dof": dict(type=int, default=0)})
 
     cost = subs.add_parser("cost-model", help="operation-count polynomials")
     cost.add_argument("--method", choices=["per", "mpim", "rk4"], required=True)
@@ -549,15 +533,10 @@ def build_parser() -> argparse.ArgumentParser:
     cost.add_argument("--rb", type=int, default=2)
     cost.add_argument("--g", type=int, default=4)
     cost.add_argument("--out")
-    cost.set_defaults(func="cmd_cost_model")
 
-    cmp_ = subs.add_parser("compare", help="run several methods, joined error CSV")
-    cmp_.add_argument("--config", required=True)
-    cmp_.add_argument("--methods", help="comma-separated subset (default: all)")
-    cmp_.add_argument("--dof", type=int, default=0)
-    cmp_.add_argument("--out", required=True)
-    _add_override_flags(cmp_)
-    cmp_.set_defaults(func="cmd_compare")
+    _add_config_command(subs, "compare", "run several methods, joined error CSV",
+                        {"--methods": dict(help="comma-separated subset (default: all)"),
+                         "--dof": dict(type=int, default=0)})
 
     return parser
 
@@ -565,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return globals()[args.func](args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

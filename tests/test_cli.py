@@ -392,21 +392,27 @@ class TestSimulate:
         ("per", ["--mb", "8"], {"mb": 8.0}),
     ], ids=["per", "mpim", "integral-float"])
     def test_override_flags_equal_config_keys(self, method, flags, keys, tmp_path, capsys):
+        # on each of the four --config commands
         doc = {"version": 1,
                "model": {"kind": "chain", "n_dof": 4, "dampers": [{"i": 0, "j": None, "c": 2.0}]},
                "force": {"kind": "constant-step", "dof": 1, "t_c": 0.05, "f0": 1.0},
-               "method": {"name": method}, "dt": 0.01, "t_max": 0.4}
+               "method": {}, "dt": 0.01, "t_max": 0.2}
         write_config(tmp_path / "flags.json", doc)
-        write_config(tmp_path / "keys.json", {**doc, "dt": 0.02,
+        write_config(tmp_path / "keys.json", {**doc, "dt": 0.02, "t_max": 0.4,
                                               "method": {"name": method, **keys}})
-        outputs = []
-        for name, extra in (("flags", ["--dt", "0.02", *flags]), ("keys", [])):
-            out = tmp_path / f"{name}.csv"
-            assert main(["simulate", "--config", str(tmp_path / f"{name}.json"),
-                         "--out", str(out), *extra]) == 0
-            outputs.append((out.read_bytes(), capsys.readouterr().out))
-        assert outputs[0] == outputs[1]
-        assert outputs[0][0].count(b"\n") == 22  # the header and 21 samples, dt 0.02
+        overrides = ["--method", method, "--dt", "0.02", "--t-max", "0.4", *flags]
+        for command, lines in ((["simulate"], 22),  # the header and 21 samples, dt 0.02
+                               (["compare"], 7),  # the header and six methods
+                               (["sweep-dt", "--dts", "0.01,0.02"], 3),
+                               (["sweep-damping", "--zetas", "0.5,1"], 3)):
+            outputs = []
+            for name, extra in (("flags", overrides), ("keys", [])):
+                out = tmp_path / f"{name}.csv"
+                assert main([*command, "--config", str(tmp_path / f"{name}.json"),
+                             "--out", str(out), *extra]) == 0
+                outputs.append((out.read_bytes(), capsys.readouterr().out))
+            assert outputs[0] == outputs[1], command
+            assert outputs[0][0].count(b"\n") == lines, command
 
     def test_beam_supports_and_point_loads(self):
         doc = {"version": 1, "dt": 1e-4, "t_max": 1e-3,
@@ -540,13 +546,18 @@ class TestAnalysisCommands:
 
 
     def test_tau_limit_checks_the_curve_grid_first(self, tmp_path, capsys):
-        # it printed the tau lines and wrote --out before the curve grid failed
+        # it printed the tau lines and wrote --out before the curve grid failed,
+        # and printed the lines of the orders before a rejected one
         out, curve = tmp_path / "tau.csv", tmp_path / "curve.csv"
-        assert main(["tau-limit", "--m", "2,4", "--out", str(out), "--curve-out", str(curve),
-                     "--curve-step", "0"]) == EXIT_VALIDATION
-        printed = capsys.readouterr()
-        assert printed.out == "" and printed.err == "error: grid parameters must be positive\n"
-        assert not out.exists() and not curve.exists()
+        for flags, message in (
+                (["--m", "2,4", "--curve-out", str(curve), "--curve-step", "0"],
+                 "grid parameters must be positive"),
+                (["--m", "2,3"], "truncation order must be an even integer >= 0, got 3"),
+                (["--m", "2,0"], "tau limit is undefined for m = 0 (constant spectral radius)")):
+            assert main(["tau-limit", *flags, "--out", str(out)]) == EXIT_VALIDATION, flags
+            printed = capsys.readouterr()
+            assert printed.out == "" and printed.err == f"error: {message}\n"
+            assert not out.exists() and not curve.exists()
 
 
 class TestParser:

@@ -5,7 +5,8 @@
 PARENT_SRC and CHANGE_SRC are directories that hold the ``perdyn`` package,
 such as the ``src`` directories of two checkouts.  The same fixed matrix of
 commands runs against each tree, in a fresh interpreter per tree with one
-BLAS thread, and every CSV, stdout, exit code and stderr that differs
+BLAS thread and ``COLUMNS=80`` (so that help text does not depend on the
+terminal), and every CSV, stdout, exit code and stderr that differs
 between the two is printed.  For a CSV whose header and row count agree,
 the largest difference of a numeric column relative to the peak of that
 column in the parent is printed too, so that a roundoff move can be read
@@ -64,7 +65,12 @@ The matrix:
   ``stability-map`` grids, one of them (zeta 0, m_a 8) with two stable runs
   whose second is bisected at both ends, and one of order m_a 0;
 - ``cost-model`` of the perturbation scheme, MPIM and RK4 at N 48, and of
-  the perturbation scheme at N -5.
+  the perturbation scheme at N -5;
+- ``tau-limit --m 2,3``, whose odd order is rejected;
+- ``perdyn --help`` and ``--help`` of each of the seven subcommands, at a
+  terminal width of 80 columns;
+- three usage errors that argparse reports: ``sweep-dt`` without ``--dts``,
+  ``compare`` without ``--config``, and ``simulate --bogus 1``.
 
 Each command runs through ``perdyn.cli.main`` in its own directory.  A
 warning is written to stderr as "Category: message", without the file and
@@ -176,6 +182,9 @@ CONFIGS = {
 
 SHORT = ["--t-max", "4"]
 
+SUBCOMMANDS = ("simulate", "stability-map", "tau-limit", "sweep-dt", "sweep-damping",
+               "cost-model", "compare")
+
 #: case name -> command-line arguments, run in a directory holding CONFIGS.
 CASES = {
     **{f"simulate-chain-{m}": ["simulate", "--config", "chain.json", "--method", m,
@@ -242,6 +251,13 @@ CASES = {
     **{f"cost-model-{m}": ["cost-model", "--method", m, "--n", "48", "--steps", "1000",
                            "--out", "out.csv"] for m in ("per", "mpim", "rk4")},
     "cost-model-invalid": ["cost-model", "--method", "per", "--n", "-5", "--out", "out.csv"],
+    "tau-limit-odd-order": ["tau-limit", "--m", "2,3", "--out", "out.csv"],
+    "help": ["--help"],
+    **{f"help-{command}": [command, "--help"] for command in SUBCOMMANDS},
+    "usage-sweep-dt-no-dts": ["sweep-dt", "--config", "chain.json", "--out", "out.csv"],
+    "usage-compare-no-config": ["compare", "--out", "out.csv"],
+    "usage-simulate-unknown-flag": ["simulate", "--config", "chain.json", "--bogus", "1",
+                                    "--out", "out.csv"],
 }
 
 #: Outputs of one case besides the files it writes.
@@ -342,7 +358,8 @@ def main(argv=None) -> int:
     if len(argv) != 2 or argv[0].startswith("-"):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "COLUMNS": "80"}
     with tempfile.TemporaryDirectory() as tmp:
         dirs = [os.path.join(tmp, label) for label in ("parent", "change")]
         for src, out_dir in zip(argv, dirs):
