@@ -367,7 +367,7 @@ def cmd_stability_map(args) -> int:
 
 
 def cmd_tau_limit(args) -> int:
-    orders = _parse_list(args.m, int)
+    orders = _parse_list(args.m, int, "--m")
     # the curve grid and every order are checked before any tau line or file is written
     taus = analysis._grid(0.0, args.curve_max, args.curve_step) if args.curve_out else None
     limits = [analysis.tau_limit(m) for m in orders]
@@ -388,7 +388,7 @@ def cmd_tau_limit(args) -> int:
 
 def cmd_sweep_dt(args) -> int:
     config, model = _configured(args)
-    dts = _parse_list(args.dts, float)
+    dts = _parse_list(args.dts, float, "--dts")
     rows = bench.sweep_dt(model, config.method_name(), dts, config.t_max,
                           args.dof, per_config=config.per_config(),
                           params=config.integrator_params(),
@@ -400,7 +400,7 @@ def cmd_sweep_dt(args) -> int:
 
 def cmd_sweep_damping(args) -> int:
     config, model = _configured(args)
-    zetas = _parse_list(args.zetas, float)
+    zetas = _parse_list(args.zetas, float, "--zetas")
     rows = bench.sweep_damping(model, zetas, config.dt, config.t_max, args.dof,
                                method=config.method_name(),
                                per_config=config.per_config(),
@@ -460,8 +460,13 @@ def _configured(args) -> tuple[RunConfig, SystemModel]:
     return config, config.build_model()
 
 
-def _parse_list(text: str, kind) -> list:
-    return [kind(tok) for tok in text.split(",") if tok.strip()]
+def _parse_list(text: str, kind, flag: str) -> list:
+    """The comma-separated values of ``flag``, blank items skipped; a list
+    with no value is a ConfigError."""
+    values = [kind(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise ConfigError(f"{flag} lists no value")
+    return values
 
 
 def _add_config_command(subs, name: str, help_text: str, own: dict, out_help=None):

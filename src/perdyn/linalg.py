@@ -10,7 +10,8 @@ from scipy.linalg import cho_factor, cho_solve
 
 
 #: Smallest matrix order whose doubling flushes underflowing entries, and
-#: the row-block size of the profile product above it.  The flush is an
+#: the row-block size of the profile products above it (the doubling's and
+#: per.recurrence's).  The flush is an
 #: O(N^2) pass: at order 24 it costs 4-12 us, against 7 us for the whole
 #: doubling, and the 12-dof chain and the 48-dof beam never hold a tiny
 #: entry.  Banded models do, below this order too: the 20 doublings of the
@@ -139,8 +140,8 @@ def double_increment(delta, p):
 def _profile_doubling(delta, p):
     """double_increment over the nonzero profile of ``delta``.
 
-    The state is first interleaved as (u_0, v_0, u_1, v_1, ...), so that
-    the four banded N x N blocks of a (u, v) increment form one band.  Row r
+    The state is first interleaved by _interleaved_profile, so that the
+    four banded N x N blocks of a (u, v) increment form one band.  Row r
     of the square is zero outside the columns that the rows in row r's
     nonzero span reach.  So each block R of _FLUSH_MIN_ORDER rows, whose
     rows span the columns K, is written as 2 delta[R, J] + delta[R, K] @
@@ -151,11 +152,8 @@ def _profile_doubling(delta, p):
     a block is zeroed only where its old window there leaves its new one.
     """
     n = delta.shape[0]
-    perm = np.argsort(np.arange(n) % ((n + 1) // 2), kind="stable")
+    perm, first, stop, blocks = _interleaved_profile(delta)
     delta = delta[np.ix_(perm, perm)]
-    first, stop = _spans(delta == 0.0, 0, n)
-    blocks = [slice(r0, min(r0 + _FLUSH_MIN_ORDER, n))
-              for r0 in range(0, n, _FLUSH_MIN_ORDER)]
     # each block's window in each buffer: slice(n, 0) is none, the seed's is all
     new = np.zeros_like(delta)
     held, held_new = [slice(0, n)] * len(blocks), [slice(n, 0)] * len(blocks)
@@ -184,6 +182,20 @@ def _profile_doubling(delta, p):
         delta, new, held, held_new = new, delta, windows, held
     back = np.argsort(perm)
     return delta[np.ix_(back, back)]
+
+
+def _interleaved_profile(mat):
+    """(perm, first, stop, blocks) of the square ``mat``: the interleaved
+    order perm = (u_0, v_0, u_1, v_1, ...), in which the four banded N x N
+    blocks of a (u, v) map form one band; the spans (see _spans) of the
+    nonzero entries of each row of mat[perm][:, perm], NaN and inf counting
+    as nonzero; and its row blocks of _FLUSH_MIN_ORDER rows, as slices.  The
+    mask, not the matrix, is permuted here: it is an eighth of the bytes."""
+    n = mat.shape[0]
+    perm = np.argsort(np.arange(n) % ((n + 1) // 2), kind="stable")
+    zero = (mat == 0.0).take(perm, axis=0).take(perm, axis=1)
+    blocks = [slice(r0, min(r0 + _FLUSH_MIN_ORDER, n)) for r0 in range(0, n, _FLUSH_MIN_ORDER)]
+    return (perm, *_spans(zero, 0, n), blocks)
 
 
 def _spans(zero, offset, n):

@@ -24,6 +24,8 @@ _PSD_RTOL = 1e-10
 def _check_finite_symmetric(mat, name):
     if not np.isfinite(mat).all():
         raise ValueError(f"{name} matrix must be finite")
+    if np.array_equal(mat, mat.T):  # exactly symmetric: no deviation to measure
+        return
     dev = np.abs(mat - mat.T).max()
     scale = max(np.abs(mat).max(), 1.0)
     if dev > _SYM_RTOL * scale:

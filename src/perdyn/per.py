@@ -19,9 +19,9 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .linalg import (MAX_NEUMANN_ORDER, MAX_SERIES_ORDER, DivergenceError, _check_order,
-                     _neumann_columns, _reduced_step, double_increment, spd_solver,
-                     spectral_radius)
+from .linalg import (_FLUSH_MIN_ORDER, MAX_NEUMANN_ORDER, MAX_SERIES_ORDER, DivergenceError,
+                     _check_order, _interleaved_profile, _neumann_columns, _reduced_step,
+                     double_increment, spd_solver, spectral_radius)
 from .model import StateVector, SystemModel, _load_sampler
 
 _DIVERGENCE_FACTOR = 1e12
@@ -478,17 +478,31 @@ def recurrence(phi, x0, dt, n_steps, sample, offsets, weights, ref_scale):
     its samples in one call, forms all its forcing rows in one stacked
     product (one matrix-vector product per row, the arithmetic of
     ``weights @ g_k``), then steps phi U_k plus that row, and checks the
-    guard once on all its states.  The states equal those of the
-    step-by-step loop bit for bit; after a stop, at most the rest of its
+    guard once on all its states; after a stop, at most the rest of its
     block has been computed and is dropped.
+
+    A phi with a narrow nonzero profile (see _profile_blocks) is stepped
+    over that profile: the states and the rows of weights are taken in the
+    interleaved order (u_0, v_0, u_1, v_1, ...), each step adds one product
+    phi[R, K] U_k[K] per row block R to the forcing rows (zero if unforced),
+    and the states are put back in the (u, v) order once, at the end.  Its
+    states equal those of the same step-by-step block loop bit for bit, and
+    those of the dense loop to roundoff: the products skip only exact zeros,
+    but sum in another order.  Every other phi is stepped by one dense
+    product per step, and its states equal those of the step-by-step dense
+    loop bit for bit.
     """
     if np.shape(x0) != phi.shape[:1]:
         raise ValueError(f"initial state must have length {phi.shape[0]}")
     states = np.zeros((n_steps + 1, phi.shape[0]))
     states[0] = x0
     ref_norm = np.linalg.norm(states[0])
+    perm, blocks = _profile_blocks(phi)
+    if blocks is not None:  # states and forcing rows in the interleaved order
+        states[0] = states[0][perm]
+        weights = None if sample is None else weights[perm]
     width = len(x0) if sample is None else max(len(x0), weights.shape[1])
-    block = max(1, _BLOCK_FLOATS // width)
+    block, stop = max(1, _BLOCK_FLOATS // width), None
     for k0 in range(0, n_steps, block):
         k1 = min(k0 + block, n_steps)
         new = states[k0 + 1:k1 + 1]
@@ -497,21 +511,48 @@ def recurrence(phi, x0, dt, n_steps, sample, offsets, weights, ref_scale):
         # reports the stop, the rest of the block is dropped
         with np.errstate(over="ignore", invalid="ignore"):
             if g is None:
-                for x, nxt in zip(states[k0:k1], new):
-                    np.matmul(phi, x, out=nxt)
                 refs = ref_norm
             else:
                 np.matmul(weights, g[:, :, None], out=new[:, :, None])
-                for x, nxt in zip(states[k0:k1], new):
-                    nxt += phi @ x
                 refs = np.cumsum(np.concatenate([[ref_norm], ref_scale * _row_norms(g)]))[1:]
                 ref_norm = refs[-1]
+            if blocks is not None:  # the rows of new hold their forcing, or zero
+                for x, nxt in zip(states[k0:k1], new):
+                    for rows, cols, phi_block in blocks:
+                        nxt[rows] += phi_block @ x[cols]
+            elif g is None:
+                for x, nxt in zip(states[k0:k1], new):
+                    np.matmul(phi, x, out=nxt)
+            else:
+                for x, nxt in zip(states[k0:k1], new):
+                    nxt += phi @ x
             norms = _row_norms(new)
             bad = ~np.isfinite(norms) | (norms > _DIVERGENCE_FACTOR * np.maximum(refs, 1e-30))
         if bad.any():
             stop = k0 + 1 + int(bad.argmax())
-            return states[:stop + 1], stop
-    return states, None
+            states = states[:stop + 1]
+            break
+    if blocks is not None:  # back in the (u, v) order
+        states = states[:, np.argsort(perm)]
+    return states, stop
+
+
+def _profile_blocks(phi):
+    """(perm, blocks) of the profile loop of ``recurrence``, (None, None)
+    where the dense loop runs.  perm is the interleaved order of
+    linalg._interleaved_profile, and blocks holds (rows, cols, phi[rows,
+    cols]) in that order, a contiguous copy for each row block with a
+    nonzero entry, over the columns of its nonzero window.  The profile loop
+    runs on a phi of order above _FLUSH_MIN_ORDER with a zero entry whose
+    windows cover at most half of it."""
+    n = phi.shape[0]
+    if n <= _FLUSH_MIN_ORDER or (phi != 0.0).all():
+        return None, None
+    perm, first, stop, rows = _interleaved_profile(phi)
+    blocks = [(r, slice(first[r].min(), stop[r].max())) for r in rows if first[r].min() < n]
+    if 2 * sum((r.stop - r.start) * (c.stop - c.start) for r, c in blocks) > n * n:
+        return None, None
+    return perm, [(r, c, phi.take(perm[r], axis=0).take(perm[c], axis=1)) for r, c in blocks]
 
 
 def _row_norms(rows):

@@ -285,6 +285,45 @@ def step_loop(phi, x0, dt, n_steps, sample, offsets, weights, ref_scale):
     return states, None
 
 
+def profile_step_loop(phi, x0, dt, n_steps, sample, offsets, weights, ref_scale):
+    """``step_loop`` over the nonzero profile of phi, of even order n: phi,
+    the state and the rows of weights taken in the order (x_0, x_h, x_1,
+    x_{h+1}, ...) with h = n/2, and each step the forcing row plus, for
+    each block of 128 rows with a nonzero entry, that block times the state
+    between its first and last nonzero column.  The guard is step_loop's,
+    on the initial norm in the given order.  Returns (states in the given
+    order, step at which it stopped or None)."""
+    n = len(x0)
+    assert n % 2 == 0
+    perm = np.stack([np.arange(n // 2), n // 2 + np.arange(n // 2)], axis=1).ravel()
+    p = phi[np.ix_(perm, perm)]
+    blocks = []
+    for r0 in range(0, n, 128):
+        rows = slice(r0, min(r0 + 128, n))
+        nonzero = np.flatnonzero((p[rows] != 0.0).any(axis=0))
+        if len(nonzero):
+            cols = slice(nonzero[0], nonzero[-1] + 1)
+            blocks.append((rows, cols, np.ascontiguousarray(p[rows, cols])))
+    states = np.zeros((n_steps + 1, n))
+    states[0] = np.asarray(x0)[perm]
+    ref_norm = np.linalg.norm(x0)
+    stop = None
+    for k in range(n_steps):
+        nxt = np.zeros(n)
+        if sample is not None:
+            g_k = np.concatenate([sample(k * dt + off) for off in offsets])
+            nxt = weights[perm] @ g_k
+            ref_norm += ref_scale * np.linalg.norm(g_k)
+        for rows, cols, block in blocks:
+            nxt[rows] += block @ states[k, cols]
+        states[k + 1] = nxt
+        norm = np.linalg.norm(nxt)
+        if not np.isfinite(norm) or norm > 1e12 * max(ref_norm, 1e-30):
+            states, stop = states[:k + 2], k + 1
+            break
+    return states[:, np.argsort(perm)], stop
+
+
 def doubling_unflushed(delta, p):
     """exp(Wt) - I from exp(Wt/2^p) - I by p plain doublings
     delta <- 2 delta + delta @ delta, keeping every entry however small."""

@@ -559,6 +559,14 @@ class TestAnalysisCommands:
             assert printed.out == "" and printed.err == f"error: {message}\n"
             assert not out.exists() and not curve.exists()
 
+    def test_tau_limit_rejects_an_empty_order_list(self, tmp_path, capsys):
+        # "--m ," exited 0 and wrote a CSV that held only its header
+        out = tmp_path / "tau.csv"
+        assert main(["tau-limit", "--m", ",", "--out", str(out)]) == EXIT_VALIDATION
+        printed = capsys.readouterr()
+        assert printed.out == "" and printed.err == "error: --m lists no value\n"
+        assert not out.exists()
+
 
 class TestParser:
     def test_built_once_and_reused_after_a_failed_parse(self, tmp_path, capsys):
@@ -625,6 +633,17 @@ class TestSweepCommands:
         assert header == ["zeta", "damping_level", "e_disp", "e_vel",
                           "rho_beta_b", "diverged"]
         assert float(rows[0][4]) == 0.0
+
+    @pytest.mark.parametrize("command, flag", [("sweep-dt", "--dts"),
+                                               ("sweep-damping", "--zetas")])
+    def test_empty_list_rejected(self, sdof_config, tmp_path, capsys, command, flag):
+        # a list of blank items exited 0 and wrote a CSV that held only its header
+        out = tmp_path / "sweep.csv"
+        assert main([command, "--config", str(sdof_config), flag, ", ,",
+                     "--out", str(out)]) == EXIT_VALIDATION
+        printed = capsys.readouterr()
+        assert printed.out == "" and printed.err == f"error: {flag} lists no value\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [
         ["compare", "--methods", "per,newmark,rk4"],

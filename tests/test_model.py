@@ -197,6 +197,17 @@ class TestSystemModelValidation:
         with pytest.raises(ValueError, match="symmetric"):
             SystemModel(mass, np.zeros((2, 2)), np.eye(2))
 
+    def test_symmetry_message_and_tolerance(self):
+        # an exact transpose skips the deviation; any other matrix is measured
+        # against 1e-12 of its peak, as before the exact test
+        mass = np.array([[1.0, 0.5], [0.0, 1.0]])
+        with pytest.raises(ValueError) as exc:
+            SystemModel(mass, np.zeros((2, 2)), np.eye(2))
+        assert str(exc.value) == "mass matrix is not symmetric (deviation 5.000e-01)"
+        near = np.array([[2.0, 0.5], [0.5 + 1e-13, 2.0]])
+        assert not np.array_equal(near, near.T)
+        assert SystemModel(np.eye(2), np.zeros((2, 2)), near).stiffness[1, 0] == near[1, 0]
+
     def test_indefinite_mass_rejected(self):
         mass = np.diag([1.0, -1.0])
         with pytest.raises(ValueError, match="positive definite"):

@@ -13,7 +13,7 @@ from oracles import (companion_matrix, damped_free_vibration, dense_scheme, dens
                      doubling_dense_flushed, doubling_unflushed, expm_eig,
                      gauss_panel_integral, increment_at_reduced_step_i_rounded,
                      lagrange_cubic_basis, l2_norm, mass_solved_sampler,
-                     profile_doubling_fresh_buffer,
+                     profile_doubling_fresh_buffer, profile_step_loop,
                      rotation_propagator, sdof_model, step_loop,
                      system_operators_every_column, undamped_step_increment_eye_first)
 from scipy.linalg import cho_factor, cho_solve
@@ -23,7 +23,7 @@ from perdyn import linalg
 from perdyn.analysis import beta_radius_map, dt_bound
 from perdyn.baselines import expm_2p, state_space
 from perdyn.linalg import (DivergenceError, double_increment, neumann_sum,
-                           spd_solver)
+                           spd_solver, spectral_radius)
 from perdyn.model import (SystemModel, benchmark_beam, benchmark_chain, build_chain,
                           constant_step_force, damping_level)
 
@@ -1046,6 +1046,132 @@ class TestBlockedForcing:
             traj = per.integrate(benchmark_chain(3.0).with_force(force), config, 70.0)
         assert traj.diverged
         assert traj.info["diverged_at_step"] == traj.n_steps == 1
+
+
+def banded_map(n_dof, scale, skip=0):
+    """scale * [[T, 0.2 T], [-0.2 T, T]], T = tridiag(0.25, 0.6, 0.25) of order
+    n_dof with its first ``skip`` rows zero: banded in the interleaved order."""
+    t = 0.6 * np.eye(n_dof) + 0.25 * (np.eye(n_dof, k=1) + np.eye(n_dof, k=-1))
+    t[:skip] = 0.0
+    return scale * np.kron(np.array([[1.0, 0.2], [-0.2, 1.0]]), t)
+
+
+class TestProfileLoop:
+    """A step map with a narrow nonzero profile is stepped one row block at
+    a time over that profile; every other map keeps the dense loop."""
+
+    N = 480
+    STEPS = 100
+
+    @pytest.fixture(scope="class")
+    def chain480(self):
+        # the setup-scaling chain at 0.8 dt_max, and a copy with a step load
+        # at its far end; both take the same a
+        model = benchmark_chain(0.1, self.N).with_initial_state(
+            1e-2 * np.sin(np.arange(self.N) + 1.0), None)
+        config = per.PerConfig(dt=0.8 * dt_bound(model, 8).dt_max, m_b=8)
+        forced = model.with_force(constant_step_force(self.N, self.N - 1, 5 * config.dt, 3.0))
+        return model, forced, config, per.build_scheme(forced, config)
+
+    @staticmethod
+    def near(got, want):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_chain480_unforced_near_the_dense_loop(self, chain480):
+        model, _, config, scheme = chain480
+        assert per._profile_blocks(scheme.a)[1] is not None
+        traj = per.integrate(model, config, self.STEPS * config.dt)
+        states, stop = step_loop(scheme.a, np.concatenate([model.u0, model.v0]), config.dt,
+                                 self.STEPS, None, (), None, 0.0)
+        assert stop is None and traj.n_steps == self.STEPS and not traj.diverged
+        self.near(np.hstack([traj.displacements, traj.velocities]), states)
+
+    def test_chain480_forced_near_the_dense_loop(self, chain480):
+        _, model, config, scheme = chain480
+        traj = per.integrate(model, config, self.STEPS * config.dt)
+        factor = cho_factor(model.mass)
+        states, stop = step_loop(scheme.a, np.concatenate([model.u0, model.v0]), config.dt,
+                                 self.STEPS, lambda t: cho_solve(factor, model.force_at(t)),
+                                 per._per_offsets(config.dt), scheme.neumann_b @ scheme.l_b,
+                                 np.linalg.norm(scheme.l_b, 2))
+        assert stop is None and traj.n_steps == self.STEPS and not traj.diverged
+        assert np.abs(states[-1, self.N - 1]) > 10.0 * np.abs(states[0, self.N - 1])
+        self.near(np.hstack([traj.displacements, traj.velocities]), states)
+
+    def test_growing_map_stops_at_the_dense_step(self):
+        phi = banded_map(200, 1.0)
+        assert spectral_radius(phi) > 1.1 and per._profile_blocks(phi)[1] is not None
+        x0 = np.random.default_rng(3).standard_normal(400)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, got_stop = per.recurrence(phi, x0, 1.0, 1000, None, (), None, 0.0)
+        states, stop = step_loop(phi, x0, 1.0, 1000, None, (), None, 0.0)
+        assert 100 < stop < 1000 and got_stop == len(got) - 1 == stop
+        assert np.abs(got - states).max() <= 1e-12 * np.abs(states).max()
+
+    def test_nan_sample_ends_the_run(self):
+        n, dt = 200, 0.2
+        offsets = per._per_offsets(dt)
+        rows = np.eye(n)
+        model = build_chain(n, 1.0, 100.0).with_force(
+            lambda t: rows[7] * (np.nan if t > 30.05 else np.cos(t)))
+        phi = banded_map(n, 0.5)
+        weights = np.random.default_rng(11).standard_normal((2 * n, 4 * n))
+        x0 = np.random.default_rng(12).standard_normal(2 * n)
+        got, got_stop = per.recurrence(phi, x0, dt, 400,
+                                       mass_solved_sampler(model, spd_solver(model.mass)),
+                                       offsets, weights, 1.0)
+        factor = cho_factor(model.mass)
+        states, stop = step_loop(phi, x0, dt, 400,
+                                 lambda t: cho_solve(factor, model.force_at(t), check_finite=False),
+                                 offsets, weights, 1.0)
+        assert stop == 151 and got_stop == len(got) - 1 == stop
+        assert np.isfinite(got[:-1]).all() and np.isnan(got[-1]).all()
+        assert np.abs(got[:-1] - states[:-1]).max() <= 1e-12 * np.abs(states[:-1]).max()
+
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_equals_its_step_by_step_block_loop(self, forced, monkeypatch):
+        # the first row block is zero and skipped; the samples come in
+        # blocks of 16 steps
+        monkeypatch.setattr(per, "_BLOCK_FLOATS", 16 * 600)
+        n, dt = 150, 0.2
+        phi = banded_map(n, 0.99, skip=64)
+        assert len(per._profile_blocks(phi)[1]) == 2
+        rng = np.random.default_rng(4)
+        x0 = rng.standard_normal(2 * n)
+        forcing = (None, (), None, 0.0)
+        if forced:
+            model = build_chain(n, 1.0, 100.0).with_force(
+                lambda t: np.eye(n)[3] * np.sin(2.0 * t))
+            factor = cho_factor(model.mass)
+            forcing = (lambda t: cho_solve(factor, model.force_at(t)), per._per_offsets(dt),
+                       rng.standard_normal((2 * n, 4 * n)), 1.0)
+        states, stop = profile_step_loop(phi, x0, dt, 100, *forcing)
+        if forced:
+            forcing = (mass_solved_sampler(model, spd_solver(model.mass)), *forcing[1:])
+        got, got_stop = per.recurrence(phi, x0, dt, 100, *forcing)
+        assert stop is None is got_stop
+        assert np.array_equal(got, states)
+
+    @pytest.mark.parametrize("case", ["beam", "chain12", "no-zero", "wide-band"])
+    def test_dense_loop_bit_for_bit(self, case):
+        rng = np.random.default_rng(6)
+        if case == "beam":
+            phi = per.build_scheme(benchmark_beam(), per.PerConfig(dt=2e-5, m_b=8)).a
+        elif case == "chain12":
+            phi = per.build_scheme(build_chain(12, 1.0, 100.0, [(0, None, 2.0), (1, 2, 2.0)]),
+                                   per.PerConfig(dt=0.024, m_b=8)).a
+        elif case == "no-zero":
+            phi = 0.9 * np.eye(300) + 1e-3 * rng.random((300, 300))
+        else:  # zero entries, but windows that cover all but 0.3% of phi
+            phi = 0.3 * banded_map(150, 1.0) + sum(
+                0.01 * np.eye(300, k=k) for k in range(-40, 40))
+        assert per._profile_blocks(phi) == (None, None)
+        x0 = rng.standard_normal(len(phi))
+        got, got_stop = per.recurrence(phi, x0, 0.1, 300, None, (), None, 0.0)
+        states, stop = step_loop(phi, x0, 0.1, 300, None, (), None, 0.0)
+        assert got_stop == stop
+        assert np.array_equal(got, states)
 
 
 class TestPerConfigValidation:

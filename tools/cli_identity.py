@@ -28,6 +28,12 @@ The matrix:
 - ``simulate`` of the perturbation scheme and of MPIM on the unforced
   ``{"kind": "chain", "zeta": 0.1, "n_dof": 96}`` from a nonzero ``u0``
   (dt 0.2, t_max 4): order 192, so both doublings take the profile product;
+- ``simulate`` of the perturbation scheme on the unforced
+  ``{"kind": "chain", "zeta": 0.1, "n_dof": 480}`` (dt 0.2, t_max 1): its
+  step map covers a third of its order-960 square, so the step loop runs
+  over the map's nonzero profile.  ``u0`` alternates in sign with a size of
+  0.5e-2 to 1.5e-2 at every dof, so that no column of the CSV peaks near
+  zero, where a roundoff move would read large against the column's peak;
 - ``simulate`` of two malformed configs: a ``{"kind": "chain"}`` model
   with neither ``n_dof`` nor ``zeta``, and an ``out`` that is the number 5
   (always run with ``--out``, so that no tree opens a file descriptor);
@@ -66,7 +72,8 @@ The matrix:
   whose second is bisected at both ends, and one of order m_a 0;
 - ``cost-model`` of the perturbation scheme, MPIM and RK4 at N 48, and of
   the perturbation scheme at N -5;
-- ``tau-limit --m 2,3``, whose odd order is rejected;
+- ``tau-limit --m 2,3``, whose odd order is rejected, and ``tau-limit --m ,``,
+  whose list holds no order;
 - ``perdyn --help`` and ``--help`` of each of the seven subcommands, at a
   terminal width of 80 columns;
 - three usage errors that argparse reports: ``sweep-dt`` without ``--dts``,
@@ -126,6 +133,11 @@ CONFIGS = {
     "chain96.json": {"version": 1, "model": {"kind": "chain", "zeta": 0.1, "n_dof": 96},
                      "dt": 0.2, "t_max": 4.0,
                      "u0": [1e-2 * math.sin(i + 1.0) for i in range(96)]},
+    # the 480-dof benchmark chain, unforced: its step map has a narrow profile
+    "chain480.json": {"version": 1, "model": {"kind": "chain", "zeta": 0.1, "n_dof": 480},
+                      "dt": 0.2, "t_max": 1.0,
+                      "u0": [1e-2 * (-1) ** i * (1.0 + 0.5 * math.sin(i + 1.0))
+                             for i in range(480)]},
     # a chain without n_dof or zeta: a validation error
     "missing-key.json": {"version": 1, "model": {"kind": "chain"}, "dt": 0.024,
                          "t_max": 0.48},
@@ -199,6 +211,7 @@ CASES = {
                               "--out", "out.csv"],
     **{f"simulate-chain96-{m}": ["simulate", "--config", "chain96.json", "--method", m,
                                  "--out", "out.csv"] for m in ("per", "mpim")},
+    "simulate-chain480-per": ["simulate", "--config", "chain480.json", "--out", "out.csv"],
     "simulate-missing-key": ["simulate", "--config", "missing-key.json", "--out", "out.csv"],
     "simulate-out-not-string": ["simulate", "--config", "out-not-string.json",
                                 "--out", "out.csv"],
@@ -252,6 +265,7 @@ CASES = {
                            "--out", "out.csv"] for m in ("per", "mpim", "rk4")},
     "cost-model-invalid": ["cost-model", "--method", "per", "--n", "-5", "--out", "out.csv"],
     "tau-limit-odd-order": ["tau-limit", "--m", "2,3", "--out", "out.csv"],
+    "tau-limit-empty": ["tau-limit", "--m", ",", "--out", "out.csv"],
     "help": ["--help"],
     **{f"help-{command}": [command, "--help"] for command in SUBCOMMANDS},
     "usage-sweep-dt-no-dts": ["sweep-dt", "--config", "chain.json", "--out", "out.csv"],
