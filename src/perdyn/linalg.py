@@ -9,21 +9,17 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 
-#: Smallest matrix order whose doubling flushes underflowing entries, and
-#: the row-block size of the profile products above it (the doubling's and
-#: per.recurrence's).  The flush is an
-#: O(N^2) pass: at order 24 it costs 4-12 us, against 7 us for the whole
-#: doubling, and the 12-dof chain and the 48-dof beam never hold a tiny
-#: entry.  Banded models do, below this order too: the 20 doublings of the
-#: 48-dof benchmark chain (order 96) took 5.93 ms unflushed and 0.72 ms
-#: flushed.  Above this order, a seed with a zero entry is squared over its
-#: nonzero profile, one block of this many rows at a time (see
-#: _profile_doubling); an increment of one block, or a seed without a zero
-#: entry, keeps the dense product and its bits.  The 20 doublings of the
-#: benchmark chain at 0.8 dt_max, m_b = 8, dense -> profile, medians of 11
-#: alternating runs, twice: N = 96 (order 192) 6.7-10.1 -> 8.1-12.3 ms, N = 240
-#: 110-129 -> 46-55 ms, N = 480 787-824 -> 130-135 ms (one OpenBLAS thread).
+#: Smallest matrix order whose doubling flushes underflowing entries, and the
+#: row-block height of per.recurrence's profile loop.  At order 24 the O(N^2)
+#: flush pass costs as much as the whole doubling, and the 12-dof chain and
+#: the 48-dof beam hold no tiny entry; the 20 doublings of the 48-dof
+#: benchmark chain (order 96) took 5.93 ms unflushed and 0.72 ms flushed.
 _FLUSH_MIN_ORDER = 128
+
+#: Row-block height of the profile doubling (see _profile_doubling): the
+#: benchmark chain's increment at N = 480 has an interleaved half-bandwidth of
+#: 11 to 127, and 48 rows beat 32 at N = 96, 240 and 480, and 128 at 240 and 480.
+_DOUBLING_ROWS = 48
 
 #: Flush threshold relative to the largest entry: the product of two kept
 #: entries stays above the smallest normal number.
@@ -140,22 +136,22 @@ def double_increment(delta, p):
 def _profile_doubling(delta, p):
     """double_increment over the nonzero profile of ``delta``.
 
-    The state is first interleaved by _interleaved_profile, so that the
-    four banded N x N blocks of a (u, v) increment form one band.  Row r
-    of the square is zero outside the columns that the rows in row r's
-    nonzero span reach.  So each block R of _FLUSH_MIN_ORDER rows, whose
-    rows span the columns K, is written as 2 delta[R, J] + delta[R, K] @
-    delta[K, J], where J spans the rows in K and R; the rest of R is zero.
-    The flush threshold is taken from the largest magnitude of the whole
-    square, ignoring NaN.  NaN and inf count as nonzero.  Besides the
-    caller's seed, two full-size buffers are alive, swapped at each doubling;
-    a block is zeroed only where its old window there leaves its new one.
-    """
+    In the interleaved order (see _interleave) the four banded N x N blocks
+    of a (u, v) increment form one band, and row r of the square is zero
+    outside the columns that the rows in row r's nonzero span reach.  So
+    each block R of _DOUBLING_ROWS rows, whose rows span the columns K, is
+    2 delta[R, J] + delta[R, K] @ delta[K, J], J spanning the rows in K and
+    R; the rest of R is zero.  The flush threshold comes from the largest
+    magnitude of the whole square, ignoring NaN; NaN and inf count as
+    nonzero.  Two full-size buffers take turns as the square, each block
+    zeroed only where its old window there leaves its new one, and a float
+    and a bool scratch of one block hold every temporary."""
     n = delta.shape[0]
-    perm, first, stop, blocks = _interleaved_profile(delta)
-    delta = delta[np.ix_(perm, perm)]
+    delta, new = _interleave(delta, np.empty((n, n))), np.zeros((n, n))
+    blocks = [slice(r0, min(r0 + _DOUBLING_ROWS, n)) for r0 in range(0, n, _DOUBLING_ROWS)]
+    first, stop = np.concatenate([_spans(delta[rows] == 0.0, 0, n) for rows in blocks], axis=1)
+    scratch, small = np.empty((_DOUBLING_ROWS, n)), np.empty((_DOUBLING_ROWS, n), dtype=bool)
     # each block's window in each buffer: slice(n, 0) is none, the seed's is all
-    new = np.zeros_like(delta)
     held, held_new = [slice(0, n)] * len(blocks), [slice(n, 0)] * len(blocks)
     for _ in range(p):
         windows, peak = [slice(n, 0)] * len(blocks), 0.0
@@ -167,35 +163,44 @@ def _profile_doubling(delta, p):
             cols = windows[i] = slice(min(k0, first[k0:k1].min()), max(k1, stop[k0:k1].max()))
             new[rows, old.start:cols.start] = 0.0
             new[rows, cols.stop:old.stop] = 0.0
-            window = new[rows, cols]
+            window, part = new[rows, cols], np.s_[:rows.stop - rows.start, :cols.stop - cols.start]
             np.matmul(delta[rows, k0:k1], delta[k0:k1, cols], out=window)
-            window += 2.0 * delta[rows, cols]
-            peak = max(peak, np.fmax.reduce(window, axis=None),
-                       -np.fmin.reduce(window, axis=None))
+            window += np.multiply(delta[rows, cols], 2.0, out=scratch[part])
+            peak = max(peak, np.fmax.reduce(np.abs(window, out=scratch[part]), axis=None))
         tol = _FLUSH_REL * peak
         for rows, cols in zip(blocks, windows):
             if cols.start < cols.stop:
                 window = new[rows, cols]
-                small = np.abs(window) < tol
-                window[small] = 0.0
-                first[rows], stop[rows] = _spans(small, cols.start, n)
+                part = np.s_[:len(window), :window.shape[1]]
+                mask = np.less(np.abs(window, out=scratch[part]), tol, out=small[part])
+                np.copyto(window, 0.0, where=mask)
+                first[rows], stop[rows] = _spans(mask, cols.start, n)
         delta, new, held, held_new = new, delta, windows, held
-    back = np.argsort(perm)
-    return delta[np.ix_(back, back)]
+    return _interleave(delta, new, back=True)
+
+
+def _interleave(mat, out, back=False):
+    """``out`` set to mat[perm][:, perm], perm = _interleaved_order(n), by four
+    strided copies; with ``back``, to the inverse."""
+    h = (mat.shape[0] + 1) // 2
+    halves = [(slice(0, h), slice(0, None, 2)), (slice(h, None), slice(1, None, 2))]
+    for (rows, every_2nd_row), (cols, every_2nd_col) in [(x, y) for x in halves for y in halves]:
+        plain, strided = (rows, cols), (every_2nd_row, every_2nd_col)
+        out[plain if back else strided] = mat[strided if back else plain]
+    return out
+
+
+def _interleaved_order(n):
+    """The interleaved order (u_0, v_0, u_1, v_1, ...) of n states."""
+    return np.argsort(np.arange(n) % ((n + 1) // 2), kind="stable")
 
 
 def _interleaved_profile(mat):
-    """(perm, first, stop, blocks) of the square ``mat``: the interleaved
-    order perm = (u_0, v_0, u_1, v_1, ...), in which the four banded N x N
-    blocks of a (u, v) map form one band; the spans (see _spans) of the
-    nonzero entries of each row of mat[perm][:, perm], NaN and inf counting
-    as nonzero; and its row blocks of _FLUSH_MIN_ORDER rows, as slices.  The
-    mask, not the matrix, is permuted here: it is an eighth of the bytes."""
-    n = mat.shape[0]
-    perm = np.argsort(np.arange(n) % ((n + 1) // 2), kind="stable")
-    zero = (mat == 0.0).take(perm, axis=0).take(perm, axis=1)
-    blocks = [slice(r0, min(r0 + _FLUSH_MIN_ORDER, n)) for r0 in range(0, n, _FLUSH_MIN_ORDER)]
-    return (perm, *_spans(zero, 0, n), blocks)
+    """(perm, first, stop): the interleaved order of ``mat`` and the spans (see
+    _spans) of the nonzero entries of each row of mat[perm][:, perm], NaN and
+    inf counting as nonzero, from the permuted mask, an eighth of the bytes."""
+    perm = _interleaved_order(mat.shape[0])
+    return (perm, *_spans((mat == 0.0).take(perm, axis=0).take(perm, axis=1), 0, mat.shape[0]))
 
 
 def _spans(zero, offset, n):

@@ -15,6 +15,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.linalg import cholesky, eigh
 
+from .linalg import spd_solver, spectral_radius
+
 ForceFunction = Callable[[float], np.ndarray]
 
 _SYM_RTOL = 1e-12
@@ -364,13 +366,14 @@ def modal_analysis(model: SystemModel) -> ModalData:
 
 
 def _spectral_extremes(model: SystemModel) -> tuple[float, float]:
-    """(omega_max, rho(M^-1 C)) from two eigenvalue-only solves of the
-    pencils (K, M) and (C, M).  Never raises: omega_max is 0 for a model
-    without stiffness, and each caller decides what that means."""
+    """(omega_max, rho(M^-1 C)) from the eigenvalues of the pencil (K, M) and of
+    the block [s, s] of M^-1 C, s the damped dofs, which holds all its nonzero
+    eigenvalues.  Never raises: omega_max is 0 for a model without stiffness,
+    and each caller decides what that means."""
     stiff_vals = eigh(model.stiffness, model.mass, eigvals_only=True)
-    damp_vals = eigh(model.damping, model.mass, eigvals_only=True)
+    s = np.flatnonzero((model.damping != 0.0).any(axis=0))
     return (float(np.sqrt(max(stiff_vals.max(), 0.0))),
-            float(np.abs(damp_vals).max()))
+            spectral_radius(spd_solver(model.mass)(model.damping[:, s])[s]))
 
 
 def damping_level(model: SystemModel) -> float:

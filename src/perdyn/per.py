@@ -20,8 +20,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .linalg import (_FLUSH_MIN_ORDER, MAX_NEUMANN_ORDER, MAX_SERIES_ORDER, DivergenceError,
-                     _check_order, _interleaved_profile, _neumann_columns, _reduced_step,
-                     double_increment, spd_solver, spectral_radius)
+                     _check_order, _interleaved_order, _interleaved_profile, _neumann_columns,
+                     _reduced_step, _spans, double_increment, spd_solver, spectral_radius)
 from .model import StateVector, SystemModel, _load_sampler
 
 _DIVERGENCE_FACTOR = 1e12
@@ -539,17 +539,24 @@ def recurrence(phi, x0, dt, n_steps, sample, offsets, weights, ref_scale):
 
 def _profile_blocks(phi):
     """(perm, blocks) of the profile loop of ``recurrence``, (None, None)
-    where the dense loop runs.  perm is the interleaved order of
-    linalg._interleaved_profile, and blocks holds (rows, cols, phi[rows,
-    cols]) in that order, a contiguous copy for each row block with a
-    nonzero entry, over the columns of its nonzero window.  The profile loop
-    runs on a phi of order above _FLUSH_MIN_ORDER with a zero entry whose
-    windows cover at most half of it."""
+    where the dense loop runs: perm the interleaved order, and blocks the
+    (rows, cols, phi[rows, cols]) in that order of each row block with a
+    nonzero entry, a contiguous copy over its nonzero window.  The loop runs
+    on a phi of order above _FLUSH_MIN_ORDER with a zero entry whose windows
+    cover at most half of it; one that the windows of each block's first and
+    last rows alone cover by more than half is rejected first."""
     n = phi.shape[0]
     if n <= _FLUSH_MIN_ORDER or (phi != 0.0).all():
         return None, None
-    perm, first, stop, rows = _interleaved_profile(phi)
-    blocks = [(r, slice(first[r].min(), stop[r].max())) for r in rows if first[r].min() < n]
+    perm, starts = _interleaved_order(n), np.arange(0, n, _FLUSH_MIN_ORDER)
+    ends = np.minimum(starts + _FLUSH_MIN_ORDER, n)
+    first, stop = _spans(phi[perm[np.r_[starts, ends - 1]]][:, perm] == 0.0, 0, n)
+    widths = stop.reshape(2, -1).max(axis=0) - first.reshape(2, -1).min(axis=0)
+    if 2 * np.maximum(widths, 0) @ (ends - starts) > n * n:
+        return None, None
+    perm, first, stop = _interleaved_profile(phi)
+    blocks = [(r, slice(first[r].min(), stop[r].max()))
+              for r in map(slice, starts, ends) if first[r].min() < n]
     if 2 * sum((r.stop - r.start) * (c.stop - c.start) for r, c in blocks) > n * n:
         return None, None
     return perm, [(r, c, phi.take(perm[r], axis=0).take(perm[c], axis=1)) for r, c in blocks]

@@ -348,13 +348,15 @@ def doubling_dense_flushed(delta, p):
     return delta
 
 
-def profile_doubling_fresh_buffer(delta, p):
+def profile_doubling_fresh_buffer(delta, p, height=128):
     """The profile doubling of ``linalg._profile_doubling`` as it was first
-    written: a fresh zero array at every doubling, each block's window of
-    rows R and columns J written as 2 delta[R, J] + delta[R, K] delta[K, J],
-    then flushed below sqrt(tiny) times the peak of all windows."""
+    written: a fresh zero array at every doubling, each block of ``height``
+    rows R written over its window of columns J as 2 delta[R, J] + delta[R,
+    K] delta[K, J], then flushed below sqrt(tiny) times the peak of all
+    windows.  At the default height it is the doubling's arithmetic before
+    its blocks were cut to linalg._DOUBLING_ROWS rows."""
     from perdyn.linalg import _spans
-    n, height = delta.shape[0], 128
+    n = delta.shape[0]
     perm = np.argsort(np.arange(n) % ((n + 1) // 2), kind="stable")
     delta = delta[np.ix_(perm, perm)]
     first, stop = _spans(delta == 0.0, 0, n)

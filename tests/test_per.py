@@ -24,8 +24,8 @@ from perdyn.analysis import beta_radius_map, dt_bound
 from perdyn.baselines import expm_2p, state_space
 from perdyn.linalg import (DivergenceError, double_increment, neumann_sum,
                            spd_solver, spectral_radius)
-from perdyn.model import (SystemModel, benchmark_beam, benchmark_chain, build_chain,
-                          constant_step_force, damping_level)
+from perdyn.model import (SystemModel, _spectral_extremes, benchmark_beam, benchmark_chain,
+                          build_chain, constant_step_force, damping_level)
 
 
 # ---------------------------------------------------------------------------
@@ -346,26 +346,44 @@ class TestProfileDoubling:
         got = chain240[which][0]
         assert not ((got != 0.0) & (np.abs(got) < np.finfo(float).tiny)).any()
 
-    @pytest.mark.parametrize("n_dof", [96, 240, 480])
-    def test_two_buffers_bit_for_bit(self, n_dof):
+    @staticmethod
+    def chain_seed(n_dof):
         model = benchmark_chain(0.1, n_dof)
         config = per.PerConfig(dt=0.8 * dt_bound(model, 8).dt_max, m_b=8)
         seed, _ = per._increment_at_reduced_step(*per.system_operators(model)[1:],
                                                  config.dt0, config.m_a, config.r_a)
+        return model, config, seed
+
+    # the block height of 48 rows divides orders 192, 480 and 960, not 200
+    @pytest.mark.parametrize("n_dof", [96, 100, 240, 480])
+    def test_two_buffers_bit_for_bit(self, n_dof):
+        _, config, seed = self.chain_seed(n_dof)
         assert np.array_equal(double_increment(seed, config.p),
-                              profile_doubling_fresh_buffer(seed, config.p))
+                              profile_doubling_fresh_buffer(seed, config.p,
+                                                            linalg._DOUBLING_ROWS))
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_two_buffers_clear_what_the_flush_drops(self, p):
-        # two off-band entries, right of row block 0 and left of block 2, and
-        # block 1 (u rows 64-127, v rows 256-319) fall below the flush
-        # threshold at the first doubling: no buffer may keep them
+        # two off-band entries, one right of the first row block and one far
+        # left of the band, and the interleaved rows 128-255 (u rows 64-127,
+        # v rows 256-319) fall below the flush threshold at the first
+        # doubling: no buffer may keep them
         seed = banded_seed(384, 3, (0.5, 0.5), 0.5, 4, np.random.default_rng(3))
         seed[5, 300] = seed[150, 0] = 1e-300
         seed[np.r_[64:128, 256:320]] *= 1e-290
         got = double_increment(seed, p)
-        assert np.array_equal(got, profile_doubling_fresh_buffer(seed, p))
+        assert np.array_equal(got, profile_doubling_fresh_buffer(seed, p, linalg._DOUBLING_ROWS))
         assert got[5, 300] == got[150, 0] == 0.0 and not got[64:128].any()
+
+    @pytest.mark.parametrize("n_dof", [96, 240, 480])
+    def test_a_near_the_128_row_blocks(self, n_dof):
+        # the doubling's arithmetic before its blocks were cut to
+        # _DOUBLING_ROWS rows is the oracle at height 128
+        model, config, seed = self.chain_seed(n_dof)
+        got = per.build_scheme(model, config).a
+        want = np.eye(2 * n_dof) + profile_doubling_fresh_buffer(seed, config.p, 128)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert not ((got != 0.0) & (np.abs(got) < np.finfo(float).tiny)).any()
 
     def test_dense_seed_bit_for_bit(self):
         seed = 1e-3 * np.random.default_rng(7).standard_normal((200, 200))
@@ -575,6 +593,29 @@ class TestDampedColumns:
         damping = np.where(undamped[:, None] | undamped[None, :], 0.0, model.damping)
         model = SystemModel(model.mass, damping, model.stiffness)
         self.check(model, per.PerConfig(dt=frac * dt_bound(model, 4).dt_max))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_rho_minv_c_from_the_damped_block(self, seed):
+        # against the eigensolve of the pencil (C, M) over all N dofs, on the
+        # models of test_random_models, whose C may be zero.  Both solves are
+        # off the 50-digit radius by up to about eps cond(M) (5e-13 and 6.5e-13
+        # at most on 592 damped models, medians 8.8e-16 and 7.6e-16)
+        rng = np.random.default_rng(seed)
+        model = random_model(rng)
+        undamped = rng.random(model.n_dof) < rng.random()
+        damping = np.where(undamped[:, None] | undamped[None, :], 0.0, model.damping)
+        model = SystemModel(model.mass, damping, model.stiffness)
+        want = np.abs(scipy.linalg.eigh(model.damping, model.mass, eigvals_only=True)).max()
+        tol = max(1e-14, 8.0 * np.finfo(float).eps * np.linalg.cond(model.mass))
+        assert abs(_spectral_extremes(model)[1] - want) <= tol * want
+
+    @pytest.mark.parametrize("name", ["undamped-chain", "readme-chain", "beam"])
+    def test_rho_minv_c_of_the_named_models(self, name):
+        model = self.MODELS[name][0]()
+        want = np.abs(scipy.linalg.eigh(model.damping, model.mass, eigvals_only=True)).max()
+        got = _spectral_extremes(model)[1]
+        assert abs(got - want) <= 1e-14 * want and (got == 0.0) == (name == "undamped-chain")
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), frac=st.floats(0.05, 1.0))
@@ -1153,6 +1194,37 @@ class TestProfileLoop:
         assert stop is None is got_stop
         assert np.array_equal(got, states)
 
+    @staticmethod
+    def wide_band_map():
+        """Zero entries, but windows that cover all but 0.3% of the map."""
+        return 0.3 * banded_map(150, 1.0) + sum(0.01 * np.eye(300, k=k) for k in range(-40, 40))
+
+    @staticmethod
+    def chain_map(n_dof):
+        model = benchmark_chain(0.1, n_dof)
+        return per.build_scheme(model, per.PerConfig(dt=0.8 * dt_bound(model, 8).dt_max, m_b=8)).a
+
+    @pytest.mark.parametrize("case", ["chain96", "chain240", "chain480", "growing", "nan-sample",
+                                      "skip-64", "wide-band"])
+    def test_cheap_rejection_keeps_the_choice(self, case, chain480):
+        phi = {"chain96": lambda: self.chain_map(96), "chain240": lambda: self.chain_map(240),
+               "chain480": lambda: chain480[3].a, "growing": lambda: banded_map(200, 1.0),
+               "nan-sample": lambda: banded_map(200, 0.5),
+               "skip-64": lambda: banded_map(150, 0.99, skip=64),
+               "wide-band": self.wide_band_map}[case]()
+        # the choice of the pass over every row
+        n = len(phi)
+        _, first, stop = linalg._interleaved_profile(phi)
+        rows = [slice(r0, r0 + 128) for r0 in range(0, n, 128)]
+        area = sum(len(first[r]) * (stop[r].max() - first[r].min())
+                   for r in rows if first[r].min() < n)
+        assert (per._profile_blocks(phi)[1] is None) == (2 * area > n * n)
+
+    def test_chain240_rejected_before_the_full_pass(self, monkeypatch):
+        phi = self.chain_map(240)
+        monkeypatch.setattr(per, "_interleaved_profile", lambda mat: pytest.fail("full pass"))
+        assert per._profile_blocks(phi) == (None, None)
+
     @pytest.mark.parametrize("case", ["beam", "chain12", "no-zero", "wide-band"])
     def test_dense_loop_bit_for_bit(self, case):
         rng = np.random.default_rng(6)
@@ -1163,9 +1235,8 @@ class TestProfileLoop:
                                    per.PerConfig(dt=0.024, m_b=8)).a
         elif case == "no-zero":
             phi = 0.9 * np.eye(300) + 1e-3 * rng.random((300, 300))
-        else:  # zero entries, but windows that cover all but 0.3% of phi
-            phi = 0.3 * banded_map(150, 1.0) + sum(
-                0.01 * np.eye(300, k=k) for k in range(-40, 40))
+        else:
+            phi = self.wide_band_map()
         assert per._profile_blocks(phi) == (None, None)
         x0 = rng.standard_normal(len(phi))
         got, got_stop = per.recurrence(phi, x0, 0.1, 300, None, (), None, 0.0)
