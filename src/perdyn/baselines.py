@@ -14,7 +14,7 @@ the load on its support S: the explicit ones on U = [u; v], the implicit
 ones on U = [u; v] (Newmark, the composite scheme) or U = [u; v; a]
 (Wilson, whose a is not in equilibrium), their maps built once by applying
 the step to the columns of the identity, with [0; M^-1 E_S] or E_S folded
-into W by ``per._fold``.
+into W by ``per._fold``.  Every M^-1 is the model's ``solve_mass``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import cho_factor, cho_solve
 
-from .linalg import _reduced_step, double_increment, spd_solver
+from .linalg import _reduced_step, double_increment
 from .model import SystemModel, _load_sampler
 from .per import Trajectory, _fold, _run, _steps, system_operators
 
@@ -67,18 +67,17 @@ class IntegratorParams:
 
 
 def _companion(model):
-    """(W, solve_mass): W = [[0, I], [-M^-1 K, -M^-1 C]] and the M^-1 of
-    the one factorization of M that built it."""
+    """W = [[0, I], [-M^-1 K, -M^-1 C]]."""
     n = model.n_dof
-    solve_mass, a_mat, minv_c = system_operators(model)
-    return np.block([[np.zeros((n, n)), np.eye(n)], [-a_mat, -minv_c]]), solve_mass
+    _, a_mat, minv_c = system_operators(model)
+    return np.block([[np.zeros((n, n)), np.eye(n)], [-a_mat, -minv_c]])
 
 
 def state_space(model: SystemModel) -> StateSpaceSystem:
-    """Companion form of a second-order model; M is factorized once."""
+    """Companion form of a second-order model."""
     e_s, cols, _ = _load_sampler(model)  # a built-in load of the wrong size raises here
-    w, solve_mass = _companion(model)
-    return StateSpaceSystem(w, cols, np.vstack([np.zeros_like(e_s), solve_mass(e_s)]))
+    return StateSpaceSystem(_companion(model), cols,
+                            np.vstack([np.zeros_like(e_s), model.solve_mass(e_s)]))
 
 
 def _step_map(model, offsets, step):
@@ -112,8 +111,7 @@ def _run_map(model, dt, t_max, build, *params):
 
 def _acceleration(model):
     """(u, v, f) -> M^-1 (f - C v - K u), the acceleration in equilibrium."""
-    solve_mass = spd_solver(model.mass)
-    return lambda u, v, f: solve_mass(f - model.damping @ v - model.stiffness @ u)
+    return lambda u, v, f: model.solve_mass(f - model.damping @ v - model.stiffness @ u)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ scalar damping-level metric.
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -36,14 +36,15 @@ def _check_finite_symmetric(mat, name):
 
 def _check_definite(mat, name):
     """Reject ``mat`` unless mat + floor I has a Cholesky factor (Higham, Accuracy
-    and Stability of Numerical Algorithms, 2002, ch. 10; the lower triangle is
-    read): the mass with no floor, positive definite to roundoff, and C or K with
-    floor = _PSD_RTOL max(|X|max, 1), no eigenvalue below -floor."""
-    kind, shift = (("definite", 0.0) if name == "mass" else
-                   ("semidefinite", _PSD_RTOL * max(np.abs(mat).max(), 1.0)))
-    shifted = mat.copy()
-    shifted.flat[::len(mat) + 1] += shift
+    and Stability of Numerical Algorithms, 2002, ch. 10): the mass with no floor,
+    positive definite to roundoff, whose factor is returned as M^-1, and C or K
+    with floor = _PSD_RTOL max(|X|max, 1), no eigenvalue below -floor."""
+    kind = "definite" if name == "mass" else "semidefinite"
     try:
+        if name == "mass":
+            return spd_solver(mat)
+        shifted = mat.copy()
+        shifted.flat[::len(mat) + 1] += _PSD_RTOL * max(np.abs(mat).max(), 1.0)
         cholesky(shifted, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError:
         raise ValueError(f"{name} matrix must be positive {kind}") from None
@@ -58,22 +59,22 @@ def _as_square(mat, name):
 
 def _checked(n, **fields):
     """``fields`` (of mass, damping, stiffness, u0, v0) as read-only float arrays of
-    order n (None: the mass's), checked as SystemModel requires; a state of None is zero."""
+    order n (None: the mass's), checked as SystemModel requires, a mass with its
+    solve_mass; a state of None is zero."""
     mats = {name: _as_square(fields[name], name)
             for name in ("mass", "damping", "stiffness") if name in fields}
     n = mats["mass"].shape[0] if n is None else n
     if any(mat.shape[0] != n for mat in mats.values()):
         raise ValueError("mass, damping and stiffness dimensions disagree")
-    for check in (_check_finite_symmetric, _check_definite):
-        for name, mat in mats.items():
-            check(mat, name)
+    for check in (_check_finite_symmetric, _check_definite):  # solvers: the last check's
+        solvers = {f"solve_{name}": check(mat, name) for name, mat in mats.items()}
     states = {name: np.zeros(n) if fields[name] is None else np.array(fields[name], dtype=float)
               for name in ("u0", "v0") if name in fields}
     if any(arr.shape != (n,) for arr in states.values()):
         raise ValueError("initial state dimensions disagree with the matrices")
     for arr in (*mats.values(), *states.values()):
         arr.setflags(write=False)
-    return {**mats, **states}
+    return {**mats, **states, **{key: s for key, s in solvers.items() if s is not None}}
 
 
 @dataclass(frozen=True)
@@ -88,8 +89,10 @@ class SystemModel:
     load is not one of N dofs"): a built-in load before any O(N^3) work,
     any other callable when they sample it.  The arrays are read-only; a
     model made by a with_* method shares those it keeps and checks only
-    what it replaces.  modal_analysis gives the undamped frequencies
-    (rad/s) and mass-normalized mode shapes.
+    what it replaces.  ``solve_mass`` is M^-1 by the Cholesky factor of the
+    mass's check; every method reads it, so M is factorized once per model.
+    modal_analysis gives the undamped frequencies (rad/s) and
+    mass-normalized mode shapes.
     """
 
     mass: np.ndarray
@@ -98,6 +101,7 @@ class SystemModel:
     force: ForceFunction | None = None
     u0: np.ndarray = None
     v0: np.ndarray = None
+    solve_mass: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.__dict__.update(_checked(None, mass=self.mass, damping=self.damping,
@@ -373,7 +377,7 @@ def _spectral_extremes(model: SystemModel) -> tuple[float, float]:
     stiff_vals = eigh(model.stiffness, model.mass, eigvals_only=True)
     s = np.flatnonzero((model.damping != 0.0).any(axis=0))
     return (float(np.sqrt(max(stiff_vals.max(), 0.0))),
-            spectral_radius(spd_solver(model.mass)(model.damping[:, s])[s]))
+            spectral_radius(model.solve_mass(model.damping[:, s])[s]))
 
 
 def damping_level(model: SystemModel) -> float:

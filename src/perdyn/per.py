@@ -15,13 +15,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field, replace
 from math import factorial
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .linalg import (_FLUSH_MIN_ORDER, MAX_NEUMANN_ORDER, MAX_SERIES_ORDER, DivergenceError,
                      _check_order, _interleaved_order, _interleaved_profile, _neumann_columns,
-                     _reduced_step, _spans, double_increment, spd_solver, spectral_radius)
+                     _reduced_step, _spans, double_increment, spectral_radius)
 from .model import StateVector, SystemModel, _load_sampler
 
 _DIVERGENCE_FACTOR = 1e12
@@ -76,10 +76,11 @@ class SchemeMatrices:
 
     a          2N x 2N transition matrix
     neumann_b  truncated Neumann sum of beta_b (None for an unforced model)
-    l_b        2N x 4N force-interpolation operator (None for an unforced model)
+    l_b        force-interpolation operator L_b on the run's load columns: the
+               2N x 4|S| L_b M^-1 E_S from build_scheme, the 2N x 4N L_b (on
+               I) from compute_b_factors (None for an unforced model)
     rho_beta_b spectral radius of beta_b (convergence diagnostic)
     rho_beta_a spectral radius of beta_a at the reduced step
-    solve_mass M^-1 by the Cholesky factor the operators were built with
     """
 
     a: np.ndarray | None
@@ -87,8 +88,6 @@ class SchemeMatrices:
     l_b: np.ndarray | None
     rho_beta_b: float
     rho_beta_a: float | None = None
-    solve_mass: Callable[[np.ndarray], np.ndarray] | None = field(
-        default=None, repr=False, compare=False)
 
     def __post_init__(self):
         # shareable across concurrent runs: freeze the operator arrays
@@ -200,10 +199,10 @@ def coeff_beta(j: int, dt: float) -> np.ndarray:
 def system_operators(model: SystemModel):
     """(solve_mass, A, minv_c) with A = M^-1 K and minv_c = M^-1 C.
 
-    M is factorized once; its inverse is never formed.  minv_c is solved on
-    the nonzero columns of C only, and is zero elsewhere.
+    M^-1 is the model's ``solve_mass``; its inverse is never formed.  minv_c
+    is solved on the nonzero columns of C only, and is zero elsewhere.
     """
-    solve_mass = spd_solver(model.mass)
+    solve_mass = model.solve_mass
     a_mat = solve_mass(model.stiffness)
     minv_c = np.zeros_like(a_mat)
     s = np.flatnonzero((model.damping != 0.0).any(axis=0))
@@ -330,32 +329,34 @@ def compute_b_factors(model: SystemModel, config: PerConfig) -> SchemeMatrices:
     longer approximates (I - beta_b)^-1 and the scheme will diverge.
     """
     _, a_mat, minv_c = system_operators(model)
-    return _b_factors(a_mat, minv_c, config)
+    return _b_factors(a_mat, minv_c, config, np.eye(model.n_dof))
 
 
-def _b_factors(a_mat, minv_c, config, forced=True):
-    """compute_b_factors on A = M^-1 K and minv_c = M^-1 C; only rho(beta_b) if not ``forced``."""
+def _b_factors(a_mat, minv_c, config, start):
+    """compute_b_factors on A = M^-1 K and minv_c = M^-1 C, with L_b summed on
+    the n x k ``start`` F as L_b F; only rho(beta_b) if start is None."""
     cols, rho, (beta_b,) = _damped_series(a_mat, minv_c, config.dt, config.m_b, coeff_beta)
     if rho >= 1.0:
         warnings.warn(
             f"rho(beta_b) = {rho:.4f} >= 1: the damping series does not "
             "converge at this time step", RuntimeWarning, stacklevel=3)
-    if not forced:
+    if start is None:
         return SchemeMatrices(a=None, neumann_b=None, l_b=None, rho_beta_b=rho)
-    l_b, = _series(a_mat, None, config.dt, config.m_b, coeff_l)
+    l_b, = _on_columns(lambda f: _series(a_mat, f, config.dt, config.m_b, coeff_l), start)
     neumann_b = np.eye(len(l_b))  # I plus the Neumann increment, on the columns cols
     neumann_b[:, cols] += _neumann_columns(beta_b, cols, config.r_b)
     return SchemeMatrices(a=None, neumann_b=neumann_b, l_b=l_b, rho_beta_b=rho)
 
 
 def build_scheme(model: SystemModel, config: PerConfig) -> SchemeMatrices:
-    """All one-step operators of the scheme that a run of the model reads;
-    M is factorized once.  An unforced model has no forcing operators:
-    neumann_b and l_b are None, and beta_b is summed for its radius alone."""
+    """All one-step operators of the scheme that a run of the model reads,
+    with l_b = L_b M^-1 E_S on the load's dofs S, summed from M^-1 E_S.  An
+    unforced model has no forcing operators: neumann_b and l_b are None, and
+    beta_b is summed for its radius alone."""
     solve_mass, a_mat, minv_c = system_operators(model)
     a, rho_beta_a = _doubled_increment(a_mat, minv_c, config)
-    partial = _b_factors(a_mat, minv_c, config, model.force is not None)
-    return replace(partial, a=a, rho_beta_a=rho_beta_a, solve_mass=solve_mass)
+    start = None if model.force is None else solve_mass(_load_sampler(model)[0])
+    return replace(_b_factors(a_mat, minv_c, config, start), a=a, rho_beta_a=rho_beta_a)
 
 
 def _per_offsets(dt):
@@ -369,11 +370,11 @@ def _step_samples(sample, k0, k1, dt, offsets):
     return sample(times.ravel()).reshape(k1 - k0, -1)
 
 
-def _per_samples(model, solve_mass, k0, k1, dt):
-    """PER force rows M^-1 f of the steps k0 <= k < k1 with M^-1 = ``solve_mass``,
-    one multi-RHS mass solve; a non-finite sample raises ValueError."""
+def _per_samples(model, k0, k1, dt):
+    """PER force rows M^-1 f of the steps k0 <= k < k1, one multi-RHS mass
+    solve; a non-finite sample raises ValueError."""
     offsets, rows = _per_offsets(dt), _load_sampler(model)[2]
-    g = _step_samples(lambda times: solve_mass(rows(times).T).T, k0, k1, dt, offsets)
+    g = _step_samples(lambda times: model.solve_mass(rows(times).T).T, k0, k1, dt, offsets)
     bad = np.flatnonzero(~np.isfinite(g.reshape(-1, model.n_dof)).all(axis=1))
     if len(bad):
         k, i = divmod(int(bad[0]), len(offsets))
@@ -383,7 +384,7 @@ def _per_samples(model, solve_mass, k0, k1, dt):
 
 def force_samples(model: SystemModel, k: int, dt: float) -> np.ndarray:
     """g_k: M^-1 f at the four interpolation abscissae of step k."""
-    return _per_samples(model, spd_solver(model.mass), k, k + 1, dt)[0]
+    return _per_samples(model, k, k + 1, dt)[0]
 
 
 def _steps(t_max, dt):
@@ -411,7 +412,7 @@ def integrate(model: SystemModel, config: PerConfig, t_max: float) -> Trajectory
     ``info["dt_max_bound"]``.
     """
     n_steps = _steps(t_max, config.dt)
-    e_s, cols, _ = _load_sampler(model)  # a built-in load of the wrong size raises here
+    _, cols, _ = _load_sampler(model)  # a built-in load of the wrong size raises here
     scheme = build_scheme(model, config)
     info = {"rho_beta_b": scheme.rho_beta_b, "rho_beta_a": scheme.rho_beta_a}
     if scheme.rho_beta_b >= 1.0:
@@ -420,12 +421,12 @@ def integrate(model: SystemModel, config: PerConfig, t_max: float) -> Trajectory
     if cols is not None:
         # the guard scale is that of L_b M^-1 E_S, deliberately without the
         # Neumann factor so that its blow-up is detected
-        l_s = _fold(scheme.l_b, scheme.solve_mass(e_s))
-        forcing = (cols, _per_offsets(config.dt), scheme.neumann_b @ l_s, np.linalg.norm(l_s, 2))
+        forcing = (cols, _per_offsets(config.dt), scheme.neumann_b @ scheme.l_b,
+                   np.linalg.norm(scheme.l_b, 2))
     traj = _run(config.dt, n_steps, model.n_dof, scheme.a,
                 np.concatenate([model.u0, model.v0]), *forcing, info=info)
     if forcing and "diverged_at_step" in traj.info:  # a non-finite sample raises
-        _per_samples(model, scheme.solve_mass, traj.n_steps - 1, traj.n_steps, config.dt)
+        _per_samples(model, traj.n_steps - 1, traj.n_steps, config.dt)
     if not traj.diverged:
         return traj
     from .analysis import _dt_max  # deferred: analysis imports this module
@@ -434,8 +435,8 @@ def integrate(model: SystemModel, config: PerConfig, t_max: float) -> Trajectory
 
 def _fold(weights, proj):
     """``weights`` on samples proj g, a block of len(proj) columns per sample,
-    as weights on the samples g: proj = M^-1 E_S, E_S or [0; M^-1 E_S] is
-    folded in once, so that a step loop samples f_S alone."""
+    as weights on the samples g: proj = E_S or [0; M^-1 E_S] is folded in
+    once, so that a step loop samples f_S alone."""
     return (weights.reshape(-1, len(proj)) @ proj).reshape(len(weights), -1)
 
 
@@ -520,9 +521,6 @@ def recurrence(phi, x0, dt, n_steps, sample, offsets, weights, ref_scale):
                 for x, nxt in zip(states[k0:k1], new):
                     for rows, cols, phi_block in blocks:
                         nxt[rows] += phi_block @ x[cols]
-            elif g is None:
-                for x, nxt in zip(states[k0:k1], new):
-                    np.matmul(phi, x, out=nxt)
             else:
                 for x, nxt in zip(states[k0:k1], new):
                     nxt += phi @ x
@@ -585,11 +583,11 @@ def integrate_asymptotic(model: SystemModel, config: PerConfig, t_max: float,
     dt = config.dt
     m = config.m_b
 
-    solve_mass, a_mat, minv_c = system_operators(model)
+    _, a_mat, minv_c = system_operators(model)
     t_mat, l_mat = _series(a_mat, None, dt, m, coeff_t, coeff_l)
     alpha, beta = _series(a_mat, minv_c, dt, m, coeff_alpha, coeff_beta)
 
-    g = None if model.force is None else _per_samples(model, solve_mass, 0, n_steps, dt)
+    g = None if model.force is None else _per_samples(model, 0, n_steps, dt)
 
     term = np.zeros((n_steps + 1, 2 * n))
     term[0] = np.concatenate([model.u0, model.v0])

@@ -454,7 +454,7 @@ def reference_mass_solve_fold(model, dt, t_max, refine):
     block of samples.  ``refine`` is taken as given.  Returns
     (displacements, velocities) on the coarse grid."""
     from perdyn import baselines, bench, per
-    w, solve_mass = baselines._companion(model)
+    w, solve_mass = baselines._companion(model), model.solve_mass
     n2, n, h = len(w), model.n_dof, dt / refine
     s = bench._fold_size(refine, n)
     d_one, p0, pm = baselines.rk4_operators(w, h)

@@ -327,14 +327,6 @@ class TestBetaRadiusMap:
         with pytest.raises(ValueError, match="positive"):
             beta_radius_map(sdof_model(), [0.1, -0.2], 4)
 
-    def test_factorizes_mass_once(self, monkeypatch):
-        calls = []
-        solver = per.spd_solver
-        monkeypatch.setattr(per, "spd_solver",
-                            lambda mat: calls.append(1) or solver(mat))
-        beta_radius_map(benchmark_chain(0.2), [0.05, 0.1, 0.15], 8)
-        assert len(calls) == 1
-
     @pytest.mark.parametrize("m_b", [4, 8])
     def test_equals_the_integrator_radius(self, m_b):
         # beta_radius_map and compute_b_factors build beta_b by one series

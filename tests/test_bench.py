@@ -1,5 +1,8 @@
 """Tests for error norms, sweeps, cost models and timing."""
 
+import json
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -12,7 +15,7 @@ from oracles import (damped_free_vibration, half_step_times, l2_norm, mass_solve
 import perdyn.baselines as baselines
 import perdyn.bench as bench
 import perdyn.per as per
-from perdyn.baselines import IntegratorParams, newmark, state_space
+from perdyn.baselines import newmark, state_space
 from perdyn.bench import (cost_mpim, cost_per, cost_rk4, fit_order,
                           global_error, per_mpim_setup_ratio,
                           reference_solution, run_method, sweep_damping,
@@ -245,17 +248,16 @@ class TestFoldedReference:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_plain_callable_makes_no_mass_solve_per_sample(self, monkeypatch):
-        # its samples are f itself; M^-1 is solved once, from the identity
+        # its samples are f itself; M^-1 is solved on the identity once, and
+        # else only on K and C
         rhs = []
-        companion = bench.baselines._companion
-
-        def spy(model):
-            w, solve_mass = companion(model)
-            return w, lambda b: rhs.append(b) or solve_mass(b)
-        monkeypatch.setattr(bench.baselines, "_companion", spy)
         model, dt, t_max = self.plain_case("full-mass")
-        reference_solution(model.with_force(lambda t: model.force(t)), dt, t_max)
-        assert len(rhs) == 1 and np.array_equal(rhs[0], np.eye(3))
+        plain = model.with_force(lambda t: model.force(t))
+        plain = plain._derive(solve_mass=lambda b: rhs.append(b) or model.solve_mass(b))
+        reference_solution(plain, dt, t_max)
+        assert [np.array_equal(b, np.eye(3)) for b in rhs].count(True) == 1
+        assert all(any(np.array_equal(b, mat) for mat in (np.eye(3), model.stiffness,
+                                                          model.damping)) for b in rhs)
 
     def test_unforced_reference_folds_no_load_columns(self, monkeypatch):
         folds = []
@@ -599,6 +601,26 @@ class TestQualitativeOrdering:
             assert errs["per"] <= errs["wilson"], ratio
 
 
+#: The best of 10 alternating setups of the perturbation scheme and of MPIM
+#: on the 64-dof chain, printed as a JSON pair of seconds.
+SETUP_RATIO_SCRIPT = """
+import json
+from perdyn.baselines import IntegratorParams
+from perdyn.bench import timing_run
+from perdyn.model import build_chain
+from perdyn.per import PerConfig
+model = build_chain(64, 1.0, 100.0, [(0, None, 1.0)])
+per_config = PerConfig(dt=0.01, p=20, m_a=2, r_a=2, m_b=4, r_b=2)
+params = IntegratorParams(mpim_g=4, mpim_p=20)
+per_s = mpim_s = float("inf")
+for _ in range(10):
+    per_s = min(per_s, timing_run(model, "per", 0.01, 0.0, per_config=per_config,
+                                  repeats=1)[0])
+    mpim_s = min(mpim_s, timing_run(model, "mpim", 0.01, 0.0, params=params, repeats=1)[0])
+print(json.dumps([per_s, mpim_s]))
+"""
+
+
 class TestTiming:
     def test_setup_only(self):
         model = benchmark_chain(0.1)
@@ -634,17 +656,16 @@ class TestTiming:
         # The two setups are timed alternately and compared best-of-N,
         # so a drift of the host's speed hits both alike; on a shared
         # 2-vCPU host single setups ran up to 3x slower than the best, so
-        # N = 10 pairs are taken.
-        model = build_chain(64, 1.0, 100.0, [(0, None, 1.0)])
-        per_config = PerConfig(dt=0.01, p=20, m_a=2, r_a=2, m_b=4, r_b=2)
-        params = IntegratorParams(mpim_g=4, mpim_p=20)
-        per_s = mpim_s = float("inf")
-        for _ in range(10):
-            per_s = min(per_s, timing_run(model, "per", 0.01, 0.0,
-                                          per_config=per_config,
-                                          repeats=1)[0])
-            mpim_s = min(mpim_s, timing_run(model, "mpim", 0.01, 0.0,
-                                            params=params, repeats=1)[0])
+        # N = 10 pairs are taken.  They run in a fresh interpreter at one
+        # BLAS thread, as the counted flops assume: at two threads the
+        # small products of both setups pay the threads' overhead instead.
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [
+                   os.path.dirname(os.path.dirname(bench.__file__)),
+                   os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", SETUP_RATIO_SCRIPT], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        per_s, mpim_s = json.loads(out)
         assert per_s < mpim_s
         ratio = per_s / mpim_s
         assert 0.5 * 213.0 / 818.0 <= ratio <= 1.5 * 213.0 / 818.0
@@ -670,9 +691,10 @@ def test_step_loops_never_sample_the_n_wide_load(method):
 
 def _unfolded(model, method, dt, config):
     """(phi, x0, sample, offsets, weights, ref_scale) of ``method`` with its
-    weights on the N-wide samples it took before the fold: M^-1 f (PER),
-    [0; M^-1 f] (RK4, MPIM) or f (the implicit maps), M solved per sample."""
-    n, solve = model.n_dof, per.spd_solver(model.mass)
+    weights on the N-wide samples it took before the fold: M^-1 f (PER, whose
+    L_b is compute_b_factors', on the identity), [0; M^-1 f] (RK4, MPIM) or f
+    (the implicit maps), M solved per sample."""
+    n, solve = model.n_dof, model.solve_mass
     x0 = np.concatenate([model.u0, model.v0])
 
     def loads(times):
@@ -682,9 +704,10 @@ def _unfolded(model, method, dt, config):
         return solve(loads(times).T).T
 
     if method == "per":
-        scheme = per.build_scheme(model, config)
-        return (scheme.a, x0, mass_solved, (0.0, dt / 3.0, 2.0 * dt / 3.0, dt),
-                scheme.neumann_b @ scheme.l_b, np.linalg.norm(scheme.l_b, 2))
+        factors = per.compute_b_factors(model, config)
+        return (per.compute_a(model, config), x0, mass_solved,
+                (0.0, dt / 3.0, 2.0 * dt / 3.0, dt), factors.neumann_b @ factors.l_b,
+                np.linalg.norm(factors.l_b, 2))
     if method in ("rk4", "mpim"):
         system = state_space(model)  # its W alone
         if method == "rk4":

@@ -1,5 +1,7 @@
 """Tests for system builders, modal analysis and the damping metric."""
 
+import json
+import sys
 import warnings
 
 import numpy as np
@@ -7,13 +9,29 @@ import pytest
 
 from oracles import generalized_modes, sdof_model
 
-import perdyn.model as model_module
-from perdyn.cli import RunConfig
+import perdyn.per as per
+from perdyn.analysis import beta_radius_map, dt_bound
+from perdyn.bench import reference_solution, run_method
+from perdyn.cli import RunConfig, main
 from perdyn.model import (SystemModel, _force_rows, beam_matrices,
                           benchmark_beam, benchmark_chain, build_beam,
                           build_chain, constant_step_force, damping_level,
                           gaussian_multiharmonic_force, modal_analysis,
                           step_function)
+
+
+def watch_factorizations(monkeypatch):
+    """The list of the matrices that perdyn factorizes by Cholesky from now on:
+    every call of scipy's cho_factor or cholesky that a perdyn module holds,
+    linalg.spd_solver's among them."""
+    seen = []
+    for name, module in list(sys.modules.items()):
+        if name == "perdyn" or name.startswith("perdyn."):
+            for key in ("cho_factor", "cholesky"):
+                if key in vars(module):
+                    monkeypatch.setattr(module, key, lambda mat, *args, fn=vars(module)[key],
+                                        **kw: seen.append(np.array(mat)) or fn(mat, *args, **kw))
+    return seen
 
 
 class TestBuildChain:
@@ -243,11 +261,8 @@ class TestDerivedModels:
 
     @pytest.fixture
     def choleskys(self, monkeypatch):
-        calls = []
-        cholesky = model_module.cholesky
-        monkeypatch.setattr(model_module, "cholesky",
-                            lambda *args, **kwargs: calls.append(1) or cholesky(*args, **kwargs))
-        return calls
+        # one Cholesky check of each matrix: the mass's is its solve_mass
+        return watch_factorizations(monkeypatch)
 
     def test_cholesky_checks(self, choleskys):
         base = benchmark_chain(0.1, 96)
@@ -256,12 +271,13 @@ class TestDerivedModels:
             constant_step_force(96, 3, 0.0, 1.0))
         assert len(choleskys) == 3
         assert all(getattr(moved, name) is getattr(base, name)
-                   for name in ("mass", "damping", "stiffness"))
+                   for name in ("mass", "damping", "stiffness", "solve_mass"))
         np.testing.assert_array_equal(moved.v0, np.zeros(96))
         assert not moved.u0.flags.writeable and not moved.v0.flags.writeable
         damped = moved.with_damping(2.0 * base.damping)
         assert len(choleskys) == 4
         assert damped.u0 is moved.u0 and damped.force is moved.force
+        assert damped.solve_mass is base.solve_mass
         assert not damped.damping.flags.writeable
         np.testing.assert_array_equal(damped.damping, 2.0 * base.damping)
 
@@ -288,6 +304,71 @@ class TestDerivedModels:
             base.with_damping(-base.damping)
         with pytest.raises(ValueError, match="^mass, damping and stiffness dimensions disagree$"):
             base.with_damping(np.zeros((3, 3)))
+
+
+#: The model entry of the README chain's run configuration.
+README_CHAIN = {"kind": "chain", "n_dof": 12, "mass": 1.0, "stiffness": 100.0,
+                "dampers": [{"i": 0, "j": None, "c": 2.0}, {"i": 1, "j": 2, "c": 2.0}]}
+
+
+def forced_chain():
+    """The README chain with a step load at dof 3."""
+    return build_chain(12, 1.0, 100.0, [(0, None, 2.0), (1, 2, 2.0)]).with_force(
+        constant_step_force(12, 3, 0.12, 2.0))
+
+
+def guard_stop(make):
+    with pytest.warns(RuntimeWarning):  # rho(beta_b) >= 1
+        traj = per.integrate(make(), per.PerConfig(dt=1.4, m_b=2, r_b=12), 70.0)
+    assert traj.info["reason"] == "norm guard"
+
+
+def cli_compare(make):
+    """``compare`` on a config of forced_chain's model, in the working
+    directory; the command line builds the model, not ``make``."""
+    with open("chain.json", "w") as out:
+        json.dump({"version": 1, "model": README_CHAIN, "dt": 0.024, "t_max": 0.24,
+                   "force": {"kind": "constant-step", "dof": 3, "t_c": 0.12, "f0": 2.0}}, out)
+    assert main(["compare", "--config", "chain.json", "--out", "out.csv"]) == 0
+
+
+class TestOneMassFactorization:
+    """Every M^-1 of every entry point reads the model's solve_mass: a run
+    factorizes M once, when its model is built and checked."""
+
+    CASES = {
+        "integrate-forced": (benchmark_beam, lambda make: per.integrate(
+            make(), per.PerConfig(dt=2e-5, m_b=8), 2e-4)),
+        "integrate-unforced": (lambda: benchmark_chain(0.1).with_initial_state(
+            np.linspace(0.0, 1e-2, 12), None), lambda make: per.integrate(
+                make(), per.PerConfig(dt=0.024, m_b=8), 0.24)),
+        "integrate-guard-stop": (lambda: benchmark_chain(3.0).with_force(
+            lambda t: np.eye(12)[3] * np.sin(2.0 * t)), guard_stop),
+        "integrate_asymptotic-forced": (forced_chain, lambda make: per.integrate_asymptotic(
+            make(), per.PerConfig(dt=0.02, m_b=8), 0.1, n_terms=3)),
+        "integrate_asymptotic-unforced": (
+            lambda: benchmark_chain(0.1).with_initial_state(np.eye(12)[0], None),
+            lambda make: per.integrate_asymptotic(make(), per.PerConfig(dt=0.02, m_b=8),
+                                                  0.1, n_terms=3)),
+        "beta_radius_map": (lambda: benchmark_chain(0.2),
+                            lambda make: beta_radius_map(make(), [0.05, 0.1, 0.15], 8)),
+        "dt_bound": (benchmark_beam, lambda make: dt_bound(make(), 8)),
+        **{f"run_method-{method}": (forced_chain, lambda make, method=method: run_method(
+            make(), method, 0.024, 0.24)) for method in ("newmark", "wilson", "bathe", "rk4",
+                                                         "mpim")},
+        "reference_solution": (forced_chain,
+                               lambda make: reference_solution(make(), 0.024, 0.24)),
+        "cli-compare": (forced_chain, cli_compare),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_mass_factorized_once(self, case, monkeypatch, tmp_path):
+        make, run = self.CASES[case]
+        mass = make().mass
+        monkeypatch.chdir(tmp_path)
+        seen = watch_factorizations(monkeypatch)
+        run(make)
+        assert sum(mat.shape == mass.shape and np.array_equal(mat, mass) for mat in seen) == 1
 
 
 class TestDefinitenessBorder:

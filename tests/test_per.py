@@ -24,8 +24,9 @@ from perdyn.analysis import beta_radius_map, dt_bound
 from perdyn.baselines import expm_2p, state_space
 from perdyn.linalg import (DivergenceError, double_increment, neumann_sum,
                            spd_solver, spectral_radius)
-from perdyn.model import (SystemModel, _spectral_extremes, benchmark_beam, benchmark_chain,
-                          build_chain, constant_step_force, damping_level)
+from perdyn.model import (SystemModel, _load_sampler, _spectral_extremes, benchmark_beam,
+                          benchmark_chain, build_beam, build_chain, constant_step_force,
+                          damping_level, step_function)
 
 
 # ---------------------------------------------------------------------------
@@ -718,16 +719,63 @@ class TestUnforcedScheme:
         monkeypatch.setattr(per, "coeff_l", lambda *args: calls.append(args) or coeff_l(*args))
         scheme = per.build_scheme(model, config)
         assert not calls and scheme.neumann_b is None and scheme.l_b is None
-        # a forced copy: the operators of compute_b_factors, bit for bit, and
-        # the same a and radii, which do not depend on the load
+        # a forced copy: the operators of compute_b_factors, bit for bit, L_b
+        # on the load's dof 0, and the same a and radii, which do not depend
+        # on the load
         forced = per.build_scheme(with_a_load(model), config)
         assert calls
         factors = per.compute_b_factors(model, config)
-        for key in ("neumann_b", "l_b"):
-            TestSetupOldForms.same(getattr(forced, key), getattr(factors, key))
+        TestSetupOldForms.same(forced.neumann_b, factors.neumann_b)
+        assert np.array_equal(forced.l_b, per._fold(factors.l_b, np.eye(24)[:, :1]))
         TestSetupOldForms.same(forced.a, scheme.a)
         assert (forced.rho_beta_a, forced.rho_beta_b) == (scheme.rho_beta_a, scheme.rho_beta_b)
         assert scheme.rho_beta_b == factors.rho_beta_b
+
+
+def two_load_beam():
+    """The beam of tools/cli_identity.py whose load has a support of two dofs."""
+    return build_beam(2.0, 3e5, 120.0, 6, supports=[(3, 1e4, 50.0), (6, 0.0, 20.0)],
+                      point_loads=[(6, -1.0, step_function(2e-3, 300.0)),
+                                   (3, 1.0, step_function(5e-3, 100.0))])
+
+
+class TestForcingOnTheSupport:
+    """build_scheme sums l_b = L_b M^-1 E_S from M^-1 E_S; the oracle folds
+    M^-1 E_S into compute_b_factors' L_b, summed on the identity.  The two
+    agree bit for bit on the chains, whose M^-1 E_S is E_S, and to roundoff
+    elsewhere, at 0.8 dt_max or the model's tools/cli_identity.py step."""
+
+    CASES = {
+        "chain12": (lambda: benchmark_chain(0.1).with_force(constant_step_force(12, 3, 0.0, 1.0)),
+                    None, 0.0),
+        "chain480": (lambda: benchmark_chain(0.1, 480).with_force(
+            constant_step_force(480, 3, 0.0, 1.0)), None, 0.0),
+        "beam": (benchmark_beam, 2e-5, 1e-14),
+        "beam-two-loads": (two_load_beam, 1e-4, 1e-14),
+        "full-damping": (lambda: FULL_DAMPING.with_force(constant_step_force(3, 1, 0.3, 5.0)),
+                         0.1, 1e-14),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_l_b_near_the_folded_identity_sum(self, case):
+        make, dt, bound = self.CASES[case]
+        model = make()
+        config = per.PerConfig(dt=dt or 0.8 * dt_bound(model, 8).dt_max, m_b=8, r_b=4)
+        got = per.build_scheme(model, config).l_b
+        want = per._fold(per.compute_b_factors(model, config).l_b,
+                         model.solve_mass(_load_sampler(model)[0]))
+        assert got.shape == want.shape == (2 * model.n_dof, 4 * len(model.force._support[0]))
+        assert np.abs(got - want).max() <= bound * np.abs(want).max()
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_compute_b_factors_keeps_the_full_l_b(self, case):
+        # summed on the identity, L_b equals the sum whose first power is A itself
+        make, dt, _ = self.CASES[case]
+        model = make()
+        config = per.PerConfig(dt=dt or 0.8 * dt_bound(model, 8).dt_max, m_b=8, r_b=4)
+        a_mat = per.system_operators(model)[1]
+        TestSetupOldForms.same(per.compute_b_factors(model, config).l_b,
+                               per._series(a_mat, None, config.dt, config.m_b, per.coeff_l)[0])
 
 
 class TestComputeBFactors:
@@ -924,16 +972,6 @@ class TestIntegrate:
         assert "dt_max_bound" in traj.info
         assert np.isfinite(traj.displacements).all()
 
-    def test_forced_run_factorizes_mass_once(self, monkeypatch):
-        # the force sampler reuses build_scheme's factorization of M
-        calls = []
-        solver = per.spd_solver
-        monkeypatch.setattr(per, "spd_solver",
-                            lambda mat: calls.append(1) or solver(mat))
-        traj = per.integrate(benchmark_beam(), per.PerConfig(dt=2e-5, m_b=8), 2e-4)
-        assert len(calls) == 1
-        assert traj.n_steps == 10 and not traj.diverged
-
     def test_divergent_damping_series_ends_as_diverged(self):
         # rho(beta_b) = 1.93: the guard does not stop the finite trajectory,
         # but the truncated Neumann sum is no (I - beta_b)^-1
@@ -946,19 +984,6 @@ class TestIntegrate:
         assert traj.info["reason"] == "rho(beta_b) >= 1"
         assert traj.info["rho_beta_b"] >= 1.0 and "dt_max_bound" in traj.info
         assert "diverged_at_step" not in traj.info
-
-    def test_guard_stop_factorizes_mass_once(self, monkeypatch):
-        # the divergence path checks the last step's samples with
-        # build_scheme's factorization of M
-        calls = []
-        solver = per.spd_solver
-        monkeypatch.setattr(per, "spd_solver",
-                            lambda mat: calls.append(1) or solver(mat))
-        model = benchmark_chain(3.0).with_force(lambda t: np.eye(12)[3] * np.sin(2.0 * t))
-        with pytest.warns(RuntimeWarning):
-            traj = per.integrate(model, per.PerConfig(dt=1.4, m_b=2, r_b=12), 70.0)
-        assert traj.info["reason"] == "norm guard"
-        assert len(calls) == 1
 
     def test_t_max_shorter_than_step_rejected(self):
         with pytest.raises(ValueError, match="one time step"):
@@ -1128,13 +1153,14 @@ class TestProfileLoop:
         self.near(np.hstack([traj.displacements, traj.velocities]), states)
 
     def test_chain480_forced_near_the_dense_loop(self, chain480):
+        # the oracle steps L_b on the N-wide samples M^-1 f
         _, model, config, scheme = chain480
         traj = per.integrate(model, config, self.STEPS * config.dt)
-        factor = cho_factor(model.mass)
+        factor, l_b = cho_factor(model.mass), per.compute_b_factors(model, config).l_b
         states, stop = step_loop(scheme.a, np.concatenate([model.u0, model.v0]), config.dt,
                                  self.STEPS, lambda t: cho_solve(factor, model.force_at(t)),
-                                 per._per_offsets(config.dt), scheme.neumann_b @ scheme.l_b,
-                                 np.linalg.norm(scheme.l_b, 2))
+                                 per._per_offsets(config.dt), scheme.neumann_b @ l_b,
+                                 np.linalg.norm(l_b, 2))
         assert stop is None and traj.n_steps == self.STEPS and not traj.diverged
         assert np.abs(states[-1, self.N - 1]) > 10.0 * np.abs(states[0, self.N - 1])
         self.near(np.hstack([traj.displacements, traj.velocities]), states)
@@ -1364,26 +1390,6 @@ class TestIntegrateAsymptotic:
                                            n_terms=50)
         got = np.hstack([partial.displacements, partial.velocities])
         assert np.abs(got - limit).max() <= 1e-12 * np.abs(limit).max()
-
-    def test_unforced_run_factorizes_mass_once(self, monkeypatch):
-        # the four series share one factorization of M
-        calls = []
-        solver = per.spd_solver
-        monkeypatch.setattr(per, "spd_solver",
-                            lambda mat: calls.append(1) or solver(mat))
-        model = benchmark_chain(0.1).with_initial_state(np.eye(12)[0], np.zeros(12))
-        per.integrate_asymptotic(model, per.PerConfig(dt=0.02, m_b=8), 0.1, n_terms=3)
-        assert len(calls) == 1
-
-    def test_forced_run_factorizes_mass_once(self, monkeypatch):
-        # the force samples reuse the series' factorization of M
-        calls = []
-        solver = per.spd_solver
-        monkeypatch.setattr(per, "spd_solver",
-                            lambda mat: calls.append(1) or solver(mat))
-        model = benchmark_chain(0.1).with_force(constant_step_force(12, 3, 0.0, 1.0))
-        per.integrate_asymptotic(model, per.PerConfig(dt=0.02, m_b=8), 0.1, n_terms=3)
-        assert len(calls) == 1
 
     def test_diverges_past_the_bound(self):
         model = benchmark_chain(2.0).with_initial_state(

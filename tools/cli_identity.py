@@ -34,6 +34,9 @@ The matrix:
   over the map's nonzero profile.  ``u0`` alternates in sign with a size of
   0.5e-2 to 1.5e-2 at every dof, so that no column of the CSV peaks near
   zero, where a roundoff move would read large against the column's peak;
+- ``simulate`` of the perturbation scheme on that 480-dof chain with a step
+  load at dof 3, so that the forcing operator on the load's dof runs in the
+  profile loop, and of Newmark on the 96-dof chain with the same load;
 - ``simulate`` of two malformed configs: a ``{"kind": "chain"}`` model
   with neither ``n_dof`` nor ``zeta``, and an ``out`` that is the number 5
   (always run with ``--out``, so that no tree opens a file descriptor);
@@ -192,6 +195,10 @@ CONFIGS = {
                         "dt": 0.01, "t_max": 0.1},
 }
 
+# the 96- and 480-dof chains with a step load at dof 3 from t = 0.3
+CONFIGS.update({f"{name}-forced.json": {**CONFIGS[f"{name}.json"], "force": {
+    "kind": "constant-step", "dof": 3, "t_c": 0.3, "f0": 2.0}} for name in ("chain96", "chain480")})
+
 SHORT = ["--t-max", "4"]
 
 SUBCOMMANDS = ("simulate", "stability-map", "tau-limit", "sweep-dt", "sweep-damping",
@@ -212,6 +219,10 @@ CASES = {
     **{f"simulate-chain96-{m}": ["simulate", "--config", "chain96.json", "--method", m,
                                  "--out", "out.csv"] for m in ("per", "mpim")},
     "simulate-chain480-per": ["simulate", "--config", "chain480.json", "--out", "out.csv"],
+    "simulate-chain480-forced-per": ["simulate", "--config", "chain480-forced.json",
+                                     "--out", "out.csv"],
+    "simulate-chain96-forced-newmark": ["simulate", "--config", "chain96-forced.json",
+                                        "--method", "newmark", "--out", "out.csv"],
     "simulate-missing-key": ["simulate", "--config", "missing-key.json", "--out", "out.csv"],
     "simulate-out-not-string": ["simulate", "--config", "out-not-string.json",
                                 "--out", "out.csv"],
