@@ -83,8 +83,8 @@ def _sigma_stack(m: int, taus: list[float], dt: float = 1.0) -> np.ndarray:
 
 def sigma_eigenvalues(m: int, tau: float) -> SigmaEigen:
     """Both eigenvalues of sigma_m(tau) and their largest modulus."""
-    if tau < 0.0:
-        raise ValueError("tau must be >= 0")
+    if not 0.0 <= tau < np.inf:
+        raise ValueError("tau must be >= 0" if tau < 0.0 else f"tau must be finite, not {tau}")
     mu = np.linalg.eigvals(sigma_matrix(m, tau))
     return SigmaEigen(mu1=complex(mu[0]), mu2=complex(mu[1]),
                       modulus_max=float(np.abs(mu).max()))
@@ -154,11 +154,17 @@ def _dt_max(model, m):
 
 
 def _grid(start, stop, step):
-    """start, start + step, ... through stop: the scans of the stability map
-    and of the sigma curves.  stop and step must be positive."""
+    """start, start + step, ... through stop, not empty: the scans of the
+    stability map and the sigma curves.  stop and step are finite, positive."""
     if stop <= 0.0 or step <= 0.0:
         raise ValueError("grid parameters must be positive")
-    return np.arange(start, stop + 0.5 * step, step)
+    for name, value in (("end", stop), ("step", step)):
+        if not np.isfinite(value):
+            raise ValueError(f"grid {name} must be finite, not {value}")
+    grid = np.arange(start, stop + 0.5 * step, step)
+    if not grid.size:
+        raise ValueError(f"the grid from {start} by {step} through {stop} is empty")
+    return grid
 
 
 def _sdof_amplification(x: float, zeta: float, m_a: int, r_a: int) -> np.ndarray:
@@ -194,8 +200,8 @@ def sdof_stability_map(zeta: float, m_a: int, r_a: int = 2,
     by 2^p for full-step values).
     """
     xs = _grid(grid_step, grid_max, grid_step)
-    if zeta < 0.0:
-        raise ValueError("zeta must be >= 0")
+    if not 0.0 <= zeta < np.inf:
+        raise ValueError("zeta must be >= 0" if zeta < 0.0 else f"zeta must be finite, not {zeta}")
     lams = np.array([_max_abs_eig(x, zeta, m_a, r_a) for x in xs])
 
     def is_stable(x):

@@ -90,8 +90,10 @@ class SystemModel:
     any other callable when they sample it.  The arrays are read-only; a
     model made by a with_* method shares those it keeps and checks only
     what it replaces.  ``solve_mass`` is M^-1 by the Cholesky factor of the
-    mass's check; every method reads it, so M is factorized once per model.
-    modal_analysis gives the undamped frequencies (rad/s) and
+    mass's check; every method reads it, so perdyn factorizes M once per
+    model.  LAPACK factorizes it again inside eigh(K, M), which
+    modal_analysis and omega_max (of dt_bound, dt_max and the RK4 reference)
+    solve.  modal_analysis gives the undamped frequencies (rad/s) and
     mass-normalized mode shapes.
     """
 

@@ -12,6 +12,7 @@ summed scheme.
 
 from __future__ import annotations
 
+import time
 import warnings
 from dataclasses import dataclass, field, replace
 from math import factorial
@@ -403,13 +404,13 @@ def integrate(model: SystemModel, config: PerConfig, t_max: float) -> Trajectory
     """Run the explicit scheme from the model's initial state to t_max.
 
     The step count is round(t_max/dt), so the final sample may overshoot
-    t_max by less than one step.  ``info`` carries rho(beta_b) and
-    rho(beta_a).  Two runs end with ``diverged=True``: one the guard stops,
-    as its computed prefix with ``info["diverged_at_step"]``, and one with
-    rho(beta_b) >= 1, whose truncated Neumann sum does not approximate
-    (I - beta_b)^-1, as its full trajectory.  Either carries
-    ``info["reason"]`` ("norm guard" or "rho(beta_b) >= 1") and
-    ``info["dt_max_bound"]``.
+    t_max by less than one step.  ``info`` carries rho(beta_b), rho(beta_a)
+    and ``loop_s``, the step loop's seconds.  Two runs end with
+    ``diverged=True``: one the guard stops, as its computed prefix with
+    ``info["diverged_at_step"]``, and one with rho(beta_b) >= 1, whose
+    truncated Neumann sum does not approximate (I - beta_b)^-1, as its full
+    trajectory.  Either carries ``info["reason"]`` ("norm guard" or
+    "rho(beta_b) >= 1") and ``info["dt_max_bound"]``.
     """
     n_steps = _steps(t_max, config.dt)
     _, cols, _ = _load_sampler(model)  # a built-in load of the wrong size raises here
@@ -447,13 +448,14 @@ def _run(dt, n_steps, n, phi, x0, sample=None, offsets=(), weights=None, ref_sca
     ref_scale is by default ||weights||_2, inf for weights that are not
     finite, whose run stops at its first step), as the Trajectory of the
     (u, v) part, the first 2n entries, of its states.  It carries a copy of
-    the caller's ``info``; a guard stop adds its step as ``diverged_at_step``
-    and the reason "norm guard".  A run whose info holds a ``reason`` is
-    diverged."""
+    the caller's ``info`` and the seconds of its step loop as ``loop_s``; a
+    guard stop adds its step as ``diverged_at_step`` and the reason "norm
+    guard".  A run whose info holds a ``reason`` is diverged."""
     if sample is not None and ref_scale is None:  # the SVD raises on inf or nan
         ref_scale = np.linalg.norm(weights, 2) if np.isfinite(weights).all() else np.inf
+    t0 = time.perf_counter()
     states, stop = recurrence(phi, x0, dt, n_steps, sample, offsets, weights, ref_scale)
-    info = dict(info or {})
+    info = dict(info or {}, loop_s=time.perf_counter() - t0)
     if stop is not None:
         info.update(diverged_at_step=stop, reason="norm guard")
     return Trajectory(times=np.arange(len(states)) * dt, displacements=states[:, :n],

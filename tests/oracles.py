@@ -7,7 +7,7 @@ or textbook formulas, not against the library's own code paths.
 from math import factorial, sqrt
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, expm
 
 from perdyn.model import SystemModel, modal_analysis
 
@@ -77,6 +77,46 @@ def gauss_panel_integral(f, a, b, panels=64, order=12):
             val = w * half * np.asarray(f(mid + half * x))
             total = val if total is None else total + val
     return total
+
+
+def exosystem_solution(model, dofs, c_mat, s_mat, z0, times):
+    """Exact (u, v) at ``times`` of ``model`` from its initial state under the
+    load f(t) = E_S C z(t), z' = S z, z(0) = z0, E_S the identity's columns
+    at ``dofs``: steps (S = 0), cubics (a nilpotent S), harmonics and their
+    sums.  Each state is one expm of the generator
+    [[W, [0; M^-1 E_S C]], [0, S]] at its own time, never a power of one
+    step's, applied to [u0; v0; z0]."""
+    n, q = model.n_dof, len(z0)
+    gen = np.zeros((2 * n + q, 2 * n + q))
+    gen[:2 * n, :2 * n] = companion_matrix(model)
+    gen[n:2 * n, 2 * n:] = np.linalg.solve(model.mass, np.eye(n)[:, dofs] @ c_mat)
+    gen[2 * n:, 2 * n:] = s_mat
+    x0 = np.concatenate([model.u0, model.v0, z0])
+    states = np.array([expm(gen * t) @ x0 for t in np.asarray(times, dtype=float)])
+    return states[:, :n], states[:, n:2 * n]
+
+
+def forcing_operator_exact(model, dofs, dt):
+    """Exact weights [Phi_0, ..., Phi_3] (2N x 4|S|) of PER's cubic
+    interpolant of f_S on the nodes (0, dt/3, 2dt/3, dt):
+    Phi_i = int_0^dt e^{W(dt-s)} [0; M^-1 E_S] l_i(s/dt) ds, l_i the
+    Lagrange cubics.  One expm of Van Loan's block matrix (IEEE Trans. Autom.
+    Control 23(3), 1978), [[W, B, 0, 0, 0], [0, 0, I, 0, 0], ..., [0, ..., 0]],
+    gives F_j = int_0^dt e^{W(dt-s)} B s^j/j! ds in its first block row; Phi_i
+    is the sum of F_j times the j-th derivative of l_i at 0."""
+    n, m = model.n_dof, len(dofs)
+    size = 2 * n + 4 * m
+    block = np.zeros((size, size))
+    block[:2 * n, :2 * n] = companion_matrix(model)
+    block[n:2 * n, 2 * n:2 * n + m] = np.linalg.solve(model.mass, np.eye(n)[:, dofs])
+    for j in range(3):
+        rows = slice(2 * n + j * m, 2 * n + (j + 1) * m)
+        block[rows, 2 * n + (j + 1) * m:2 * n + (j + 2) * m] = np.eye(m)
+    f = expm(block * dt)[:2 * n, 2 * n:].reshape(2 * n, 4, m)
+    # l_i(s/dt) = sum_j power[j, i] (s/dt)^j = sum_j power[j, i] j!/dt^j s^j/j!
+    power = np.linalg.inv(np.vander(np.arange(4) / 3.0, 4, increasing=True))
+    scale = np.array([factorial(j) / dt ** j for j in range(4)])
+    return np.einsum("rjm,ji->rim", f, power * scale[:, None]).reshape(2 * n, 4 * m)
 
 
 def generalized_modes(stiffness, mass):

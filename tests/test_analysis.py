@@ -1,6 +1,8 @@
 """Tests for the sigma eigenvalue machinery, step bounds and the
 single-dof stability map."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
@@ -64,6 +66,23 @@ class TestSigma:
         mc = 2.0 * 3.1 * 0.5
         sig = dt * sigma_matrix(m, 3.1 * dt, dt=dt) * mc
         np.testing.assert_allclose(beta, sig, rtol=1e-13)
+
+    @pytest.mark.parametrize("tau, message", [
+        (np.inf, "tau must be finite, not inf"), (np.nan, "tau must be finite, not nan"),
+        (-np.inf, "tau must be >= 0"), (-1.0, "tau must be >= 0")])
+    def test_tau_rejected_by_name(self, tau, message):
+        # an infinite or NaN tau reached numpy's "Array must not contain infs or NaNs"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                sigma_eigenvalues(4, tau)
+        assert str(exc.value) == message
+
+    def test_curve_grid_rejected_by_name(self):
+        # the sigma curve's grid: the same checks as the stability map's
+        with pytest.raises(ValueError, match="^grid end must be finite, not inf$"):
+            perdyn.analysis._grid(0.0, np.inf, 0.05)
+        np.testing.assert_array_equal(perdyn.analysis._grid(0.0, 0.1, 0.05), [0.0, 0.05, 0.1])
 
 
 class TestTauLimit:
@@ -259,6 +278,28 @@ class TestStabilityMap:
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError, match="grid"):
             sdof_stability_map(0.0, 2, grid_max=-1.0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(zeta=np.inf), "zeta must be finite, not inf"),
+        (dict(zeta=np.nan), "zeta must be finite, not nan"),
+        (dict(zeta=-np.inf), "zeta must be >= 0"),
+        (dict(zeta=-0.1), "zeta must be >= 0"),
+        (dict(grid_max=np.inf), "grid end must be finite, not inf"),
+        (dict(grid_max=np.nan), "grid end must be finite, not nan"),
+        (dict(grid_step=np.inf), "grid step must be finite, not inf"),
+        (dict(grid_step=np.nan), "grid step must be finite, not nan"),
+        (dict(grid_max=-np.inf), "grid parameters must be positive"),
+        (dict(grid_max=0.001, grid_step=0.002),
+         "the grid from 0.002 by 0.002 through 0.001 is empty"),
+    ])
+    def test_inputs_rejected_by_name(self, kwargs, message):
+        # an infinite zeta or grid end, or a NaN, reached numpy's errors
+        # (and RuntimeWarnings); the empty grid returned an empty map
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                sdof_stability_map(**{"zeta": 0.05, "m_a": 2, **kwargs})
+        assert str(exc.value) == message
 
     def test_order_zero_runs(self):
         # m_a = 0 keeps only the first series terms; PerConfig rejects it,

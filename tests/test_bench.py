@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -628,7 +630,7 @@ class TestTiming:
         assert loop_s < setup_s
 
     def test_loop_phase(self, monkeypatch):
-        # each repeat times a one-step run, then the full run
+        # each repeat is one full run, whose step loop times itself
         calls = []
         run_method = bench.run_method
 
@@ -638,8 +640,31 @@ class TestTiming:
 
         monkeypatch.setattr(bench, "run_method", counted)
         setup_s, loop_s = timing_run(benchmark_chain(0.1), "per", 0.01, 0.5, repeats=2)
-        assert calls == [0.01, 0.5, 0.01, 0.5]
+        assert calls == [0.5, 0.5]
         assert np.isfinite(loop_s) and loop_s >= 0.0 and setup_s > 0.0
+
+    def test_loop_phase_is_the_runs_own(self, monkeypatch):
+        # the loop phase was the full run's time less a one-step run's,
+        # clamped at zero; now it is the loop time that the run recorded
+        def run(model, method, dt, t_max, *args):
+            time.sleep(0.02)
+            return SimpleNamespace(info={"loop_s": 0.005})
+
+        monkeypatch.setattr(bench, "run_method", run)
+        setup_s, loop_s = timing_run(benchmark_chain(0.1), "per", 0.01, 0.5, repeats=2)
+        assert loop_s == 0.005 and setup_s >= 0.015
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+    @pytest.mark.parametrize("method", bench.METHODS)
+    def test_every_run_times_its_step_loop(self, method, forced):
+        model = benchmark_chain(0.1).with_initial_state(np.full(12, 0.01), np.zeros(12))
+        if forced:
+            model = model.with_force(constant_step_force(12, 3, 0.12, 2.0))
+        t0 = time.perf_counter()
+        traj = run_method(model, method, 0.024, 0.24, per_config=PerConfig(dt=0.024, m_b=8, r_b=4))
+        wall = time.perf_counter() - t0
+        assert not traj.diverged and traj.n_steps == 10
+        assert np.isfinite(traj.info["loop_s"]) and 0.0 <= traj.info["loop_s"] <= wall
 
     def test_setup_grows_with_size(self):
         setups = []

@@ -491,6 +491,36 @@ class TestAnalysisCommands:
         assert capsys.readouterr().err == "error: grid parameters must be positive\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, message", [
+        (["stability-map", "--zeta", "inf", "--ma", "2"], "zeta must be finite, not inf"),
+        (["stability-map", "--zeta", "nan", "--ma", "2"], "zeta must be finite, not nan"),
+        (["stability-map", "--zeta", "0.05", "--ma", "2", "--grid-max", "inf"],
+         "grid end must be finite, not inf"),
+        (["stability-map", "--zeta", "0.05", "--ma", "2", "--grid-max", "nan"],
+         "grid end must be finite, not nan"),
+        (["stability-map", "--zeta", "0.05", "--ma", "2", "--grid-step", "nan"],
+         "grid step must be finite, not nan"),
+        (["stability-map", "--zeta", "0.05", "--ma", "2", "--grid-max", "0.001",
+          "--grid-step", "0.002"], "the grid from 0.002 by 0.002 through 0.001 is empty"),
+        (["tau-limit", "--m", "2", "--curve-max", "inf"], "grid end must be finite, not inf"),
+        (["tau-limit", "--m", "2", "--curve-max", "nan"], "grid end must be finite, not nan"),
+    ], ids=["zeta-inf", "zeta-nan", "grid-max-inf", "grid-max-nan", "grid-step-nan",
+            "grid-empty", "curve-max-inf", "curve-max-nan"])
+    def test_scan_inputs_rejected_by_name(self, command, message, tmp_path, capsys):
+        # numpy's errors ("Array must not contain infs or NaNs", after
+        # RuntimeWarnings for zeta = inf; "Maximum allowed size exceeded";
+        # "arange: cannot compute length") were printed, and the empty grid
+        # wrote a header-only CSV and exited 0
+        out = tmp_path / "grid.csv"
+        flag = "--curve-out" if command[0] == "tau-limit" else "--out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(command + [flag, str(out)]) == EXIT_VALIDATION
+        assert caught == []
+        printed = capsys.readouterr()
+        assert printed.out == "" and printed.err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_stability_map_has_no_p(self, tmp_path, capsys):
         # the map lives at the reduced step: --p was parsed and shown nowhere
         with pytest.raises(SystemExit) as exc:

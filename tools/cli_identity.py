@@ -73,6 +73,10 @@ The matrix:
 - ``tau-limit --curve-out``, the same with ``--curve-step 0``, and four
   ``stability-map`` grids, one of them (zeta 0, m_a 8) with two stable runs
   whose second is bisected at both ends, and one of order m_a 0;
+- eight scan inputs that the analysis rejects by name: ``stability-map``
+  with ``--zeta`` inf and NaN, ``--grid-max`` inf and NaN, ``--grid-step``
+  NaN and the empty grid ``--grid-max 0.001 --grid-step 0.002``, and
+  ``tau-limit --curve-out`` with ``--curve-max`` inf and NaN;
 - ``cost-model`` of the perturbation scheme, MPIM and RK4 at N 48, and of
   the perturbation scheme at N -5;
 - ``tau-limit --m 2,3``, whose odd order is rejected, and ``tau-limit --m ,``,
@@ -272,6 +276,16 @@ CASES = {
     "stability-map-two-runs": ["stability-map", "--zeta", "0", "--ma", "8", "--out", "out.csv"],
     "stability-map-order-zero": ["stability-map", "--zeta", "0.005", "--ma", "0",
                                  "--out", "out.csv"],
+    **{f"stability-map-{name}": ["stability-map", "--ma", "2", "--out", "out.csv", *flags]
+       for name, flags in (("zeta-inf", ["--zeta", "inf"]), ("zeta-nan", ["--zeta", "nan"]),
+                           ("grid-max-inf", ["--zeta", "0.05", "--grid-max", "inf"]),
+                           ("grid-max-nan", ["--zeta", "0.05", "--grid-max", "nan"]),
+                           ("grid-step-nan", ["--zeta", "0.05", "--grid-step", "nan"]),
+                           ("grid-empty", ["--zeta", "0.05", "--grid-max", "0.001",
+                                           "--grid-step", "0.002"]))},
+    **{f"tau-limit-curve-max-{value}": ["tau-limit", "--m", "2,4", "--out", "out.csv",
+                                        "--curve-out", "curve.csv", "--curve-max", value]
+       for value in ("inf", "nan")},
     **{f"cost-model-{m}": ["cost-model", "--method", m, "--n", "48", "--steps", "1000",
                            "--out", "out.csv"] for m in ("per", "mpim", "rk4")},
     "cost-model-invalid": ["cost-model", "--method", "per", "--n", "-5", "--out", "out.csv"],
