@@ -154,14 +154,14 @@ def _dt_max(model, m):
 
 
 def _grid(start, stop, step):
-    """start, start + step, ... through stop, not empty: the scans of the
-    stability map and the sigma curves.  stop and step are finite, positive."""
+    """start, start + step, ... through stop plus 1e-9 steps, not empty: the
+    scans of the stability map and the sigma curves; stop, step finite, > 0."""
     if stop <= 0.0 or step <= 0.0:
         raise ValueError("grid parameters must be positive")
     for name, value in (("end", stop), ("step", step)):
         if not np.isfinite(value):
             raise ValueError(f"grid {name} must be finite, not {value}")
-    grid = np.arange(start, stop + 0.5 * step, step)
+    grid = np.arange(start, stop + 1e-9 * step, step)
     if not grid.size:
         raise ValueError(f"the grid from {start} by {step} through {stop} is empty")
     return grid

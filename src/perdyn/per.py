@@ -5,9 +5,9 @@ perturbation series of the damped response.  ``a`` is computed by the
 2^p doubling algorithm from its increment at the reduced step
 dt0 = dt/2^p; the nonhomogeneous factor combines a truncated Neumann
 sum of the series matrix beta with the force-interpolation operator L.
-The explicit double iteration (time steps x series terms) is kept as
-``integrate_asymptotic`` and serves as an internal cross-check of the
-summed scheme.
+The explicit double iteration (time steps x series terms),
+``integrate_asymptotic``, is a cross-check of the summed scheme on its own
+operators, and diverges by the same rule, rho(beta_b) >= 1.
 """
 
 from __future__ import annotations
@@ -371,12 +371,13 @@ def _step_samples(sample, k0, k1, dt, offsets):
     return sample(times.ravel()).reshape(k1 - k0, -1)
 
 
-def _per_samples(model, k0, k1, dt):
-    """PER force rows M^-1 f of the steps k0 <= k < k1, one multi-RHS mass
-    solve; a non-finite sample raises ValueError."""
-    offsets, rows = _per_offsets(dt), _load_sampler(model)[2]
-    g = _step_samples(lambda times: model.solve_mass(rows(times).T).T, k0, k1, dt, offsets)
-    bad = np.flatnonzero(~np.isfinite(g.reshape(-1, model.n_dof)).all(axis=1))
+def _per_samples(sample, k0, k1, dt):
+    """``sample`` (times -> one row per time) at the force abscissae of the
+    steps k0 <= k < k1, one row per step; a non-finite sample raises
+    ValueError."""
+    offsets = _per_offsets(dt)
+    g = _step_samples(sample, k0, k1, dt, offsets)
+    bad = np.flatnonzero(~np.isfinite(g.reshape((k1 - k0) * len(offsets), -1)).all(axis=1))
     if len(bad):
         k, i = divmod(int(bad[0]), len(offsets))
         raise ValueError(f"non-finite force sample at t = {(k0 + k) * dt + offsets[i]}")
@@ -385,7 +386,8 @@ def _per_samples(model, k0, k1, dt):
 
 def force_samples(model: SystemModel, k: int, dt: float) -> np.ndarray:
     """g_k: M^-1 f at the four interpolation abscissae of step k."""
-    return _per_samples(model, k, k + 1, dt)[0]
+    rows = _load_sampler(model)[2]
+    return _per_samples(lambda times: model.solve_mass(rows(times).T).T, k, k + 1, dt)[0]
 
 
 def _steps(t_max, dt):
@@ -427,7 +429,7 @@ def integrate(model: SystemModel, config: PerConfig, t_max: float) -> Trajectory
     traj = _run(config.dt, n_steps, model.n_dof, scheme.a,
                 np.concatenate([model.u0, model.v0]), *forcing, info=info)
     if forcing and "diverged_at_step" in traj.info:  # a non-finite sample raises
-        _per_samples(model, traj.n_steps - 1, traj.n_steps, config.dt)
+        force_samples(model, traj.n_steps - 1, config.dt)
     if not traj.diverged:
         return traj
     from .analysis import _dt_max  # deferred: analysis imports this module
@@ -571,53 +573,40 @@ def integrate_asymptotic(model: SystemModel, config: PerConfig, t_max: float,
                          n_terms: int) -> Trajectory:
     """Partial sum of the explicit double iteration.
 
-    Term 0 is the undamped response driven by L g_k; every further term
-    is driven by the previous one through the alpha/beta operators.  All
-    series matrices are truncated at m_b on the full step.  The returned
-    trajectory is sum of the first n_terms+1 terms; per-term norms are
-    reported in ``info["term_norms"]`` and sustained growth over the
-    last 10 terms flags divergence.
+    Every term marches x_{k+1} = T x_k + d_k.  Term 0 starts at the initial
+    state, driven by l_b = L_b M^-1 E_S (as in ``build_scheme``) on the
+    load's samples f_S; every further term starts at rest, driven by the
+    previous term x as alpha x_k + beta x_{k+1} on the damped columns.  All
+    series are truncated at m_b on the full step.  The trajectory is the sum
+    of the first n_terms+1 terms, ``info`` carries each term's peak as
+    ``term_norms`` and rho(beta_b), and the run is diverged, by the rule of
+    ``integrate``, when rho(beta_b) >= 1 or the sum is not finite.
     """
     n_steps = _steps(t_max, config.dt)
     if n_terms < 0:
         raise ValueError("n_terms must be >= 0")
-    n = model.n_dof
-    dt = config.dt
-    m = config.m_b
-
-    _, a_mat, minv_c = system_operators(model)
-    t_mat, l_mat = _series(a_mat, None, dt, m, coeff_t, coeff_l)
-    alpha, beta = _series(a_mat, minv_c, dt, m, coeff_alpha, coeff_beta)
-
-    g = None if model.force is None else _per_samples(model, 0, n_steps, dt)
-
-    term = np.zeros((n_steps + 1, 2 * n))
-    term[0] = np.concatenate([model.u0, model.v0])
-    for k in range(n_steps):
-        term[k + 1] = t_mat @ term[k] if g is None else t_mat @ term[k] + l_mat @ g[k]
-
-    total = term.copy()
-    term_norms = [float(np.abs(term).max())]
-    for _ in range(n_terms):
-        prev = term
-        term = np.zeros_like(prev)
+    n, dt, m = model.n_dof, config.dt, config.m_b
+    solve_mass, a_mat, minv_c = system_operators(model)
+    e_s, load, _ = _load_sampler(model)
+    t_mat, = _series(a_mat, None, dt, m, coeff_t)
+    cols, rho, (beta, alpha) = _damped_series(a_mat, minv_c, dt, m, coeff_beta, coeff_alpha)
+    x = np.zeros((n_steps + 1, 2 * n))
+    x[0] = np.concatenate([model.u0, model.v0])
+    drive = np.zeros_like(x[1:])
+    if load is not None:
+        l_b, = _on_columns(lambda f: _series(a_mat, f, dt, m, coeff_l), solve_mass(e_s))
+        drive = _per_samples(load, 0, n_steps, dt) @ l_b.T
+    total, term_norms = 0.0, []
+    for j in range(n_terms + 1):
+        if j:
+            drive = x[:-1, cols] @ alpha.T + x[1:, cols] @ beta.T
+            x = np.zeros_like(x)
         for k in range(n_steps):
-            term[k + 1] = t_mat @ term[k] + alpha @ prev[k] + beta @ prev[k + 1]
-        total += term
-        term_norms.append(float(np.abs(term).max()))
+            x[k + 1] = t_mat @ x[k] + drive[k]
+        total = total + x
+        term_norms.append(float(np.abs(x).max()))
         if not np.isfinite(term_norms[-1]):
             break
-
-    norms = np.array(term_norms[1:])  # growth of the damping corrections
-    if len(norms) and not np.isfinite(norms[-1]):
-        grew = True
-    else:
-        # sustained growth: net increase across the last 10 terms and
-        # overall (tolerates the oscillation of a complex dominant mode)
-        grew = (len(norms) >= 11
-                and norms[-1] > norms[-11] > 0.0
-                and norms[-1] > norms[0])
-    info = {"term_norms": term_norms}
-    times = np.arange(n_steps + 1) * dt
-    return Trajectory(times=times, displacements=total[:, :n],
-                      velocities=total[:, n:], diverged=grew, info=info)
+    return Trajectory(times=np.arange(n_steps + 1) * dt, displacements=total[:, :n],
+                      velocities=total[:, n:], info={"term_norms": term_norms, "rho_beta_b": rho},
+                      diverged=rho >= 1.0 or not np.isfinite(total).all())

@@ -84,6 +84,17 @@ class TestSigma:
             perdyn.analysis._grid(0.0, np.inf, 0.05)
         np.testing.assert_array_equal(perdyn.analysis._grid(0.0, 0.1, 0.05), [0.0, 0.05, 0.1])
 
+    @pytest.mark.parametrize("start, stop, step, last", [
+        (0.002, 0.0071, 0.002, 0.006), (0.0, 0.08, 0.05, 0.05), (0.0, 0.1 - 1e-12, 0.05, 0.1),
+        (0.002, 0.9, 0.002, 0.9), (0.0, 12.0, 0.05, 12.0)])
+    def test_grid_never_steps_past_its_end(self, start, stop, step, last):
+        # start + k step through stop, with 1e-9 steps of roundoff: a remainder
+        # over half a step added a point past the end; the default scans (the
+        # last two) keep their last points
+        grid = perdyn.analysis._grid(start, stop, step)
+        np.testing.assert_allclose(grid, start + step * np.arange(len(grid)), rtol=1e-14)
+        assert grid[-1] == pytest.approx(last, rel=1e-12) and grid[-1] <= stop + 1e-9 * step
+
 
 class TestTauLimit:
     def test_published_orders(self):

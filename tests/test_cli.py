@@ -521,6 +521,29 @@ class TestAnalysisCommands:
         assert printed.out == "" and printed.err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, code, last", [
+        (["stability-map", "--zeta", "0.1", "--ma", "4", "--grid-max", "0.0015",
+          "--grid-step", "0.002"], EXIT_VALIDATION, None),
+        (["stability-map", "--zeta", "0.1", "--ma", "4", "--grid-max", "0.0071",
+          "--grid-step", "0.002"], 0, 0.006),
+        (["tau-limit", "--m", "4", "--curve-max", "0.08", "--curve-step", "0.05"], 0, 0.05),
+    ], ids=["grid-below-one-step", "grid-max-0.0071", "curve-max-0.08"])
+    def test_scan_grid_stops_at_its_end(self, command, code, last, tmp_path, capsys):
+        # the grids wrote a point past their end (0.002, 0.008 and tau 0.1),
+        # and the map printed "stable: 0.0000 < dt0/T < 0.0080"
+        out = tmp_path / "grid.csv"
+        flag = "--curve-out" if command[0] == "tau-limit" else "--out"
+        assert main(command + [flag, str(out)]) == code
+        printed = capsys.readouterr()
+        if last is None:
+            assert printed.err == "error: the grid from 0.002 by 0.002 through 0.0015 is empty\n"
+            assert not out.exists()
+            return
+        header, rows = read_csv(out)
+        column = header.index("tau") if "tau" in header else 0
+        assert float(rows[-1][column]) == pytest.approx(last, rel=1e-12)
+        assert command[0] == "tau-limit" or "stable: 0.0000 < dt0/T < 0.0060" in printed.out
+
     def test_stability_map_has_no_p(self, tmp_path, capsys):
         # the map lives at the reduced step: --p was parsed and shown nowhere
         with pytest.raises(SystemExit) as exc:

@@ -1270,6 +1270,26 @@ class TestProfileLoop:
         assert got_stop == stop
         assert np.array_equal(got, states)
 
+    def test_rejected_on_its_full_windows(self, monkeypatch):
+        # in the interleaved order: a diagonal map of order 256 whose middle
+        # row of each 128-row block is full.  The first and last rows of the
+        # blocks cover half of the map, so the full pass runs, and its
+        # windows cover all of it
+        n = 256
+        interleaved = 0.5 * np.eye(n)
+        interleaved[[64, 192]] += 1e-3
+        inverse = np.argsort(linalg._interleaved_order(n))
+        phi = interleaved[inverse][:, inverse]
+        full_passes = []
+        monkeypatch.setattr(per, "_interleaved_profile",
+                            lambda mat: full_passes.append(1) or linalg._interleaved_profile(mat))
+        assert per._profile_blocks(phi) == (None, None) and full_passes == [1]
+        x0 = np.random.default_rng(8).standard_normal(n)
+        got, got_stop = per.recurrence(phi, x0, 0.1, 200, None, (), None, 0.0)
+        states, stop = step_loop(phi, x0, 0.1, 200, None, (), None, 0.0)
+        assert got_stop is None is stop
+        assert np.array_equal(got, states)
+
 
 class TestPerConfigValidation:
     def test_odd_truncation_rejected(self):
@@ -1399,3 +1419,49 @@ class TestIntegrateAsymptotic:
         assert traj.diverged
         norms = traj.info["term_norms"]
         assert norms[-1] > norms[1]
+
+    @pytest.mark.parametrize("zeta, n_terms", [(2.2, 0), (2.2, 1), (2.2, 5), (2.2, 10),
+                                               (2.2, 40), (0.45, 0), (0.45, 10), (0.45, 40)])
+    def test_diverged_by_the_radius_rule(self, zeta, n_terms):
+        # the rule of integrate: rho(beta_b) >= 1 or a non-finite sum, however
+        # few terms are summed (rho 1.246 at zeta 2.2, 0.255 at zeta 0.45)
+        model = benchmark_chain(zeta).with_initial_state(np.linspace(0.01, 0.03, 12), None)
+        config = per.PerConfig(dt=0.05, m_b=8)
+        traj = per.integrate_asymptotic(model, config, 5 * config.dt, n_terms)
+        assert traj.diverged is (zeta == 2.2)
+        assert len(traj.info["term_norms"]) == n_terms + 1
+        assert (traj.info["rho_beta_b"] >= 1.0) is traj.diverged
+        assert np.isfinite(traj.displacements).all() and np.isfinite(traj.velocities).all()
+
+    @pytest.mark.parametrize("case", ["chain12", "beam", "chain96"])
+    def test_radius_is_that_of_integrate(self, case):
+        if case == "beam":
+            model, dt = benchmark_beam(t_c=5e-5), 2e-5
+        else:
+            model = benchmark_chain(0.1, 12 if case == "chain12" else 96)
+            model = model.with_force(constant_step_force(model.n_dof, 3, 0.0, 2.0))
+            dt = 0.4 * dt_bound(model, 8).dt_max
+        config = per.PerConfig(dt=dt, m_b=8)
+        got = per.integrate_asymptotic(model, config, 3 * dt, n_terms=2)
+        want = per.integrate(model, config, 3 * dt)
+        assert 0.0 < got.info["rho_beta_b"] == want.info["rho_beta_b"] < 1.0
+        assert not got.diverged
+
+    @pytest.mark.parametrize("support", [False, True])
+    def test_nan_load_raises_the_sampler_message(self, support):
+        # the load's own samples f_S are checked, on its support when it has one
+        load = (constant_step_force(1, 0, 0.25, np.nan) if support else
+                lambda t: np.array([np.nan if t > 0.25 else 1.0]))
+        model = sdof_model(zeta=0.05, force=load)
+        with pytest.raises(ValueError, match=r"non-finite force sample at t = 0\.266"):
+            per.integrate_asymptotic(model, per.PerConfig(dt=0.1), 1.0, n_terms=3)
+
+    def test_finite_load_of_an_overflowing_mass_solve_diverges(self):
+        # f_S is finite, so nothing raises; l_b = L_b M^-1 E_S carries the
+        # overflow into the sum, and a non-finite sum is diverged
+        model = sdof_model(mass=1e-300, zeta=0.05,
+                           force=lambda t: np.array([1e100 if t > 0.25 else 0.0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = per.integrate_asymptotic(model, per.PerConfig(dt=0.1), 1.0, n_terms=3)
+        assert traj.diverged and traj.info["rho_beta_b"] < 1.0
+        assert not np.isfinite(traj.displacements).all()

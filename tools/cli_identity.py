@@ -77,6 +77,10 @@ The matrix:
   with ``--zeta`` inf and NaN, ``--grid-max`` inf and NaN, ``--grid-step``
   NaN and the empty grid ``--grid-max 0.001 --grid-step 0.002``, and
   ``tau-limit --curve-out`` with ``--curve-max`` inf and NaN;
+- three grids whose end is not a whole number of steps from their start,
+  which stop at their last point through the end: ``stability-map`` with
+  ``--grid-step 0.002`` and ``--grid-max`` 0.0015 (no point, so rejected)
+  and 0.0071, and ``tau-limit --curve-max 0.08 --curve-step 0.05``;
 - ``cost-model`` of the perturbation scheme, MPIM and RK4 at N 48, and of
   the perturbation scheme at N -5;
 - ``tau-limit --m 2,3``, whose odd order is rejected, and ``tau-limit --m ,``,
@@ -286,6 +290,11 @@ CASES = {
     **{f"tau-limit-curve-max-{value}": ["tau-limit", "--m", "2,4", "--out", "out.csv",
                                         "--curve-out", "curve.csv", "--curve-max", value]
        for value in ("inf", "nan")},
+    **{f"stability-map-grid-max-{value}": ["stability-map", "--zeta", "0.1", "--ma", "4",
+                                           "--grid-max", value, "--grid-step", "0.002",
+                                           "--out", "out.csv"] for value in ("0.0015", "0.0071")},
+    "tau-limit-curve-past-end": ["tau-limit", "--m", "4", "--curve-out", "curve.csv",
+                                 "--curve-max", "0.08", "--curve-step", "0.05"],
     **{f"cost-model-{m}": ["cost-model", "--method", m, "--n", "48", "--steps", "1000",
                            "--out", "out.csv"] for m in ("per", "mpim", "rk4")},
     "cost-model-invalid": ["cost-model", "--method", "per", "--n", "-5", "--out", "out.csv"],
