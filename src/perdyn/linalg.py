@@ -9,11 +9,11 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 
-#: Smallest matrix order whose doubling flushes underflowing entries, and the
-#: row-block height of per.recurrence's profile loop.  At order 24 the O(N^2)
-#: flush pass costs as much as the whole doubling, and the 12-dof chain and
-#: the 48-dof beam hold no tiny entry; the 20 doublings of the 48-dof
-#: benchmark chain (order 96) took 5.93 ms unflushed and 0.72 ms flushed.
+#: Smallest matrix order whose doubling flushes underflowing entries; the
+#: order above which per.recurrence may step a map as a band.  At order 24
+#: the O(N^2) flush pass costs as much as the whole doubling, and the 12-dof
+#: chain and the 48-dof beam hold no tiny entry; the 20 doublings of the
+#: 48-dof benchmark chain (order 96) took 5.93 ms unflushed and 0.72 ms flushed.
 _FLUSH_MIN_ORDER = 128
 
 #: Row-block height of the profile doubling (see _profile_doubling): the

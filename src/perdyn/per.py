@@ -7,7 +7,7 @@ dt0 = dt/2^p; the nonhomogeneous factor combines a truncated Neumann
 sum of the series matrix beta with the force-interpolation operator L.
 The explicit double iteration (time steps x series terms),
 ``integrate_asymptotic``, is a cross-check of the summed scheme on its own
-operators, and diverges by the same rule, rho(beta_b) >= 1.
+operators, diverged by the same rules.
 """
 
 from __future__ import annotations
@@ -19,10 +19,12 @@ from math import factorial
 from typing import Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg.blas import dgbmv
 
 from .linalg import (_FLUSH_MIN_ORDER, MAX_NEUMANN_ORDER, MAX_SERIES_ORDER, DivergenceError,
-                     _check_order, _interleaved_order, _interleaved_profile, _neumann_columns,
-                     _reduced_step, _spans, double_increment, spectral_radius)
+                     _check_order, _interleave, _interleaved_profile, _neumann_columns,
+                     _reduced_step, double_increment, spectral_radius)
 from .model import StateVector, SystemModel, _load_sampler
 
 _DIVERGENCE_FACTOR = 1e12
@@ -30,6 +32,8 @@ _DIVERGENCE_FACTOR = 1e12
 #: Force samples, and state entries, of one block of the step loop (1 MB of
 #: float64 each).
 _BLOCK_FLOATS = 1 << 17
+
+_BAND_SHARE = 0.75  # widest band (lower + upper + 1) of the band loop, per unit order
 
 
 @dataclass(frozen=True)
@@ -486,24 +490,22 @@ def recurrence(phi, x0, dt, n_steps, sample, offsets, weights, ref_scale):
     guard once on all its states; after a stop, at most the rest of its
     block has been computed and is dropped.
 
-    A phi with a narrow nonzero profile (see _profile_blocks) is stepped
-    over that profile: the states and the rows of weights are taken in the
-    interleaved order (u_0, v_0, u_1, v_1, ...), each step adds one product
-    phi[R, K] U_k[K] per row block R to the forcing rows (zero if unforced),
-    and the states are put back in the (u, v) order once, at the end.  Its
-    states equal those of the same step-by-step block loop bit for bit, and
-    those of the dense loop to roundoff: the products skip only exact zeros,
-    but sum in another order.  Every other phi is stepped by one dense
-    product per step, and its states equal those of the step-by-step dense
-    loop bit for bit.
+    A banded phi (see _band) is stepped in the interleaved order (u_0, v_0,
+    u_1, v_1, ...), where its nonzero entries form one band: each step adds
+    phi U_k to its forcing row (zero if unforced) by one BLAS dgbmv call,
+    and the states go back to the (u, v) order once, at the end.  They equal
+    those of the step-by-step dgbmv loop bit for bit, and those of the dense
+    loop to roundoff.  Every other phi takes one dense product per step, bit
+    for bit as the step-by-step dense loop.
     """
     if np.shape(x0) != phi.shape[:1]:
         raise ValueError(f"initial state must have length {phi.shape[0]}")
     states = np.zeros((n_steps + 1, phi.shape[0]))
     states[0] = x0
     ref_norm = np.linalg.norm(states[0])
-    perm, blocks = _profile_blocks(phi)
-    if blocks is not None:  # states and forcing rows in the interleaved order
+    band = _band(phi)
+    if band is not None:  # states and forcing rows in the interleaved order
+        perm, lower, upper, storage = band
         states[0] = states[0][perm]
         weights = None if sample is None else weights[perm]
     width = len(x0) if sample is None else max(len(x0), weights.shape[1])
@@ -515,53 +517,58 @@ def recurrence(phi, x0, dt, n_steps, sample, offsets, weights, ref_scale):
         # the steps after a stop inside the block may overflow: the guard
         # reports the stop, the rest of the block is dropped
         with np.errstate(over="ignore", invalid="ignore"):
-            if g is None:
-                refs = ref_norm
-            else:
+            if g is not None:
                 np.matmul(weights, g[:, :, None], out=new[:, :, None])
-                refs = np.cumsum(np.concatenate([[ref_norm], ref_scale * _row_norms(g)]))[1:]
-                ref_norm = refs[-1]
-            if blocks is not None:  # the rows of new hold their forcing, or zero
+            if band is not None:  # the rows of new hold their forcing, or zero
                 for x, nxt in zip(states[k0:k1], new):
-                    for rows, cols, phi_block in blocks:
-                        nxt[rows] += phi_block @ x[cols]
+                    nxt[:] = dgbmv(len(x), len(x), upper, lower, 1.0, storage, x, beta=1.0,
+                                   y=nxt, trans=1)
             else:
                 for x, nxt in zip(states[k0:k1], new):
                     nxt += phi @ x
-            norms = _row_norms(new)
-            bad = ~np.isfinite(norms) | (norms > _DIVERGENCE_FACTOR * np.maximum(refs, 1e-30))
+            bad, ref_norm = _guard(new, ref_norm, ref_scale, g)
         if bad.any():
             stop = k0 + 1 + int(bad.argmax())
             states = states[:stop + 1]
             break
-    if blocks is not None:  # back in the (u, v) order
+    if band is not None:  # back in the (u, v) order
         states = states[:, np.argsort(perm)]
     return states, stop
 
 
-def _profile_blocks(phi):
-    """(perm, blocks) of the profile loop of ``recurrence``, (None, None)
-    where the dense loop runs: perm the interleaved order, and blocks the
-    (rows, cols, phi[rows, cols]) in that order of each row block with a
-    nonzero entry, a contiguous copy over its nonzero window.  The loop runs
-    on a phi of order above _FLUSH_MIN_ORDER with a zero entry whose windows
-    cover at most half of it; one that the windows of each block's first and
-    last rows alone cover by more than half is rejected first."""
+def _band(phi):
+    """(perm, lower, upper, storage) of the band loop of ``recurrence``, None
+    for the dense loop: perm the interleaved order, lower and upper the
+    bandwidths of phi[perm][:, perm] (NaN and inf count as nonzero), storage
+    the LAPACK band storage of its transpose, for dgbmv with trans=1.  Taken
+    above order _FLUSH_MIN_ORDER, with a zero entry and a band of at most
+    _BAND_SHARE of the order."""
     n = phi.shape[0]
     if n <= _FLUSH_MIN_ORDER or (phi != 0.0).all():
-        return None, None
-    perm, starts = _interleaved_order(n), np.arange(0, n, _FLUSH_MIN_ORDER)
-    ends = np.minimum(starts + _FLUSH_MIN_ORDER, n)
-    first, stop = _spans(phi[perm[np.r_[starts, ends - 1]]][:, perm] == 0.0, 0, n)
-    widths = stop.reshape(2, -1).max(axis=0) - first.reshape(2, -1).min(axis=0)
-    if 2 * np.maximum(widths, 0) @ (ends - starts) > n * n:
-        return None, None
-    perm, first, stop = _interleaved_profile(phi)
-    blocks = [(r, slice(first[r].min(), stop[r].max()))
-              for r in map(slice, starts, ends) if first[r].min() < n]
-    if 2 * sum((r.stop - r.start) * (c.stop - c.start) for r, c in blocks) > n * n:
-        return None, None
-    return perm, [(r, c, phi.take(perm[r], axis=0).take(perm[c], axis=1)) for r, c in blocks]
+        return None
+    (perm, first, stop), rows = _interleaved_profile(phi), np.arange(n)
+    lower, upper = max(0, (rows - first).max()), max(0, (stop - 1 - rows).max())
+    width = lower + upper + 1
+    if width > _BAND_SHARE * n:
+        return None
+    # row r of the band, phi[perm][r, r - lower:r + upper + 1], read off a padded copy
+    padded = np.zeros((n, n + width - 1))
+    _interleave(phi, padded[:, lower:lower + n])
+    return perm, lower, upper, sliding_window_view(padded, width, axis=1)[rows, rows].T
+
+
+def _guard(states, ref_norm, ref_scale, g):
+    """(bad, last): whether the norm of each state is non-finite or above
+    _DIVERGENCE_FACTOR times its reference, ref_norm plus ref_scale times the
+    accumulated norms of the sample rows g through its step (ref_norm alone
+    if g is None), and the last reference."""
+    if g is None:
+        refs = last = ref_norm
+    else:
+        refs = np.cumsum(np.concatenate([[ref_norm], ref_scale * _row_norms(g)]))[1:]
+        last = refs[-1]
+    norms = _row_norms(states)
+    return ~np.isfinite(norms) | (norms > _DIVERGENCE_FACTOR * np.maximum(refs, 1e-30)), last
 
 
 def _row_norms(rows):
@@ -578,9 +585,11 @@ def integrate_asymptotic(model: SystemModel, config: PerConfig, t_max: float,
     load's samples f_S; every further term starts at rest, driven by the
     previous term x as alpha x_k + beta x_{k+1} on the damped columns.  All
     series are truncated at m_b on the full step.  The trajectory is the sum
-    of the first n_terms+1 terms, ``info`` carries each term's peak as
-    ``term_norms`` and rho(beta_b), and the run is diverged, by the rule of
-    ``integrate``, when rho(beta_b) >= 1 or the sum is not finite.
+    of the first n_terms+1 terms, and ``info`` carries each term's peak as
+    ``term_norms`` and rho(beta_b).  The run is diverged by the rules of
+    ``integrate``: rho(beta_b) >= 1, or a state of the sum that fails the
+    norm guard (on ||l_b||_2 and f_S), as under a T that grows, which adds
+    ``diverged_at_step`` and the reason "norm guard".
     """
     n_steps = _steps(t_max, config.dt)
     if n_terms < 0:
@@ -592,10 +601,11 @@ def integrate_asymptotic(model: SystemModel, config: PerConfig, t_max: float,
     cols, rho, (beta, alpha) = _damped_series(a_mat, minv_c, dt, m, coeff_beta, coeff_alpha)
     x = np.zeros((n_steps + 1, 2 * n))
     x[0] = np.concatenate([model.u0, model.v0])
-    drive = np.zeros_like(x[1:])
+    drive, g, scale = np.zeros_like(x[1:]), None, 0.0
     if load is not None:
         l_b, = _on_columns(lambda f: _series(a_mat, f, dt, m, coeff_l), solve_mass(e_s))
-        drive = _per_samples(load, 0, n_steps, dt) @ l_b.T
+        g = _per_samples(load, 0, n_steps, dt)
+        drive, scale = g @ l_b.T, np.linalg.norm(l_b, 2)
     total, term_norms = 0.0, []
     for j in range(n_terms + 1):
         if j:
@@ -607,6 +617,10 @@ def integrate_asymptotic(model: SystemModel, config: PerConfig, t_max: float,
         term_norms.append(float(np.abs(x).max()))
         if not np.isfinite(term_norms[-1]):
             break
+    info = {"term_norms": term_norms, "rho_beta_b": rho}
+    with np.errstate(over="ignore", invalid="ignore"):  # the norms of a sum that overflows
+        bad = _guard(total[1:], np.linalg.norm(total[0]), scale, g)[0]
+    if bad.any():
+        info.update(diverged_at_step=1 + int(bad.argmax()), reason="norm guard")
     return Trajectory(times=np.arange(n_steps + 1) * dt, displacements=total[:, :n],
-                      velocities=total[:, n:], info={"term_norms": term_norms, "rho_beta_b": rho},
-                      diverged=rho >= 1.0 or not np.isfinite(total).all())
+                      velocities=total[:, n:], info=info, diverged=rho >= 1.0 or "reason" in info)

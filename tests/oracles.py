@@ -8,6 +8,7 @@ from math import factorial, sqrt
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, expm
+from scipy.linalg.blas import dgbmv
 
 from perdyn.model import SystemModel, modal_analysis
 
@@ -325,25 +326,26 @@ def step_loop(phi, x0, dt, n_steps, sample, offsets, weights, ref_scale):
     return states, None
 
 
-def profile_step_loop(phi, x0, dt, n_steps, sample, offsets, weights, ref_scale):
-    """``step_loop`` over the nonzero profile of phi, of even order n: phi,
-    the state and the rows of weights taken in the order (x_0, x_h, x_1,
-    x_{h+1}, ...) with h = n/2, and each step the forcing row plus, for
-    each block of 128 rows with a nonzero entry, that block times the state
-    between its first and last nonzero column.  The guard is step_loop's,
-    on the initial norm in the given order.  Returns (states in the given
-    order, step at which it stopped or None)."""
+def band_step_loop(phi, x0, dt, n_steps, sample, offsets, weights, ref_scale):
+    """``step_loop`` with phi stepped as a band, of even order n: phi, the
+    state and the rows of weights taken in the order (x_0, x_h, x_1,
+    x_{h+1}, ...) with h = n/2, and each step the forcing row (zero if
+    unforced) plus phi times the state by one BLAS dgbmv call.  The band
+    spans phi's nonzero entries, kl below and ku above the diagonal, and is
+    held in LAPACK band storage of phi transposed, read with trans=1.  The
+    guard is step_loop's, on the initial norm in the given order.  Returns
+    (states in the given order, step at which it stopped or None)."""
     n = len(x0)
     assert n % 2 == 0
     perm = np.stack([np.arange(n // 2), n // 2 + np.arange(n // 2)], axis=1).ravel()
     p = phi[np.ix_(perm, perm)]
-    blocks = []
-    for r0 in range(0, n, 128):
-        rows = slice(r0, min(r0 + 128, n))
-        nonzero = np.flatnonzero((p[rows] != 0.0).any(axis=0))
-        if len(nonzero):
-            cols = slice(nonzero[0], nonzero[-1] + 1)
-            blocks.append((rows, cols, np.ascontiguousarray(p[rows, cols])))
+    rows, cols = np.nonzero(p)
+    kl, ku = max(0, (rows - cols).max(initial=0)), max(0, (cols - rows).max(initial=0))
+    # entry (r, c) of p is entry (c, r) of its transpose, stored at [kl + c - r, r]
+    band = np.zeros((kl + ku + 1, n), order="F")
+    for r in range(n):
+        lo, hi = max(0, r - kl), min(n, r + ku + 1)
+        band[kl + lo - r:kl + hi - r, r] = p[r, lo:hi]
     states = np.zeros((n_steps + 1, n))
     states[0] = np.asarray(x0)[perm]
     ref_norm = np.linalg.norm(x0)
@@ -354,10 +356,8 @@ def profile_step_loop(phi, x0, dt, n_steps, sample, offsets, weights, ref_scale)
             g_k = np.concatenate([sample(k * dt + off) for off in offsets])
             nxt = weights[perm] @ g_k
             ref_norm += ref_scale * np.linalg.norm(g_k)
-        for rows, cols, block in blocks:
-            nxt[rows] += block @ states[k, cols]
-        states[k + 1] = nxt
-        norm = np.linalg.norm(nxt)
+        states[k + 1] = dgbmv(n, n, ku, kl, 1.0, band, states[k], beta=1.0, y=nxt, trans=1)
+        norm = np.linalg.norm(states[k + 1])
         if not np.isfinite(norm) or norm > 1e12 * max(ref_norm, 1e-30):
             states, stop = states[:k + 2], k + 1
             break

@@ -5,6 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from perdyn import per
+from perdyn.baselines import rk4_operators, state_space
+from perdyn.cli import RunConfig
+from perdyn.model import _spectral_extremes
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "cli_identity.py"
 
@@ -23,6 +30,19 @@ def test_same_tree_twice_is_identical():
     n = len(load_tool().CASES)
     assert run.returncode == 0, run.stdout + run.stderr
     assert run.stdout == f"{n} of {n} cases identical, 0 differ\n"
+
+
+def test_rk4_case_takes_the_band_loop():
+    # a baseline's step map in the band loop of per.recurrence, at a stable step
+    tool = load_tool()
+    argv = tool.CASES["simulate-chain480-rk4"]
+    doc = tool.CONFIGS[argv[argv.index("--config") + 1]]
+    model, dt = RunConfig.from_dict(doc).build_model(), float(argv[argv.index("--dt") + 1])
+    assert "force" not in doc and argv[argv.index("--method") + 1] == "rk4"
+    assert 1.9 < _spectral_extremes(model)[0] * dt <= 2.0
+    d = rk4_operators(state_space(model).w, dt)[0]
+    band = per._band(np.eye(len(d)) + d)
+    assert band is not None and band[1:3] == (7, 5)
 
 
 def test_differing_outputs_are_reported(tmp_path):

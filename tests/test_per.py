@@ -13,7 +13,7 @@ from oracles import (companion_matrix, damped_free_vibration, dense_scheme, dens
                      doubling_dense_flushed, doubling_unflushed, expm_eig,
                      gauss_panel_integral, increment_at_reduced_step_i_rounded,
                      lagrange_cubic_basis, l2_norm, mass_solved_sampler,
-                     profile_doubling_fresh_buffer, profile_step_loop,
+                     band_step_loop, profile_doubling_fresh_buffer,
                      rotation_propagator, sdof_model, step_loop,
                      system_operators_every_column, undamped_step_increment_eye_first)
 from scipy.linalg import cho_factor, cho_solve
@@ -1123,8 +1123,8 @@ def banded_map(n_dof, scale, skip=0):
 
 
 class TestProfileLoop:
-    """A step map with a narrow nonzero profile is stepped one row block at
-    a time over that profile; every other map keeps the dense loop."""
+    """A step map whose nonzero profile is a narrow band is stepped as that
+    band, by one dgbmv call per step; every other map keeps the dense loop."""
 
     N = 480
     STEPS = 100
@@ -1145,7 +1145,7 @@ class TestProfileLoop:
 
     def test_chain480_unforced_near_the_dense_loop(self, chain480):
         model, _, config, scheme = chain480
-        assert per._profile_blocks(scheme.a)[1] is not None
+        assert per._band(scheme.a) is not None
         traj = per.integrate(model, config, self.STEPS * config.dt)
         states, stop = step_loop(scheme.a, np.concatenate([model.u0, model.v0]), config.dt,
                                  self.STEPS, None, (), None, 0.0)
@@ -1167,7 +1167,7 @@ class TestProfileLoop:
 
     def test_growing_map_stops_at_the_dense_step(self):
         phi = banded_map(200, 1.0)
-        assert spectral_radius(phi) > 1.1 and per._profile_blocks(phi)[1] is not None
+        assert spectral_radius(phi) > 1.1 and per._band(phi) is not None
         x0 = np.random.default_rng(3).standard_normal(400)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1198,12 +1198,12 @@ class TestProfileLoop:
 
     @pytest.mark.parametrize("forced", [False, True])
     def test_equals_its_step_by_step_block_loop(self, forced, monkeypatch):
-        # the first row block is zero and skipped; the samples come in
-        # blocks of 16 steps
+        # the band loop, whose samples come in blocks of 16 steps, against
+        # one dgbmv call per step; the first 64 dofs' rows are zero
         monkeypatch.setattr(per, "_BLOCK_FLOATS", 16 * 600)
         n, dt = 150, 0.2
         phi = banded_map(n, 0.99, skip=64)
-        assert len(per._profile_blocks(phi)[1]) == 2
+        assert per._band(phi)[1:3] == (3, 3)
         rng = np.random.default_rng(4)
         x0 = rng.standard_normal(2 * n)
         forcing = (None, (), None, 0.0)
@@ -1213,7 +1213,7 @@ class TestProfileLoop:
             factor = cho_factor(model.mass)
             forcing = (lambda t: cho_solve(factor, model.force_at(t)), per._per_offsets(dt),
                        rng.standard_normal((2 * n, 4 * n)), 1.0)
-        states, stop = profile_step_loop(phi, x0, dt, 100, *forcing)
+        states, stop = band_step_loop(phi, x0, dt, 100, *forcing)
         if forced:
             forcing = (mass_solved_sampler(model, spd_solver(model.mass)), *forcing[1:])
         got, got_stop = per.recurrence(phi, x0, dt, 100, *forcing)
@@ -1222,7 +1222,7 @@ class TestProfileLoop:
 
     @staticmethod
     def wide_band_map():
-        """Zero entries, but windows that cover all but 0.3% of the map."""
+        """Zero entries, but a band of all but 0.3% of the map."""
         return 0.3 * banded_map(150, 1.0) + sum(0.01 * np.eye(300, k=k) for k in range(-40, 40))
 
     @staticmethod
@@ -1231,25 +1231,42 @@ class TestProfileLoop:
         return per.build_scheme(model, per.PerConfig(dt=0.8 * dt_bound(model, 8).dt_max, m_b=8)).a
 
     @pytest.mark.parametrize("case", ["chain96", "chain240", "chain480", "growing", "nan-sample",
-                                      "skip-64", "wide-band"])
-    def test_cheap_rejection_keeps_the_choice(self, case, chain480):
+                                      "skip-64", "wide-band", "zero"])
+    def test_cheap_rejection_keeps_the_choice(self, case, chain480, monkeypatch):
+        # the choice is the width rule, and a rejected map is rejected from
+        # its spans alone, before any band storage is built
         phi = {"chain96": lambda: self.chain_map(96), "chain240": lambda: self.chain_map(240),
                "chain480": lambda: chain480[3].a, "growing": lambda: banded_map(200, 1.0),
                "nan-sample": lambda: banded_map(200, 0.5),
                "skip-64": lambda: banded_map(150, 0.99, skip=64),
-               "wide-band": self.wide_band_map}[case]()
-        # the choice of the pass over every row
+               "wide-band": self.wide_band_map, "zero": lambda: np.zeros((300, 300))}[case]()
         n = len(phi)
-        _, first, stop = linalg._interleaved_profile(phi)
-        rows = [slice(r0, r0 + 128) for r0 in range(0, n, 128)]
-        area = sum(len(first[r]) * (stop[r].max() - first[r].min())
-                   for r in rows if first[r].min() < n)
-        assert (per._profile_blocks(phi)[1] is None) == (2 * area > n * n)
+        rows, cols = np.nonzero(linalg._interleave(phi, np.empty((n, n))))
+        width = max(0, (rows - cols).max(initial=0)) + max(0, (cols - rows).max(initial=0)) + 1
+        built = []
+        monkeypatch.setattr(per, "_interleave", lambda *a: built.append(1) or linalg._interleave(*a))
+        band = per._band(phi)
+        assert (band is None) == (width > 0.75 * n) == (case in ("chain96", "wide-band"))
+        assert len(built) == (band is not None)
 
-    def test_chain240_rejected_before_the_full_pass(self, monkeypatch):
-        phi = self.chain_map(240)
-        monkeypatch.setattr(per, "_interleaved_profile", lambda mat: pytest.fail("full pass"))
-        assert per._profile_blocks(phi) == (None, None)
+    def test_band_storage_holds_the_map(self):
+        # every entry of the interleaved map inside its band, and only those,
+        # at orders 480 (chain240) and 387 (odd, as a Wilson state [u; v; a])
+        rng = np.random.default_rng(9)
+        odd = np.triu(np.tril(rng.standard_normal((387, 387)), 4), -2)
+        inverse = np.argsort(linalg._interleaved_order(387))
+        for phi in (self.chain_map(240), odd[inverse][:, inverse]):
+            n = len(phi)
+            perm, lower, upper, storage = per._band(phi)
+            assert storage.shape == (lower + upper + 1, n) and storage.flags.f_contiguous
+            interleaved = phi[perm][:, perm]
+            for d in range(-lower, upper + 1):
+                # diagonal d of the map is row lower + d of the storage, shifted by d
+                diag = storage[lower + d, max(0, -d):n - max(0, d)]
+                assert np.array_equal(diag, np.diagonal(interleaved, d))
+            assert np.diagonal(interleaved, upper).any() and np.diagonal(interleaved, -lower).any()
+            assert not np.triu(interleaved, upper + 1).any()
+            assert not np.tril(interleaved, -lower - 1).any()
 
     @pytest.mark.parametrize("case", ["beam", "chain12", "no-zero", "wide-band"])
     def test_dense_loop_bit_for_bit(self, case):
@@ -1263,7 +1280,7 @@ class TestProfileLoop:
             phi = 0.9 * np.eye(300) + 1e-3 * rng.random((300, 300))
         else:
             phi = self.wide_band_map()
-        assert per._profile_blocks(phi) == (None, None)
+        assert per._band(phi) is None
         x0 = rng.standard_normal(len(phi))
         got, got_stop = per.recurrence(phi, x0, 0.1, 300, None, (), None, 0.0)
         states, stop = step_loop(phi, x0, 0.1, 300, None, (), None, 0.0)
@@ -1271,10 +1288,9 @@ class TestProfileLoop:
         assert np.array_equal(got, states)
 
     def test_rejected_on_its_full_windows(self, monkeypatch):
-        # in the interleaved order: a diagonal map of order 256 whose middle
-        # row of each 128-row block is full.  The first and last rows of the
-        # blocks cover half of the map, so the full pass runs, and its
-        # windows cover all of it
+        # in the interleaved order: a diagonal map of order 256 whose rows 64
+        # and 192 are full.  They span every column, so the band is wider
+        # than the map, which is rejected after its one pass over the spans
         n = 256
         interleaved = 0.5 * np.eye(n)
         interleaved[[64, 192]] += 1e-3
@@ -1283,7 +1299,7 @@ class TestProfileLoop:
         full_passes = []
         monkeypatch.setattr(per, "_interleaved_profile",
                             lambda mat: full_passes.append(1) or linalg._interleaved_profile(mat))
-        assert per._profile_blocks(phi) == (None, None) and full_passes == [1]
+        assert per._band(phi) is None and full_passes == [1]
         x0 = np.random.default_rng(8).standard_normal(n)
         got, got_stop = per.recurrence(phi, x0, 0.1, 200, None, (), None, 0.0)
         states, stop = step_loop(phi, x0, 0.1, 200, None, (), None, 0.0)
@@ -1432,6 +1448,26 @@ class TestIntegrateAsymptotic:
         assert len(traj.info["term_norms"]) == n_terms + 1
         assert (traj.info["rho_beta_b"] >= 1.0) is traj.diverged
         assert np.isfinite(traj.displacements).all() and np.isfinite(traj.velocities).all()
+
+    def test_growing_transfer_is_diverged_by_the_norm_guard(self):
+        # rho(beta_b) is 1.8e-3 at 0.86 dt_max, but the full-step transfer T
+        # that every term marches has a radius of 16.5: the sum grows to
+        # 7.2e111, against 3.2e-4 from integrate
+        model, config = benchmark_beam(t_c=5e-5), per.PerConfig(dt=2e-5, m_b=8)
+        assert spectral_radius(per.assemble_series(model, config.dt, 8, "T")) > 16.0
+        traj = per.integrate_asymptotic(model, config, 100 * config.dt, n_terms=21)
+        assert traj.info["rho_beta_b"] < 1e-2 and np.abs(traj.displacements).max() > 1e100
+        assert traj.diverged and traj.info["reason"] == "norm guard"
+        # the first state past 1e12 times the guard's reference, as in recurrence
+        # (the beam starts at rest, so the reference is that of the load alone)
+        step = traj.info["diverged_at_step"]
+        assert 1 < step < 100
+        l_b = per.build_scheme(model, config).l_b
+        g = per._per_samples(_load_sampler(model)[1], 0, 100, config.dt)
+        refs = np.linalg.norm(l_b, 2) * np.cumsum(np.linalg.norm(g, axis=1))
+        norms = np.linalg.norm(np.hstack([traj.displacements, traj.velocities]), axis=1)[1:]
+        assert norms[step - 1] > 1e12 * refs[step - 1]
+        assert (norms[:step - 1] <= 1e12 * np.maximum(refs[:step - 1], 1e-30)).all()
 
     @pytest.mark.parametrize("case", ["chain12", "beam", "chain96"])
     def test_radius_is_that_of_integrate(self, case):

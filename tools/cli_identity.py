@@ -30,13 +30,16 @@ The matrix:
   (dt 0.2, t_max 4): order 192, so both doublings take the profile product;
 - ``simulate`` of the perturbation scheme on the unforced
   ``{"kind": "chain", "zeta": 0.1, "n_dof": 480}`` (dt 0.2, t_max 1): its
-  step map covers a third of its order-960 square, so the step loop runs
-  over the map's nonzero profile.  ``u0`` alternates in sign with a size of
-  0.5e-2 to 1.5e-2 at every dof, so that no column of the CSV peaks near
-  zero, where a roundoff move would read large against the column's peak;
+  step map is a band of a quarter of its order 960, so the step loop runs
+  as a band.  ``u0`` alternates in sign with a size of 0.5e-2 to 1.5e-2 at
+  every dof, so that no column of the CSV peaks near zero, where a roundoff
+  move would read large against the column's peak;
 - ``simulate`` of the perturbation scheme on that 480-dof chain with a step
   load at dof 3, so that the forcing operator on the load's dof runs in the
-  profile loop, and of Newmark on the 96-dof chain with the same load;
+  band loop, and of Newmark on the 96-dof chain with the same load;
+- ``simulate`` of RK4 on the unforced 480-dof chain at ``--dt 0.1``
+  (``omega_max dt`` 2.0, inside RK4's stability limit): its step map is a
+  band of width 13 in its order 960, so a baseline's run takes the band loop;
 - ``simulate`` of two malformed configs: a ``{"kind": "chain"}`` model
   with neither ``n_dof`` nor ``zeta``, and an ``out`` that is the number 5
   (always run with ``--out``, so that no tree opens a file descriptor);
@@ -144,7 +147,7 @@ CONFIGS = {
     "chain96.json": {"version": 1, "model": {"kind": "chain", "zeta": 0.1, "n_dof": 96},
                      "dt": 0.2, "t_max": 4.0,
                      "u0": [1e-2 * math.sin(i + 1.0) for i in range(96)]},
-    # the 480-dof benchmark chain, unforced: its step map has a narrow profile
+    # the 480-dof benchmark chain, unforced: its step map is a narrow band
     "chain480.json": {"version": 1, "model": {"kind": "chain", "zeta": 0.1, "n_dof": 480},
                       "dt": 0.2, "t_max": 1.0,
                       "u0": [1e-2 * (-1) ** i * (1.0 + 0.5 * math.sin(i + 1.0))
@@ -229,6 +232,8 @@ CASES = {
     "simulate-chain480-per": ["simulate", "--config", "chain480.json", "--out", "out.csv"],
     "simulate-chain480-forced-per": ["simulate", "--config", "chain480-forced.json",
                                      "--out", "out.csv"],
+    "simulate-chain480-rk4": ["simulate", "--config", "chain480.json", "--method", "rk4",
+                              "--dt", "0.1", "--out", "out.csv"],
     "simulate-chain96-forced-newmark": ["simulate", "--config", "chain96-forced.json",
                                         "--method", "newmark", "--out", "out.csv"],
     "simulate-missing-key": ["simulate", "--config", "missing-key.json", "--out", "out.csv"],
